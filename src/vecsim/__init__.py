@@ -1,19 +1,30 @@
-"""vecsim: a batched robot-learning environment engine.
+"""vecsim: batched robot-learning building blocks on NumPy.
 
-Self-contained stack: spatial math, a reduced-coordinate dynamics kernel,
-actuator and sensor models, task-space controllers, procedural terrain,
-manager-based and direct environment workflows, population-based training,
-and a throughput benchmark CLI. Hot kernels are numba-compiled with a
-pure-NumPy fallback selected by ``VECSIM_NUMBA=0``.
+Every call works on a batch of E environments at once. The modules are:
+
+* ``maths``: quaternions and rigid transforms;
+* ``articulation``: kinematic trees, batched state, contact probes;
+* ``dynamics``: forward kinematics, point Jacobians, CRBA mass matrix, RNEA
+  bias forces, penalty contacts on flat or heightfield ground, and a
+  semi-implicit Euler step with optional implicit PD;
+* ``actuators``: explicit and implicit joint actuator models;
+* ``controllers``: differential IK, joint impedance and operational-space
+  control;
+* ``raycast``: triangle meshes, BVHs and closest-hit ray casting;
+* ``sensors``: ray patterns, depth images, contact and IMU sensors;
+* ``terrain``: heightfield generators, meshing, terrain grids and the
+  difficulty curriculum;
+* ``registry``: the entity registry and the per-step lazy cache.
+
+There is no environment class; the benchmark in ``bench/`` shows how the
+parts compose into a control step.
 """
 
-from .accel import NUMBA_ENABLED
 from .articulation import ArticulationState, ContactPointSet, KinematicTree, LinkSpec
 from .maths import Transform, compose, inverse, relative_pose
 from .registry import EmptyViewError, EntityRegistry, EntityView, LazyCache
 
 __all__ = [
-    "NUMBA_ENABLED",
     "ArticulationState",
     "ContactPointSet",
     "KinematicTree",

@@ -1,8 +1,18 @@
 """Batched articulated-dynamics kernels.
 
-All kernels loop over the environment dimension with ``prange`` and use
-body-frame spatial vectors ordered ``[angular, linear]`` about link-frame
-origins. They are compiled with numba unless ``VECSIM_NUMBA=0``.
+Every kernel works on all E environments at once: arrays carry the
+environment as their leading axis, and the only Python loops run over the
+links of the tree, root to leaf or leaf to root. The interpreter cost is
+paid once per link, not once per link and environment.
+
+Spatial vectors are body-frame ``[angular, linear]`` about link-frame
+origins. The parent->child motion transforms ``X`` (``(E, L, 6, 6)``, from
+:func:`motion_xforms`) and the spatial inertias (``(E, L, 6, 6)``, from
+:func:`spatial_inertia`) depend only on ``q`` and the physical parameters,
+so the integrator computes them once per substep and passes them to the
+velocity, RNEA, CRBA and wrench kernels. Forces move to the parent with
+``X^T``; the leaf-to-root pass that projects them onto the joint axes is
+shared by RNEA, CRBA and wrench mapping (:func:`_project_to_joints`).
 
 Joint codes: 0 fixed, 1 revolute, 2 prismatic, 3 free (root only).
 """
@@ -11,472 +21,295 @@ from __future__ import annotations
 
 import numpy as np
 
-from .accel import jit, prange
 
-_JIT = jit()
-_PJIT = jit(parallel=True)
-
-
-@_JIT
-def _rodrigues(axis, angle):
-    """Rotation matrix about a unit axis."""
-    c = np.cos(angle)
-    s = np.sin(angle)
-    t = 1.0 - c
-    x, y, z = axis[0], axis[1], axis[2]
-    out = np.empty((3, 3))
-    out[0, 0] = c + x * x * t
-    out[0, 1] = x * y * t - z * s
-    out[0, 2] = x * z * t + y * s
-    out[1, 0] = x * y * t + z * s
-    out[1, 1] = c + y * y * t
-    out[1, 2] = y * z * t - x * s
-    out[2, 0] = x * z * t - y * s
-    out[2, 1] = y * z * t + x * s
-    out[2, 2] = c + z * z * t
-    return out
+# skew(v) == (v @ _SKEW).reshape(3, 3): row c holds the pattern of v_c
+_SKEW = np.zeros((3, 3, 3))
+_SKEW[2, 0, 1] = _SKEW[0, 1, 2] = _SKEW[1, 2, 0] = -1.0
+_SKEW[1, 0, 2] = _SKEW[2, 1, 0] = _SKEW[0, 2, 1] = 1.0
+# crm(v) == (v @ _CRM).reshape(6, 6) == [[skew(w), 0], [skew(v_lin), skew(w)]]
+_CRM = np.zeros((6, 6, 6))
+_CRM[:3, :3, :3] = _CRM[:3, 3:, 3:] = _CRM[3:, 3:, :3] = _SKEW
+_SKEW = _SKEW.reshape(3, 9)
+_CRM = _CRM.reshape(6, 36)
 
 
-@_JIT
+def _mv(a, x):
+    """Batched matrix-vector product ``a @ x`` over leading axes."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _skew(v):
+    """``skew(v) @ x == v x x`` over leading axes."""
+    return (v @ _SKEW).reshape(v.shape[:-1] + (3, 3))
+
+
 def _cross(a, b):
-    out = np.empty(3)
-    out[0] = a[1] * b[2] - a[2] * b[1]
-    out[1] = a[2] * b[0] - a[0] * b[2]
-    out[2] = a[0] * b[1] - a[1] * b[0]
-    return out
+    """Cross product over the last axis (cheaper than ``np.cross``)."""
+    return _mv(_skew(a), b)
 
 
-@_JIT
-def _spatial_inertia(mass, com, inertia_c):
-    """6x6 spatial inertia about the link origin, [ang, lin] blocks."""
-    out = np.zeros((6, 6))
-    cx, cy, cz = com[0], com[1], com[2]
-    c2 = cx * cx + cy * cy + cz * cz
-    for a in range(3):
-        for b in range(3):
-            out[a, b] = inertia_c[a, b] - mass * (com[a] * com[b])
-        out[a, a] += mass * c2
-    # off-diagonal blocks: +m*skew(c) top-right, -m*skew(c) bottom-left
-    out[0, 4] = -mass * cz
-    out[0, 5] = mass * cy
-    out[1, 3] = mass * cz
-    out[1, 5] = -mass * cx
-    out[2, 3] = -mass * cy
-    out[2, 4] = mass * cx
-    out[3, 1] = mass * cz
-    out[3, 2] = -mass * cy
-    out[4, 0] = -mass * cz
-    out[4, 2] = mass * cx
-    out[5, 0] = mass * cy
-    out[5, 1] = -mass * cx
-    out[3, 3] = mass
-    out[4, 4] = mass
-    out[5, 5] = mass
-    return out
+def _crm(v):
+    """Spatial cross-product matrices: ``crm(v) @ m == v x m`` and
+    ``-crm(v)^T @ f == v x* f``."""
+    return (v @ _CRM).reshape(v.shape[:-1] + (6, 6))
 
 
-@_JIT
-def _force_to_parent(E, r, f):
-    """Transform a spatial force from child coords to parent coords."""
-    out = np.empty(6)
-    fl = np.empty(3)
-    for a in range(3):
-        fl[a] = E[0, a] * f[3] + E[1, a] * f[4] + E[2, a] * f[5]
-    na = np.empty(3)
-    for a in range(3):
-        na[a] = E[0, a] * f[0] + E[1, a] * f[1] + E[2, a] * f[2]
-    rxf = _cross(r, fl)
-    out[0] = na[0] + rxf[0]
-    out[1] = na[1] + rxf[1]
-    out[2] = na[2] + rxf[2]
-    out[3] = fl[0]
-    out[4] = fl[1]
-    out[5] = fl[2]
-    return out
+def _rodrigues(axis, angle):
+    """Rotations ``(E, n, 3, 3)`` about unit axes ``(n, 3)`` by ``(E, n)``."""
+    c = np.cos(angle)[..., None, None]
+    s = np.sin(angle)[..., None, None]
+    outer = axis[:, :, None] * axis[:, None, :]
+    return c * np.eye(3) + s * _skew(axis) + (1.0 - c) * outer
 
 
-@_JIT
-def _link_xforms(jtype, parent, axis, x_rot, x_pos, q, qidx,
-                 base_rot, base_pos, out_rot, out_pos):
-    """Single-env forward kinematics into (L,3,3)/(L,3) buffers."""
-    L = jtype.shape[0]
-    for i in range(L):
-        jt = jtype[i]
-        if i == 0 and jt == 3:
-            out_rot[0] = base_rot
-            out_pos[0] = base_pos
-            continue
-        if parent[i] < 0:
-            Rp = base_rot
-            pp = base_pos
-        else:
-            Rp = out_rot[parent[i]]
-            pp = out_pos[parent[i]]
-        Rj = Rp @ x_rot[i]
-        pj = pp + Rp @ x_pos[i]
-        if jt == 1:
-            out_rot[i] = Rj @ _rodrigues(axis[i], q[qidx[i]])
-            out_pos[i] = pj
-        elif jt == 2:
-            out_rot[i] = Rj
-            out_pos[i] = pj + Rj @ (axis[i] * q[qidx[i]])
-        else:
-            out_rot[i] = Rj
-            out_pos[i] = pj
+def joint_xforms(tree, q):
+    """Each link's frame in its parent's frame, for joint positions ``q``.
+
+    Returns ``rot`` ``(E, L, 3, 3)`` and ``pos`` ``(E, L, 3)``: the fixed
+    joint origin followed by the joint motion. The free root's entry is
+    its (unused) origin.
+    """
+    E = q.shape[0]
+    rot = np.repeat(tree.x_rot[None], E, axis=0)
+    pos = np.repeat(tree.x_pos[None], E, axis=0)
+    rev = np.flatnonzero(tree.jtype == 1)
+    if rev.size:
+        rot[:, rev] = tree.x_rot[rev] @ _rodrigues(tree.axis[rev], q[:, tree.qidx[rev]])
+    pri = np.flatnonzero(tree.jtype == 2)
+    if pri.size:
+        slide = tree.axis[pri] * q[:, tree.qidx[pri], None]
+        pos[:, pri] += _mv(tree.x_rot[pri], slide)
+    return rot, pos
 
 
-@_PJIT
-def fk_kernel(jtype, parent, axis, x_rot, x_pos, q, qidx,
-              base_rot, base_pos, out_rot, out_pos):
-    for e in prange(q.shape[0]):
-        _link_xforms(jtype, parent, axis, x_rot, x_pos, q[e], qidx,
-                     base_rot[e], base_pos[e], out_rot[e], out_pos[e])
-
-
-@_JIT
-def _child_xform(link_rot, link_pos, base_rot, base_pos, parent, i):
-    """(E, r) of the parent->child motion map for link i."""
-    if parent[i] < 0:
-        Rp = base_rot
-        pp = base_pos
-    else:
-        Rp = link_rot[parent[i]]
-        pp = link_pos[parent[i]]
-    E = link_rot[i].T @ Rp
-    r = Rp.T @ (link_pos[i] - pp)
-    return E, r
-
-
-@_JIT
-def _link_velocities(jtype, parent, axis, qidx, qd, link_rot, link_pos,
-                     base_rot, base_pos, root_twist_w, out_v):
-    """Single-env body-frame spatial link velocities [w, v]."""
-    L = jtype.shape[0]
-    for i in range(L):
-        jt = jtype[i]
-        if i == 0 and jt == 3:
-            R0 = link_rot[0]
-            out_v[0, :3] = R0.T @ root_twist_w[3:]
-            out_v[0, 3:] = R0.T @ root_twist_w[:3]
-            continue
-        E, r = _child_xform(link_rot, link_pos, base_rot, base_pos, parent, i)
-        if parent[i] < 0:
-            wp = np.zeros(3)
-            vp = np.zeros(3)
-        else:
-            wp = out_v[parent[i], :3].copy()
-            vp = out_v[parent[i], 3:].copy()
-        w = E @ wp
-        v = E @ (vp + _cross(wp, r))
-        if jt == 1:
-            w = w + axis[i] * qd[qidx[i]]
-        elif jt == 2:
-            v = v + axis[i] * qd[qidx[i]]
-        out_v[i, :3] = w
-        out_v[i, 3:] = v
-
-
-@_PJIT
-def vel_kernel(jtype, parent, axis, qidx, qd, link_rot, link_pos,
-               base_rot, base_pos, root_twist_w, out_v):
-    for e in prange(qd.shape[0]):
-        _link_velocities(jtype, parent, axis, qidx, qd[e], link_rot[e],
-                         link_pos[e], base_rot[e], base_pos[e],
-                         root_twist_w[e], out_v[e])
-
-
-@_PJIT
-def rnea_kernel(jtype, parent, axis, qidx, qd, link_rot, link_pos,
-                base_rot, base_pos, v, mass, com, inertia, gravity,
-                floating, out_bias):
-    """Bias forces (Coriolis + centrifugal + gravity) at zero acceleration."""
-    E_count = qd.shape[0]
-    L = jtype.shape[0]
-    off = 6 if floating else 0
-    for e in prange(E_count):
-        a = np.zeros((L, 6))
-        f = np.zeros((L, 6))
-        Es = np.zeros((L, 3, 3))
-        rs = np.zeros((L, 3))
-        for i in range(L):
-            jt = jtype[i]
-            if i == 0 and jt == 3:
-                a[0, 3:] = -(link_rot[e, 0].T @ gravity[e])
-            else:
-                Et, rt = _child_xform(link_rot[e], link_pos[e], base_rot[e],
-                                      base_pos[e], parent, i)
-                Es[i] = Et
-                rs[i] = rt
-                if parent[i] < 0:
-                    ap_ang = np.zeros(3)
-                    ap_lin = -(base_rot[e].T @ gravity[e])
-                else:
-                    ap_ang = a[parent[i], :3].copy()
-                    ap_lin = a[parent[i], 3:].copy()
-                # X * a_parent
-                aa = Et @ ap_ang
-                al = Et @ (ap_lin + _cross(ap_ang, rt))
-                # velocity-product term crm(v_i) * S qd
-                if jt == 1:
-                    sj = axis[i] * qd[e, qidx[i]]
-                    aa = aa + _cross(v[e, i, :3], sj)
-                    al = al + _cross(v[e, i, 3:], sj)
-                elif jt == 2:
-                    sj = axis[i] * qd[e, qidx[i]]
-                    al = al + _cross(v[e, i, :3], sj)
-                a[i, :3] = aa
-                a[i, 3:] = al
-            # momentum h = I v, then f = I a + crf(v) h
-            Isp = _spatial_inertia(mass[e, i], com[e, i], inertia[e, i])
-            h = Isp @ v[e, i]
-            fi = Isp @ a[i]
-            w = v[e, i, :3]
-            vl = v[e, i, 3:]
-            f[i, :3] = fi[:3] + _cross(w, h[:3]) + _cross(vl, h[3:])
-            f[i, 3:] = fi[3:] + _cross(w, h[3:])
-        for i in range(L - 1, -1, -1):
-            if qidx[i] >= 0:
-                if jtype[i] == 1:
-                    out_bias[e, off + qidx[i]] = (axis[i, 0] * f[i, 0]
-                                                  + axis[i, 1] * f[i, 1]
-                                                  + axis[i, 2] * f[i, 2])
-                else:
-                    out_bias[e, off + qidx[i]] = (axis[i, 0] * f[i, 3]
-                                                  + axis[i, 1] * f[i, 4]
-                                                  + axis[i, 2] * f[i, 5])
-            if i == 0:
-                if floating:
-                    out_bias[e, :6] = f[0]
-            elif parent[i] >= 0:
-                f[parent[i]] += _force_to_parent(Es[i], rs[i], f[i])
-
-
-@_JIT
-def _motion_xform6(E, r):
-    """6x6 motion map parent->child: [[E, 0], [-E*skew(r), E]]."""
-    X = np.zeros((6, 6))
-    X[:3, :3] = E
-    X[3:, 3:] = E
-    sk = np.zeros((3, 3))
-    sk[0, 1] = -r[2]
-    sk[0, 2] = r[1]
-    sk[1, 0] = r[2]
-    sk[1, 2] = -r[0]
-    sk[2, 0] = -r[1]
-    sk[2, 1] = r[0]
-    X[3:, :3] = -(E @ sk)
+def motion_xforms(rot, pos):
+    """Parent->child motion maps ``[[E, 0], [-E skew(r), E]]``, ``E = rot^T``."""
+    e = np.swapaxes(rot, -1, -2)
+    X = np.zeros(rot.shape[:-2] + (6, 6))
+    X[..., :3, :3] = e
+    X[..., 3:, 3:] = e
+    # -E skew(r) == (skew(r) rot)^T
+    X[..., 3:, :3] = np.swapaxes(_skew(pos) @ rot, -1, -2)
     return X
 
 
-@_PJIT
-def crba_kernel(jtype, parent, axis, qidx, q, link_rot, link_pos,
-                base_rot, base_pos, mass, com, inertia, floating, out_m):
-    """Composite-rigid-body mass matrix in generalized coordinates."""
-    E_count = q.shape[0]
-    L = jtype.shape[0]
-    off = 6 if floating else 0
-    for e in prange(E_count):
-        Ic = np.zeros((L, 6, 6))
-        Xs = np.zeros((L, 6, 6))
-        Es = np.zeros((L, 3, 3))
-        rs = np.zeros((L, 3))
-        for i in range(L):
-            Ic[i] = _spatial_inertia(mass[e, i], com[e, i], inertia[e, i])
-            if not (i == 0 and jtype[i] == 3):
-                Et, rt = _child_xform(link_rot[e], link_pos[e], base_rot[e],
-                                      base_pos[e], parent, i)
-                Es[i] = Et
-                rs[i] = rt
-                Xs[i] = _motion_xform6(Et, rt)
-        for i in range(L - 1, 0, -1):
-            p = parent[i]
-            if p >= 0:
-                Ic[p] += Xs[i].T @ (Ic[i] @ Xs[i])
-        out_m[e, :, :] = 0.0
-        if floating:
-            out_m[e, :6, :6] = Ic[0]
-        for i in range(L):
-            if qidx[i] < 0:
-                continue
-            row = off + qidx[i]
-            S = np.zeros(6)
-            if jtype[i] == 1:
-                S[:3] = axis[i]
-            else:
-                S[3:] = axis[i]
-            F = Ic[i] @ S
-            acc = 0.0
-            for a in range(6):
-                acc += S[a] * F[a]
-            out_m[e, row, row] = acc
-            j = i
-            while parent[j] >= 0:
-                F = _force_to_parent(Es[j], rs[j], F)
-                j = parent[j]
-                if qidx[j] >= 0:
-                    col = off + qidx[j]
-                    val = 0.0
-                    if jtype[j] == 1:
-                        val = F[0] * axis[j, 0] + F[1] * axis[j, 1] + F[2] * axis[j, 2]
-                    else:
-                        val = F[3] * axis[j, 0] + F[4] * axis[j, 1] + F[5] * axis[j, 2]
-                    out_m[e, row, col] = val
-                    out_m[e, col, row] = val
-            if floating and j == 0:
-                for a in range(6):
-                    out_m[e, row, a] = F[a]
-                    out_m[e, a, row] = F[a]
+def spatial_inertia(mass, com, inertia):
+    """6x6 spatial inertias about the link origins, ``[ang, lin]`` blocks.
+
+    ``mass`` ``(E, L)``, ``com`` ``(E, L, 3)``, ``inertia`` about the COM
+    ``(E, L, 3, 3)``.
+    """
+    m = mass[..., None, None]
+    sk = _skew(com)
+    msk = m * sk
+    out = np.empty(mass.shape + (6, 6))
+    # parallel-axis term m (|c|^2 1 - c c^T) == -m skew(c)^2
+    out[..., :3, :3] = inertia - msk @ sk
+    out[..., :3, 3:] = msk
+    out[..., 3:, :3] = -msk
+    out[..., 3:, 3:] = m * np.eye(3)
+    return out
 
 
-@_PJIT
-def wrench_kernel(jtype, parent, axis, qidx, link_rot, link_pos,
-                  base_rot, base_pos, wrench_w, floating, out_f):
-    """Generalized forces from world-frame per-link wrenches [f, tau]."""
-    E_count = wrench_w.shape[0]
-    L = jtype.shape[0]
-    off = 6 if floating else 0
-    for e in prange(E_count):
-        fb = np.zeros((L, 6))
-        for i in range(L):
-            Rt = link_rot[e, i].T
-            fb[i, :3] = Rt @ wrench_w[e, i, 3:]
-            fb[i, 3:] = Rt @ wrench_w[e, i, :3]
-        for i in range(L - 1, -1, -1):
-            if qidx[i] >= 0:
-                if jtype[i] == 1:
-                    out_f[e, off + qidx[i]] = (axis[i, 0] * fb[i, 0]
-                                               + axis[i, 1] * fb[i, 1]
-                                               + axis[i, 2] * fb[i, 2])
-                else:
-                    out_f[e, off + qidx[i]] = (axis[i, 0] * fb[i, 3]
-                                               + axis[i, 1] * fb[i, 4]
-                                               + axis[i, 2] * fb[i, 5])
-            if i == 0:
-                if floating:
-                    out_f[e, :6] = fb[0]
-            elif parent[i] >= 0:
-                Et, rt = _child_xform(link_rot[e], link_pos[e], base_rot[e],
-                                      base_pos[e], parent, i)
-                fb[parent[i]] += _force_to_parent(Et, rt, fb[i])
+def fk_kernel(tree, rot, pos, base_rot, base_pos):
+    """World link rotations ``(E, L, 3, 3)`` and origins ``(E, L, 3)``."""
+    E, L = rot.shape[:2]
+    link_rot = np.empty((E, L, 3, 3))
+    link_pos = np.empty((E, L, 3))
+    for i in range(L):
+        p = tree.parent[i]
+        if i == 0 and tree.floating:
+            link_rot[:, 0] = base_rot
+            link_pos[:, 0] = base_pos
+            continue
+        rp, pp = (base_rot, base_pos) if p < 0 else (link_rot[:, p], link_pos[:, p])
+        link_rot[:, i] = rp @ rot[:, i]
+        link_pos[:, i] = pp + _mv(rp, pos[:, i])
+    return link_rot, link_pos
 
 
-@_PJIT
-def jacobian_kernel(jtype, parent, axis, qidx, link_rot, link_pos,
-                    base_rot, base_pos, link, offset, floating, out_j):
-    """Point Jacobian rows [linear, angular], columns in qvel order."""
-    E_count = link_rot.shape[0]
-    off = 6 if floating else 0
-    for e in prange(E_count):
-        pw = link_pos[e, link] + link_rot[e, link] @ offset
-        out_j[e, :, :] = 0.0
-        j = link
-        while j >= 0:
-            jt = jtype[j]
-            if jt == 1:
-                aw = link_rot[e, j] @ axis[j]
-                lin = _cross(aw, pw - link_pos[e, j])
-                col = off + qidx[j]
-                for a in range(3):
-                    out_j[e, a, col] = lin[a]
-                    out_j[e, 3 + a, col] = aw[a]
-            elif jt == 2:
-                aw = link_rot[e, j] @ axis[j]
-                col = off + qidx[j]
-                for a in range(3):
-                    out_j[e, a, col] = aw[a]
-            elif jt == 3:
-                R0 = link_rot[e, 0]
-                rel = pw - link_pos[e, 0]
-                # linear rows wrt body angular velocity: -skew(rel) @ R0
-                for b in range(3):
-                    cx = _cross(R0[:, b].copy(), rel)
-                    for a in range(3):
-                        out_j[e, a, b] = cx[a]
-                        out_j[e, 3 + a, b] = R0[a, b]
-                for a in range(3):
-                    out_j[e, a, 3 + a] = 1.0
-            j = parent[j]
+def _joint_motion(tree, qd):
+    """Joint velocity ``S_i qd_i`` of every link, ``(E, L, 6)``."""
+    # index -1 (links without a joint) picks the padded zero
+    padded = np.concatenate([qd, np.zeros((qd.shape[0], 1))], axis=1)
+    return tree.subspace * padded[:, tree.qidx, None]
 
 
-@_JIT
+def vel_kernel(tree, X, qd, base_rot, root_twist_w):
+    """Body-frame spatial link velocities ``[w, v]``, ``(E, L, 6)``.
+
+    ``root_twist_w`` is the free root's world twist ``[lin, ang]``; a
+    fixed-base mount is at rest.
+    """
+    v = _joint_motion(tree, qd)
+    for i in range(tree.num_links):
+        p = tree.parent[i]
+        if i == 0 and tree.floating:
+            rt = np.swapaxes(base_rot, -1, -2)
+            v[:, 0, :3] = _mv(rt, root_twist_w[:, 3:])
+            v[:, 0, 3:] = _mv(rt, root_twist_w[:, :3])
+        elif p >= 0:
+            v[:, i] += _mv(X[:, i], v[:, p])
+    return v
+
+
+def _project_to_joints(tree, X, f):
+    """Leaf-to-root pass shared by RNEA, CRBA and wrench mapping.
+
+    Each link's spatial force (``f``, ``(E, L, 6, K)``) is moved into its
+    parent's with ``X^T``, leaf to root, so that ``f[:, i]`` becomes the
+    force transmitted across joint ``i``; ``f`` is consumed. Returns its
+    projection onto the joint axes, ``(E, nv, K)``, with a floating root's
+    whole force in rows ``0..5``.
+    """
+    for i in range(tree.num_links - 1, 0, -1):
+        p = tree.parent[i]
+        if p >= 0:
+            f[:, p] += np.swapaxes(X[:, i], -1, -2) @ f[:, i]
+    off = 6 if tree.floating else 0
+    out = np.zeros((f.shape[0], tree.nv) + f.shape[3:])
+    moving = tree.qidx >= 0
+    out[:, off + tree.qidx[moving]] = (tree.subspace[:, None] @ f)[:, moving, 0]
+    if tree.floating:
+        out[:, :6] = f[:, 0]
+    return out
+
+
+def rnea_kernel(tree, X, v, qd, inertia, base_rot, gravity):
+    """Bias forces (Coriolis + centrifugal + gravity) at zero acceleration.
+
+    Gravity enters as an upward acceleration of the base (``(E, 3)`` world
+    gravity); ``inertia`` holds the spatial inertias. Returns ``(E, nv)``
+    in body coordinates.
+    """
+    E, L = v.shape[:2]
+    crm = _crm(v)
+    c = _mv(crm, _joint_motion(tree, qd))
+    a_base = np.zeros((E, 6))
+    a_base[:, 3:] = -_mv(np.swapaxes(base_rot, -1, -2), gravity)
+    a = np.empty((E, L, 6))
+    for i in range(L):
+        p = tree.parent[i]
+        if i == 0 and tree.floating:
+            a[:, 0] = a_base
+        else:
+            a[:, i] = _mv(X[:, i], a_base if p < 0 else a[:, p]) + c[:, i]
+    # v x* h == -crm(v)^T h, computed as the row vector h^T crm(v)
+    h = _mv(inertia, v)
+    f = _mv(inertia, a) - (h[..., None, :] @ crm)[..., 0, :]
+    return _project_to_joints(tree, X, f[..., None])[..., 0]
+
+
+def crba_kernel(tree, X, inertia):
+    """Composite-rigid-body mass matrix ``(E, nv, nv)``, body coordinates.
+
+    Column ``j`` starts as the force ``Ic_j S_j`` on joint ``j``'s link
+    (``Ic`` the composite inertia); the shared leaf-to-root pass carries it
+    to every ancestor, whose projection is the upper-triangle entry.
+    """
+    E, L = inertia.shape[:2]
+    nv = tree.nv
+    off = 6 if tree.floating else 0
+    ic = inertia.copy()
+    for i in range(L - 1, 0, -1):
+        p = tree.parent[i]
+        if p >= 0:
+            ic[:, p] += np.swapaxes(X[:, i], -1, -2) @ ic[:, i] @ X[:, i]
+    f = np.zeros((E, L, 6, nv))
+    if tree.floating:
+        f[:, 0, :, :6] = ic[:, 0]
+    moving = tree.qidx >= 0
+    # column qidx[i] of link i's force block: f.swapaxes(2, 3)[:, i, col]
+    np.swapaxes(f, 2, 3)[:, moving, off + tree.qidx[moving]] = _mv(
+        ic[:, moving], tree.subspace[moving])
+    upper = np.triu(_project_to_joints(tree, X, f))
+    return upper + np.swapaxes(np.triu(upper, 1), -1, -2)
+
+
+def wrench_kernel(tree, X, link_rot, wrench_w):
+    """Generalized forces ``(E, nv)`` from world link wrenches ``[f, tau]``."""
+    rt = np.swapaxes(link_rot, -1, -2)
+    fb = np.concatenate([_mv(rt, wrench_w[..., 3:]), _mv(rt, wrench_w[..., :3])],
+                        axis=-1)
+    return _project_to_joints(tree, X, fb[..., None])[..., 0]
+
+
+def jacobian_kernel(tree, link_rot, link_pos, link, offset):
+    """Point Jacobian rows ``[linear, angular]``, columns in qvel order."""
+    E = link_rot.shape[0]
+    off = 6 if tree.floating else 0
+    out = np.zeros((E, 6, tree.nv))
+    pw = link_pos[:, link] + _mv(link_rot[:, link], offset)
+    j = link
+    while j >= 0:
+        jt = tree.jtype[j]
+        col = off + tree.qidx[j]
+        if jt == 1:
+            aw = _mv(link_rot[:, j], tree.axis[j])
+            out[:, :3, col] = _cross(aw, pw - link_pos[:, j])
+            out[:, 3:, col] = aw
+        elif jt == 2:
+            out[:, :3, col] = _mv(link_rot[:, j], tree.axis[j])
+        elif jt == 3:
+            r0 = link_rot[:, 0]
+            rel = pw - link_pos[:, 0]
+            # linear rows wrt body angular velocity: -skew(rel) @ R0
+            out[:, :3, :3] = -(_skew(rel) @ r0)
+            out[:, 3:, :3] = r0
+            out[:, :3, 3:6] = np.eye(3)
+        j = tree.parent[j]
+    return out
+
+
 def heightfield_sample(heights, cell, ox, oy, x, y):
-    """Surface height via the same triangle split used for meshing."""
+    """Surface heights at points ``(x, y)`` via the mesher's triangle split.
+
+    Points outside the grid clamp to the border.
+    """
     n, m = heights.shape
-    fx = (x - ox) / cell
-    fy = (y - oy) / cell
-    if fx < 0.0:
-        fx = 0.0
-    if fy < 0.0:
-        fy = 0.0
-    if fx > n - 1.000001:
-        fx = n - 1.000001
-    if fy > m - 1.000001:
-        fy = m - 1.000001
-    i = int(fx)
-    j = int(fy)
+    fx = np.clip((np.asarray(x, dtype=np.float64) - ox) / cell, 0.0, n - 1.000001)
+    fy = np.clip((np.asarray(y, dtype=np.float64) - oy) / cell, 0.0, m - 1.000001)
+    i = fx.astype(np.int64)
+    j = fy.astype(np.int64)
     u = fx - i
     w = fy - j
     h00 = heights[i, j]
     h10 = heights[i + 1, j]
     h01 = heights[i, j + 1]
     h11 = heights[i + 1, j + 1]
-    if u >= w:
-        return h00 + u * (h10 - h00) + w * (h11 - h10)
-    return h00 + u * (h11 - h01) + w * (h01 - h00)
+    return np.where(u >= w,
+                    h00 + u * (h10 - h00) + w * (h11 - h10),
+                    h00 + u * (h11 - h01) + w * (h01 - h00))
 
 
-@_PJIT
-def contact_kernel(probe_link, probe_offset, probe_radius, stiffness, damping,
-                   friction, link_rot, link_pos, v_body,
-                   terrain_mode, terrain_flat_h, heights, cell, ox, oy,
-                   out_normal, out_tangent, out_flag, out_wrench):
-    """Compliant probe-terrain contacts; accumulates link wrenches (world)."""
-    E_count = link_rot.shape[0]
-    P = probe_link.shape[0]
-    for e in prange(E_count):
-        for pi in range(P):
-            li = probe_link[pi]
-            R = link_rot[e, li]
-            pw = link_pos[e, li] + R @ probe_offset[pi]
-            if terrain_mode == 0:
-                h = terrain_flat_h
-            else:
-                h = heightfield_sample(heights, cell, ox, oy, pw[0], pw[1])
-            depth = h - (pw[2] - probe_radius[pi])
-            out_normal[e, pi, 0] = 0.0
-            out_normal[e, pi, 1] = 0.0
-            out_normal[e, pi, 2] = 0.0
-            out_tangent[e, pi, 0] = 0.0
-            out_tangent[e, pi, 1] = 0.0
-            out_tangent[e, pi, 2] = 0.0
-            out_flag[e, pi] = False
-            if depth <= 0.0:
-                continue
-            # world velocity of the probe point
-            vp_b = v_body[e, li, 3:] + _cross(v_body[e, li, :3], probe_offset[pi])
-            vp = R @ vp_b
-            fn = stiffness[e, pi] * depth - damping[e, pi] * vp[2]
-            if fn <= 0.0:
-                continue
-            out_flag[e, pi] = True
-            out_normal[e, pi, 2] = fn
-            # Coulomb-clamped viscous tangential opposition
-            ftx = -damping[e, pi] * vp[0]
-            fty = -damping[e, pi] * vp[1]
-            fmag = np.sqrt(ftx * ftx + fty * fty)
-            fmax = friction[e, pi] * fn
-            if fmag > fmax and fmag > 0.0:
-                scale = fmax / fmag
-                ftx *= scale
-                fty *= scale
-            out_tangent[e, pi, 0] = ftx
-            out_tangent[e, pi, 1] = fty
-            arm = pw - link_pos[e, li]
-            ftot = np.empty(3)
-            ftot[0] = ftx
-            ftot[1] = fty
-            ftot[2] = fn
-            tq = _cross(arm, ftot)
-            for a in range(3):
-                out_wrench[e, li, a] += ftot[a]
-                out_wrench[e, li, 3 + a] += tq[a]
+def contact_kernel(probes, stiffness, damping, friction, link_rot, link_pos,
+                   v_body, ground, out_normal, out_tangent, out_flag, out_wrench):
+    """Compliant probe-terrain contacts; accumulates link wrenches (world).
+
+    ``ground`` is any terrain with ``surface_height(x, y)``; the gap is
+    measured vertically and the normal is world ``+z``.
+    """
+    li = probes.link
+    rot = link_rot[:, li]
+    pw = link_pos[:, li] + _mv(rot, probes.offset)
+    depth = ground.surface_height(pw[..., 0], pw[..., 1]) - (pw[..., 2] - probes.radius)
+    # world velocity of the probe point
+    vb = v_body[:, li]
+    vp = _mv(rot, vb[..., 3:] + _cross(vb[..., :3], probes.offset))
+    fn = stiffness * depth - damping * vp[..., 2]
+    active = (depth > 0.0) & (fn > 0.0)
+    fn = np.where(active, fn, 0.0)
+    # Coulomb-clamped viscous tangential opposition
+    ft = np.where(active[..., None], -damping[..., None] * vp[..., :2], 0.0)
+    fmag = np.sqrt(ft[..., 0] * ft[..., 0] + ft[..., 1] * ft[..., 1])
+    fmax = friction * fn
+    clamp = (fmag > fmax) & (fmag > 0.0)
+    ft = np.where(clamp[..., None], ft * (fmax / np.where(clamp, fmag, 1.0))[..., None], ft)
+    out_flag[:] = active
+    out_normal[:] = 0.0
+    out_normal[..., 2] = fn
+    out_tangent[:] = 0.0
+    out_tangent[..., :2] = ft
+    force = np.concatenate([ft, fn[..., None]], axis=-1)
+    wrench = np.concatenate([force, _cross(pw - link_pos[:, li], force)], axis=-1)
+    np.add.at(out_wrench, (slice(None), li), wrench)

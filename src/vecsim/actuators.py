@@ -235,26 +235,24 @@ class ActuatorGroup:
         tau = apply_friction(cfg.friction, tau, qd)
 
         if cfg.kind == "dc_motor":
-            ts, vm = cfg.saturation_effort, cfg.velocity_limit
-            upper = np.clip(ts * (1.0 - qd / vm), 0.0, self.effort_limit)
-            lower = np.clip(-ts * (1.0 + qd / vm), -self.effort_limit, 0.0)
-            return np.clip(tau, lower, upper)
+            return np.clip(tau, *dc_motor_envelope(cfg, qd, self.effort_limit))
         if cfg.kind == "remotized_pd":
             table = cfg.effort_limit_table
             limit = np.interp(q, table[:, 0], table[:, 1])
             return np.clip(tau, -limit, limit)
         return np.clip(tau, -self.effort_limit, self.effort_limit)
 
-def compute_effort(group: ActuatorGroup, command: JointCommand,
-                   q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-    """Functional wrapper over :meth:`ActuatorGroup.compute_effort`."""
-    return group.compute_effort(command, q, qd)
 
+def dc_motor_envelope(config: ActuatorConfig, qd: np.ndarray, effort_limit=None):
+    """The four-quadrant torque-speed envelope ``(lower(qd), upper(qd))``.
 
-def dc_motor_envelope(config: ActuatorConfig, qd: np.ndarray):
-    """The four-quadrant torque-speed envelope ``(lower(qd), upper(qd))``."""
+    ``effort_limit`` overrides ``config.effort_limit``, e.g. with a group's
+    per-env limits.
+    """
+    if effort_limit is None:
+        effort_limit = config.effort_limit
     ts, vm = config.saturation_effort, config.velocity_limit
     qd = np.asarray(qd, dtype=np.float64)
-    upper = np.clip(ts * (1.0 - qd / vm), 0.0, config.effort_limit)
-    lower = np.clip(-ts * (1.0 + qd / vm), -config.effort_limit, 0.0)
+    upper = np.clip(ts * (1.0 - qd / vm), 0.0, effort_limit)
+    lower = np.clip(-ts * (1.0 + qd / vm), -effort_limit, 0.0)
     return lower, upper

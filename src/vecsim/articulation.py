@@ -104,6 +104,11 @@ class KinematicTree:
                 if eigvals.min() <= 0.0:
                     raise ValueError(f"link {i} inertia not positive-definite")
 
+        # Joint motion subspace S_i per link (body frame, [angular, linear]);
+        # zero rows for fixed joints and the free root.
+        self.subspace = np.zeros((n, 6))
+        self.subspace[self.jtype == JOINT_REVOLUTE, :3] = self.axis[self.jtype == JOINT_REVOLUTE]
+        self.subspace[self.jtype == JOINT_PRISMATIC, 3:] = self.axis[self.jtype == JOINT_PRISMATIC]
         self.num_links = n
         self.num_joints = nq
         self.floating = bool(self.jtype[0] == JOINT_FREE)
@@ -113,7 +118,7 @@ class KinematicTree:
             links[i].name for i in range(n) if self.qidx[i] >= 0
         ]
         for arr in (self.jtype, self.parent, self.axis, self.x_rot, self.x_pos,
-                    self.mass, self.com, self.inertia, self.qidx):
+                    self.mass, self.com, self.inertia, self.qidx, self.subspace):
             arr.setflags(write=False)
 
     def joint_index(self, name: str) -> int:

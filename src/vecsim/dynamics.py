@@ -26,8 +26,6 @@ from .maths import (
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
-_EMPTY_HF = np.zeros((2, 2))
-
 
 class SimulationDivergenceError(RuntimeError):
     """Simulation state became non-finite."""
@@ -53,9 +51,6 @@ class FlatGround:
         points = np.asarray(points, dtype=np.float64)
         return points[..., 2] - self.height
 
-    def encode(self):
-        return 0, float(self.height), _EMPTY_HF, 1.0, 0.0, 0.0
-
 
 @dataclass
 class HeightfieldGround:
@@ -74,26 +69,15 @@ class HeightfieldGround:
         self.heights = np.ascontiguousarray(self.heights, dtype=np.float64)
 
     def surface_height(self, x, y):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.empty(np.broadcast(x, y).shape)
-        xb, yb = np.broadcast_arrays(x, y)
-        sample = k.heightfield_sample
-        for idx in np.ndindex(out.shape):
-            out[idx] = sample(self.heights, self.cell_size,
-                              self.origin_xy[0], self.origin_xy[1],
-                              xb[idx], yb[idx])
-        return out
+        return k.heightfield_sample(self.heights, self.cell_size,
+                                    self.origin_xy[0], self.origin_xy[1],
+                                    np.atleast_1d(x), np.atleast_1d(y))
 
     def gap(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
         flat = points.reshape(-1, 3)
         h = self.surface_height(flat[:, 0], flat[:, 1])
         return (flat[:, 2] - h).reshape(points.shape[:-1])
-
-    def encode(self):
-        return (1, 0.0, self.heights, float(self.cell_size),
-                float(self.origin_xy[0]), float(self.origin_xy[1]))
 
 
 @dataclass
@@ -162,13 +146,19 @@ def _base_arrays(tree, env_count, root_pose: Transform | None):
 
 
 def _fk_arrays(tree, q, base_pos, base_rot):
-    E, L = q.shape[0], tree.num_links
-    link_rot = np.empty((E, L, 3, 3))
-    link_pos = np.empty((E, L, 3))
-    k.fk_kernel(tree.jtype, tree.parent, tree.axis, tree.x_rot, tree.x_pos,
-                np.ascontiguousarray(q), tree.qidx, base_rot, base_pos,
-                link_rot, link_pos)
-    return link_rot, link_pos
+    rot, pos = k.joint_xforms(tree, q)
+    return k.fk_kernel(tree, rot, pos, base_rot, base_pos)
+
+
+def _motion(tree, state):
+    """Joint frames ``(rot, pos)``, motion transforms ``X``, body velocities
+    and the base rotation of a state."""
+    base_rot = quat_to_matrix(state.root_quat)
+    frames = k.joint_xforms(tree, state.q)
+    xf = k.motion_xforms(*frames)
+    root_twist = np.concatenate([state.root_lin_vel, state.root_ang_vel], axis=1)
+    v_body = k.vel_kernel(tree, xf, state.qd, base_rot, root_twist)
+    return frames, xf, v_body, base_rot
 
 
 def forward_kinematics(tree: KinematicTree, q: np.ndarray,
@@ -198,11 +188,8 @@ def jacobian(tree: KinematicTree, q: np.ndarray, link: int,
     q2, squeeze = _batched_q(tree, q)
     base_pos, base_rot = _base_arrays(tree, q2.shape[0], root_pose)
     link_rot, link_pos = _fk_arrays(tree, q2, base_pos, base_rot)
-    out = np.zeros((q2.shape[0], 6, tree.nv))
-    k.jacobian_kernel(tree.jtype, tree.parent, tree.axis, tree.qidx,
-                      link_rot, link_pos, base_rot, base_pos, link,
-                      np.asarray(point_offset, dtype=np.float64),
-                      tree.floating, out)
+    out = k.jacobian_kernel(tree, link_rot, link_pos, link,
+                            np.asarray(point_offset, dtype=np.float64))
     return out[0] if squeeze else out
 
 
@@ -217,16 +204,13 @@ def mass_matrix(tree: KinematicTree, q: np.ndarray,
     """
     q2, squeeze = _batched_q(tree, q)
     E = q2.shape[0]
-    base_pos, base_rot = _base_arrays(tree, E, root_pose)
-    link_rot, link_pos = _fk_arrays(tree, q2, base_pos, base_rot)
     if params is None:
         params = DynParams.from_tree(tree, E)
-    m = np.zeros((E, tree.nv, tree.nv))
-    k.crba_kernel(tree.jtype, tree.parent, tree.axis, tree.qidx,
-                  np.ascontiguousarray(q2), link_rot, link_pos,
-                  base_rot, base_pos, params.mass, params.com,
-                  params.inertia, tree.floating, m)
+    xf = k.motion_xforms(*k.joint_xforms(tree, q2))
+    m = k.crba_kernel(tree, xf, k.spatial_inertia(params.mass, params.com,
+                                                  params.inertia))
     if tree.floating:
+        _, base_rot = _base_arrays(tree, E, root_pose)
         _mix_matrix_inplace(m, base_rot)
     off = 6 if tree.floating else 0
     if armature is not None:
@@ -250,29 +234,18 @@ def _mix_vector_inplace(vec: np.ndarray, base_rot: np.ndarray) -> None:
 
 
 def _bias_and_m(tree, state, gravity, params):
-    """Internal: (M_u, bias_u, link_rot, link_pos, v_body, base arrays)."""
+    """Internal: (M_u, bias_u, joint frames, X, v_body, base_rot).
+
+    The motion transforms ``X`` and the spatial inertias are computed once
+    here and shared by the velocity, CRBA and RNEA kernels; ``step`` reuses
+    the joint frames for FK and ``X`` for wrench mapping.
+    """
     E = state.env_count
-    base_pos = np.ascontiguousarray(state.root_pos)
-    base_rot = np.ascontiguousarray(quat_to_matrix(state.root_quat))
-    link_rot, link_pos = _fk_arrays(tree, state.q, base_pos, base_rot)
-    root_twist = np.concatenate([state.root_lin_vel, state.root_ang_vel], axis=1)
-    v_body = np.empty((E, tree.num_links, 6))
-    qd = np.ascontiguousarray(state.qd)
-    k.vel_kernel(tree.jtype, tree.parent, tree.axis, tree.qidx, qd,
-                 link_rot, link_pos, base_rot, base_pos,
-                 np.ascontiguousarray(root_twist), v_body)
-    g = np.ascontiguousarray(np.broadcast_to(
-        np.asarray(gravity, dtype=np.float64), (E, 3)))
-    m = np.zeros((E, tree.nv, tree.nv))
-    k.crba_kernel(tree.jtype, tree.parent, tree.axis, tree.qidx,
-                  np.ascontiguousarray(state.q), link_rot, link_pos,
-                  base_rot, base_pos, params.mass, params.com, params.inertia,
-                  tree.floating, m)
-    bias = np.zeros((E, tree.nv))
-    k.rnea_kernel(tree.jtype, tree.parent, tree.axis, tree.qidx, qd,
-                  link_rot, link_pos, base_rot, base_pos, v_body,
-                  params.mass, params.com, params.inertia, g,
-                  tree.floating, bias)
+    frames, xf, v_body, base_rot = _motion(tree, state)
+    g = np.broadcast_to(np.asarray(gravity, dtype=np.float64), (E, 3))
+    inertia = k.spatial_inertia(params.mass, params.com, params.inertia)
+    m = k.crba_kernel(tree, xf, inertia)
+    bias = k.rnea_kernel(tree, xf, v_body, state.qd, inertia, base_rot, g)
     if tree.floating:
         # Mixed-frame correction: subtract M[:, lin] @ (w_b x v_b) before
         # rotating the linear rows into world coordinates.
@@ -284,7 +257,7 @@ def _bias_and_m(tree, state, gravity, params):
     off = 6 if tree.floating else 0
     idx = np.arange(tree.num_joints)
     m[:, off + idx, off + idx] += params.armature
-    return m, bias, link_rot, link_pos, v_body, base_pos, base_rot
+    return m, bias, frames, xf, v_body, base_rot
 
 
 def bias_forces(tree: KinematicTree, q: np.ndarray, qd: np.ndarray,
@@ -321,16 +294,8 @@ def contact_forces(tree: KinematicTree, state: ArticulationState,
     ``contact_params`` optionally overrides per-env ``(stiffness, damping,
     friction)`` arrays of shape ``(E, P)``.
     """
-    E = state.env_count
-    base_pos = np.ascontiguousarray(state.root_pos)
-    base_rot = np.ascontiguousarray(quat_to_matrix(state.root_quat))
-    link_rot, link_pos = _fk_arrays(tree, state.q, base_pos, base_rot)
-    root_twist = np.ascontiguousarray(
-        np.concatenate([state.root_lin_vel, state.root_ang_vel], axis=1))
-    v_body = np.empty((E, tree.num_links, 6))
-    k.vel_kernel(tree.jtype, tree.parent, tree.axis, tree.qidx,
-                 np.ascontiguousarray(state.qd), link_rot, link_pos,
-                 base_rot, base_pos, root_twist, v_body)
+    frames, _, v_body, base_rot = _motion(tree, state)
+    link_rot, link_pos = k.fk_kernel(tree, *frames, base_rot, state.root_pos)
     return _contacts(tree, probes, terrain, contact_params, link_rot,
                      link_pos, v_body, out, wrench_accum)
 
@@ -349,11 +314,8 @@ def _contacts(tree, probes, terrain, contact_params, link_rot, link_pos,
         out = ContactForces.zeros(E, P)
     if wrench_accum is None:
         wrench_accum = np.zeros((E, tree.num_links, 6))
-    mode, flat_h, heights, cell, ox, oy = terrain.encode()
-    k.contact_kernel(probes.link, probes.offset, probes.radius, kk, cc, mu,
-                     link_rot, link_pos, v_body, mode, flat_h, heights,
-                     cell, ox, oy, out.normal, out.tangent, out.in_contact,
-                     wrench_accum)
+    k.contact_kernel(probes, kk, cc, mu, link_rot, link_pos, v_body, terrain,
+                     out.normal, out.tangent, out.in_contact, wrench_accum)
     return out
 
 
@@ -400,23 +362,21 @@ def step(tree: KinematicTree, state: ArticulationState,
     if params is None:
         params = DynParams.from_tree(tree, E)
 
-    m, bias, link_rot, link_pos, v_body, base_pos, base_rot = _bias_and_m(
+    m, bias, frames, xf, v_body, base_rot = _bias_and_m(
         tree, state, gravity, params)
     off = 6 if tree.floating else 0
     nv = tree.nv
 
     # generalized applied forces
     wrench = np.ascontiguousarray(state.ext_wrench)
-    have_wrench = np.any(wrench)
-    if probes is not None and terrain is not None and probes.count:
-        _contacts(tree, probes, terrain, contact_params, link_rot, link_pos,
-                  v_body, contacts_out, wrench)
-        have_wrench = True
-    f_gen = np.zeros((E, nv))
-    if have_wrench:
-        k.wrench_kernel(tree.jtype, tree.parent, tree.axis, tree.qidx,
-                        link_rot, link_pos, base_rot, base_pos, wrench,
-                        tree.floating, f_gen)
+    contacts = probes is not None and terrain is not None and probes.count
+    f_gen = 0.0
+    if contacts or np.any(wrench):
+        link_rot, link_pos = k.fk_kernel(tree, *frames, base_rot, state.root_pos)
+        if contacts:
+            _contacts(tree, probes, terrain, contact_params, link_rot, link_pos,
+                      v_body, contacts_out, wrench)
+        f_gen = k.wrench_kernel(tree, xf, link_rot, wrench)
         if tree.floating:
             _mix_vector_inplace(f_gen, base_rot)
 

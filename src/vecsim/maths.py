@@ -103,40 +103,49 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrices of shape ``(..., 3, 3)``."""
     q = np.asarray(q, dtype=np.float64)
     w, x, y, z = np.moveaxis(q, -1, 0)
-    row0 = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1)
-    row1 = np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1)
-    row2 = np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1)
-    return np.stack([row0, row1, row2], axis=-2)
+    out = np.empty(q.shape[:-1] + (3, 3))
+    out[..., 0, 0] = 1 - 2 * (y * y + z * z)
+    out[..., 0, 1] = 2 * (x * y - w * z)
+    out[..., 0, 2] = 2 * (x * z + w * y)
+    out[..., 1, 0] = 2 * (x * y + w * z)
+    out[..., 1, 1] = 1 - 2 * (x * x + z * z)
+    out[..., 1, 2] = 2 * (y * z - w * x)
+    out[..., 2, 0] = 2 * (x * z - w * y)
+    out[..., 2, 1] = 2 * (y * z + w * x)
+    out[..., 2, 2] = 1 - 2 * (x * x + y * y)
+    return out
 
 
 def matrix_to_quat(m: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`quat_to_matrix` (Shepperd's method, batched)."""
+    """Inverse of :func:`quat_to_matrix` (Shepperd's method, batched).
+
+    Each matrix takes the trace branch when its trace is positive, else the
+    branch of its largest diagonal element (the first one on ties).
+    """
     m = np.asarray(m, dtype=np.float64)
-    batch = m.shape[:-2]
-    out = np.empty(batch + (4,))
-    # Per-element loop is fine: this is never on a hot path.
-    for idx in np.ndindex(batch or (1,)):
-        r = m[idx] if batch else m
-        t = np.trace(r)
-        if t > 0:
-            s = np.sqrt(t + 1.0) * 2.0
-            qv = np.array(
-                [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
-            )
-        else:
-            i = int(np.argmax(np.diag(r)))
-            j, k = (i + 1) % 3, (i + 2) % 3
-            s = np.sqrt(r[i, i] - r[j, j] - r[k, k] + 1.0) * 2.0
-            qv = np.empty(4)
-            qv[0] = (r[k, j] - r[j, k]) / s
-            qv[1 + i] = 0.25 * s
-            qv[1 + j] = (r[j, i] + r[i, j]) / s
-            qv[1 + k] = (r[k, i] + r[i, k]) / s
-        if batch:
-            out[idx] = qv
-        else:
-            out = qv
-    return quat_normalize(out)
+    r = m.reshape(-1, 3, 3)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    trace = np.trace(r, axis1=-2, axis2=-1)
+    branch = np.where(trace > 0, 3, np.argmax(diag, axis=-1))
+    out = np.empty((r.shape[0], 4))
+    sel = branch == 3
+    rs = r[sel]
+    s = np.sqrt(trace[sel] + 1.0) * 2.0
+    out[sel] = np.stack([0.25 * s, (rs[:, 2, 1] - rs[:, 1, 2]) / s,
+                         (rs[:, 0, 2] - rs[:, 2, 0]) / s,
+                         (rs[:, 1, 0] - rs[:, 0, 1]) / s], axis=-1)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        sel = branch == i
+        rs = r[sel]
+        s = np.sqrt(rs[:, i, i] - rs[:, j, j] - rs[:, k, k] + 1.0) * 2.0
+        qv = np.empty((rs.shape[0], 4))
+        qv[:, 0] = (rs[:, k, j] - rs[:, j, k]) / s
+        qv[:, 1 + i] = 0.25 * s
+        qv[:, 1 + j] = (rs[:, j, i] + rs[:, i, j]) / s
+        qv[:, 1 + k] = (rs[:, k, i] + rs[:, i, k]) / s
+        out[sel] = qv
+    return quat_normalize(out.reshape(m.shape[:-2] + (4,)))
 
 
 @dataclass

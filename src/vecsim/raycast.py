@@ -13,10 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accel import jit, prange
 from .maths import Transform, quat_rotate, quat_to_matrix
-
-_PJIT = jit(parallel=True)
 
 
 class MeshFormatError(ValueError):
@@ -221,13 +218,12 @@ class RayHits:
         )
 
 
-@_PJIT
 def _raycast_mesh(verts, tris, bmin, bmax, left, right, start, count,
                   tri_order, rot, pos, origins, dirs, max_range, mesh_id,
                   best_t, best_mesh, best_tri, best_normal):
     """Closest-hit of all rays against one mesh; updates the best arrays."""
     n_rays = origins.shape[0]
-    for r in prange(n_rays):
+    for r in range(n_rays):
         # ray in mesh-local coordinates (rigid: t is preserved)
         o = rot.T @ (origins[r] - pos)
         d = rot.T @ dirs[r]

@@ -179,14 +179,11 @@ def test_floating_jacobian_consistent_with_velocities():
                         state.qd[0]])
 
     base_rot = quat_to_matrix(state.root_quat)
-    link_rot = np.empty((1, 2, 3, 3))
-    link_pos = np.empty((1, 2, 3))
-    kk.fk_kernel(tree.jtype, tree.parent, tree.axis, tree.x_rot, tree.x_pos,
-                 state.q, tree.qidx, base_rot, state.root_pos, link_rot, link_pos)
-    v_body = np.empty((1, 2, 6))
+    rot, pos = kk.joint_xforms(tree, state.q)
+    link_rot, link_pos = kk.fk_kernel(tree, rot, pos, base_rot, state.root_pos)
     tw = np.concatenate([state.root_lin_vel, state.root_ang_vel], axis=1)
-    kk.vel_kernel(tree.jtype, tree.parent, tree.axis, tree.qidx, state.qd,
-                  link_rot, link_pos, base_rot, state.root_pos, tw, v_body)
+    v_body = kk.vel_kernel(tree, kk.motion_xforms(rot, pos), state.qd,
+                           base_rot, tw)
     rl = link_rot[0, 1]
     v_pt = rl @ (v_body[0, 1, 3:] + np.cross(v_body[0, 1, :3], offset))
     w_w = rl @ v_body[0, 1, :3]

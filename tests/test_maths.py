@@ -64,6 +64,55 @@ def test_matrix_quat_roundtrip():
     np.testing.assert_allclose(np.abs(np.sum(q * q2, axis=-1)), 1.0, atol=1e-12)
 
 
+def _matrix_to_quat_loop(m):
+    """Per-matrix Shepperd loop: the reference for the vectorized version."""
+    m = np.asarray(m, dtype=np.float64)
+    batch = m.shape[:-2]
+    out = np.empty(batch + (4,))
+    for idx in np.ndindex(batch or (1,)):
+        r = m[idx] if batch else m
+        t = np.trace(r)
+        if t > 0:
+            s = np.sqrt(t + 1.0) * 2.0
+            qv = np.array(
+                [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
+            )
+        else:
+            i = int(np.argmax(np.diag(r)))
+            j, k = (i + 1) % 3, (i + 2) % 3
+            s = np.sqrt(r[i, i] - r[j, j] - r[k, k] + 1.0) * 2.0
+            qv = np.empty(4)
+            qv[0] = (r[k, j] - r[j, k]) / s
+            qv[1 + i] = 0.25 * s
+            qv[1 + j] = (r[j, i] + r[i, j]) / s
+            qv[1 + k] = (r[k, i] + r[i, k]) / s
+        if batch:
+            out[idx] = qv
+        else:
+            out = qv
+    return quat_normalize(out)
+
+
+def test_matrix_to_quat_matches_loop_reference():
+    rng = np.random.default_rng(5)
+    half_turns = quat_from_axis_angle(np.eye(3), np.full(3, np.pi))
+    # 180 degrees about x, y and z plus small tilts: trace <= 0 with each
+    # diagonal element the largest in turn
+    tilted = quat_mul(half_turns[:, None], quat_from_rotvec(
+        rng.uniform(-0.1, 0.1, (3, 5, 3)))).reshape(-1, 4)
+    quats = np.concatenate([random_quat(rng, (200,)), half_turns, tilted,
+                            [[1.0, 0.0, 0.0, 0.0]]])
+    # cyclic axis permutations: 120-degree turns with a trace of exactly 0
+    cyclic = np.stack([np.roll(np.eye(3), 1, axis=0), np.roll(np.eye(3), -1, axis=0)])
+    mats = np.concatenate([quat_to_matrix(quats), cyclic])
+    diag = np.diagonal(mats, axis1=-2, axis2=-1)
+    low_trace = diag.sum(-1) <= 0
+    assert set(np.argmax(diag[low_trace], axis=-1)) == {0, 1, 2}
+    for shaped in (mats, mats[:64].reshape(4, 16, 3, 3), mats[0], mats[:0]):
+        np.testing.assert_array_equal(matrix_to_quat(shaped),
+                                      _matrix_to_quat_loop(shaped))
+
+
 def test_rotvec_roundtrip_and_antipodal():
     rng = np.random.default_rng(3)
     v = rng.standard_normal((16, 3))
