@@ -165,24 +165,25 @@ def tile_pack(images: np.ndarray, tiles_per_row: int | None = None):
     if tiles_per_row is None:
         tiles_per_row = int(np.ceil(np.sqrt(e)))
     layout = TiledLayout(w, h, tiles_per_row, e, c)
-    atlas = np.zeros(layout.atlas_shape, dtype=images.dtype)
-    for env in range(e):
-        col, row = layout.tile_of(env)
-        atlas[row * h:(row + 1) * h, col * w:(col + 1) * w] = images[env]
-    return atlas, layout
+    # pad to whole rows of tiles, then (row, col, h, w) -> (row, h, col, w)
+    tiles = np.zeros((layout.rows * tiles_per_row,) + images.shape[1:],
+                     dtype=images.dtype)
+    tiles[:e] = images
+    tiles = tiles.reshape((layout.rows, tiles_per_row) + images.shape[1:])
+    return tiles.swapaxes(1, 2).reshape(layout.atlas_shape), layout
 
 
 def tile_unpack(atlas: np.ndarray, layout: TiledLayout) -> np.ndarray:
     """Inverse of :func:`tile_pack`."""
-    h, w = layout.tile_height, layout.tile_width
-    shape = (layout.env_count, h, w) + ((layout.channels,) if layout.channels else ())
     if atlas.shape != layout.atlas_shape:
         raise ValueError("atlas shape does not match layout")
-    out = np.empty(shape, dtype=atlas.dtype)
-    for env in range(layout.env_count):
-        col, row = layout.tile_of(env)
-        out[env] = atlas[row * h:(row + 1) * h, col * w:(col + 1) * w]
-    return out
+    tile = (layout.tile_height, layout.tile_width) + atlas.shape[2:]
+    grid = (layout.rows, layout.tiles_per_row)
+    out = np.empty((grid[0] * grid[1],) + tile, dtype=atlas.dtype)
+    # (row, h, col, w) -> (row, col, h, w), copied so the result owns its data
+    out.reshape(grid + tile)[...] = atlas.reshape(
+        (grid[0], tile[0], grid[1]) + tile[1:]).swapaxes(1, 2)
+    return out[:layout.env_count]
 
 
 # ------------------------------------------------------------ sensor clock

@@ -125,6 +125,23 @@ def test_obj_roundtrip():
     np.testing.assert_array_equal(back.triangles, mesh.triangles)
 
 
+def test_obj_roundtrip_through_file(tmp_path):
+    mesh = uv_sphere(6, 8, rng=np.random.default_rng(2))
+    path = tmp_path / "sphere.obj"
+    save_obj(mesh, path)
+    back = load_obj(path)
+    np.testing.assert_array_equal(back.vertices, mesh.vertices)
+    np.testing.assert_array_equal(back.triangles, mesh.triangles)
+    assert load_obj(str(path)).num_triangles == mesh.num_triangles
+
+
+def test_load_obj_missing_file_raises_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_obj(tmp_path / "missing.obj")
+    with pytest.raises(FileNotFoundError):
+        load_obj(str(tmp_path / "missing.obj"))
+
+
 # ----------------------------------------------------------------------- bvh
 
 
@@ -267,3 +284,28 @@ def test_posed_mesh_hits_in_world_frame():
                    np.array([[0.0, 0, 2]]), np.array([[0.0, 0, -1]]))
     np.testing.assert_allclose(hits.t[0], 1.5, atol=1e-12)
     np.testing.assert_allclose(hits.point[0], [0, 0, 0.5], atol=1e-12)
+
+
+# ---------------------------------------------------------------- arguments
+
+
+def test_raycast_rejects_fewer_bvhs_than_meshes():
+    # the nearer mesh b must not be skipped silently
+    a = ground_plane(z=0.0)
+    b = ground_plane(z=0.5)
+    with pytest.raises(ValueError, match="2 meshes but 1 BVHs"):
+        raycast([a, b], [build_bvh(a)], np.array([[0.0, 0, 1]]),
+                np.array([[0.0, 0, -1]]))
+
+
+def test_raycast_rejects_ray_arrays_of_different_shapes():
+    mesh = ground_plane()
+    with pytest.raises(ValueError, match="differ in shape"):
+        raycast([mesh], [build_bvh(mesh)], np.zeros((3, 3)), np.zeros((2, 3)))
+
+
+def test_raycast_rejects_bvh_of_another_mesh():
+    plane, sphere = ground_plane(), uv_sphere(6, 8)
+    with pytest.raises(ValueError, match="BVH 0 covers"):
+        raycast([plane], [build_bvh(sphere)], np.array([[0.0, 0, 1]]),
+                np.array([[0.0, 0, -1]]))

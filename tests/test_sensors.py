@@ -149,18 +149,48 @@ def test_tile_single_env_identity():
     np.testing.assert_array_equal(tile_unpack(atlas, layout), img)
 
 
+def loop_tile_pack(images, layout):
+    """Per-env reference: copy each image into its tile."""
+    h, w = layout.tile_height, layout.tile_width
+    atlas = np.zeros(layout.atlas_shape, dtype=images.dtype)
+    for env in range(layout.env_count):
+        col, row = layout.tile_of(env)
+        atlas[row * h:(row + 1) * h, col * w:(col + 1) * w] = images[env]
+    return atlas
+
+
 def test_tile_roundtrip_bitwise():
     rng = np.random.default_rng(1)
-    for _ in range(20):
+    for _ in range(40):
         e = int(rng.integers(1, 17))
         h = int(rng.integers(1, 12))
         w = int(rng.integers(1, 12))
+        per_row = int(rng.integers(1, e + 2)) if rng.random() < 0.5 else None
         if rng.random() < 0.5:
             images = rng.standard_normal((e, h, w))
         else:
-            images = rng.standard_normal((e, h, w, 3))
-        atlas, layout = tile_pack(images)
-        np.testing.assert_array_equal(tile_unpack(atlas, layout), images)
+            images = rng.standard_normal((e, h, w, int(rng.integers(1, 5))))
+        atlas, layout = tile_pack(images, tiles_per_row=per_row)
+        np.testing.assert_array_equal(atlas, loop_tile_pack(images, layout))
+        back = tile_unpack(atlas, layout)
+        assert back.shape == images.shape and back.dtype == images.dtype
+        np.testing.assert_array_equal(back, images)
+
+
+def test_tile_partial_last_row_is_zero_padded():
+    images = np.arange(1, 5 * 2 * 3 * 2 + 1, dtype=np.int32).reshape(5, 2, 3, 2)
+    atlas, layout = tile_pack(images, tiles_per_row=3)
+    assert atlas.shape == (4, 9, 2)
+    np.testing.assert_array_equal(atlas, loop_tile_pack(images, layout))
+    np.testing.assert_array_equal(atlas[2:, 6:], 0)
+    np.testing.assert_array_equal(tile_unpack(atlas, layout), images)
+
+
+def test_tile_unpack_returns_a_copy():
+    images = np.zeros((3, 4, 5))
+    atlas, layout = tile_pack(images, tiles_per_row=1)
+    tile_unpack(atlas, layout)[0, 0, 0] = 1.0
+    assert not atlas.any()
 
 
 def test_tile_mapping_deterministic_bijection():

@@ -117,6 +117,28 @@ def test_raycast_at_grid_nodes_recovers_heights():
 # ---------------------------------------------------------------------- grid
 
 
+def test_vertical_scan_hits_surface_height_on_compose_grid():
+    # the height-scan oracle: a vertical ray lands on the heightfield
+    # interpolation of the same grid, on rough cells, stair risers and treads
+    specs = [random_rough_spec(size=(2.0, 2.0), cell=0.1, max_height=0.1),
+             pyramid_stairs_spec(size=(2.0, 2.0), cell=0.1,
+                                 max_step_height=0.16, step_width=0.3,
+                                 levels=3)]
+    grid = compose_grid(specs, rows=2, border=0.2, rng=np.random.default_rng(2),
+                        difficulty_map=lambda r, n: (r + 1) / n)
+    lo = grid.mesh.vertices.min(axis=0)
+    hi = grid.mesh.vertices.max(axis=0)
+    rng = np.random.default_rng(3)
+    xy = rng.uniform(lo[:2], hi[:2], (2000, 2))
+    origins = np.column_stack([xy, np.full(len(xy), 1.0)])
+    dirs = np.tile([0.0, 0.0, -1.0], (len(xy), 1))
+    hits = raycast([grid.mesh], [build_bvh(grid.mesh)], origins, dirs)
+    assert hits.hit.all()
+    surface = grid.ground.surface_height(xy[:, 0], xy[:, 1])
+    np.testing.assert_allclose(hits.point[:, 2], surface, rtol=0.0, atol=1e-12)
+
+
+
 def test_compose_single_cell():
     grid = compose_grid([flat_spec(size=(2.0, 2.0), cell=0.5)], rows=1)
     assert grid.rows == 1 and grid.cols == 1
