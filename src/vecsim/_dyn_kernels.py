@@ -13,13 +13,13 @@ so the integrator computes them once per substep and passes them to the
 velocity, RNEA, CRBA and wrench kernels. Forces move to the parent with
 ``X^T``; the leaf-to-root pass that projects them onto the joint axes is
 shared by RNEA, CRBA and wrench mapping (:func:`_project_to_joints`).
-
-Joint codes: 0 fixed, 1 revolute, 2 prismatic, 3 free (root only).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .articulation import JOINT_FREE, JOINT_PRISMATIC, JOINT_REVOLUTE
 
 
 # skew(v) == (v @ _SKEW).reshape(3, 3): row c holds the pattern of v_c
@@ -72,10 +72,10 @@ def joint_xforms(tree, q):
     E = q.shape[0]
     rot = np.repeat(tree.x_rot[None], E, axis=0)
     pos = np.repeat(tree.x_pos[None], E, axis=0)
-    rev = np.flatnonzero(tree.jtype == 1)
+    rev = np.flatnonzero(tree.jtype == JOINT_REVOLUTE)
     if rev.size:
         rot[:, rev] = tree.x_rot[rev] @ _rodrigues(tree.axis[rev], q[:, tree.qidx[rev]])
-    pri = np.flatnonzero(tree.jtype == 2)
+    pri = np.flatnonzero(tree.jtype == JOINT_PRISMATIC)
     if pri.size:
         slide = tree.axis[pri] * q[:, tree.qidx[pri], None]
         pos[:, pri] += _mv(tree.x_rot[pri], slide)
@@ -175,18 +175,19 @@ def _project_to_joints(tree, X, f):
     return out
 
 
-def rnea_kernel(tree, X, v, qd, inertia, base_rot, gravity):
-    """Bias forces (Coriolis + centrifugal + gravity) at zero acceleration.
+def rnea_kernel(tree, X, v, qd, inertia, base_acc):
+    """Bias forces (Coriolis + centrifugal + gravity) at zero joint acceleration.
 
-    Gravity enters as an upward acceleration of the base (``(E, 3)`` world
-    gravity); ``inertia`` holds the spatial inertias. Returns ``(E, nv)``
-    in body coordinates.
+    ``base_acc`` ``(E, 3)`` is the linear acceleration of the base (a fixed
+    tree's mount) in its own frame; gravity enters as its upward part, so
+    pass ``-R^T g``. ``inertia`` holds the spatial inertias. Returns
+    ``(E, nv)`` in body coordinates.
     """
     E, L = v.shape[:2]
     crm = _crm(v)
     c = _mv(crm, _joint_motion(tree, qd))
     a_base = np.zeros((E, 6))
-    a_base[:, 3:] = -_mv(np.swapaxes(base_rot, -1, -2), gravity)
+    a_base[:, 3:] = base_acc
     a = np.empty((E, L, 6))
     for i in range(L):
         p = tree.parent[i]
@@ -244,13 +245,13 @@ def jacobian_kernel(tree, link_rot, link_pos, link, offset):
     while j >= 0:
         jt = tree.jtype[j]
         col = off + tree.qidx[j]
-        if jt == 1:
+        if jt == JOINT_REVOLUTE:
             aw = _mv(link_rot[:, j], tree.axis[j])
             out[:, :3, col] = _cross(aw, pw - link_pos[:, j])
             out[:, 3:, col] = aw
-        elif jt == 2:
+        elif jt == JOINT_PRISMATIC:
             out[:, :3, col] = _mv(link_rot[:, j], tree.axis[j])
-        elif jt == 3:
+        elif jt == JOINT_FREE:
             r0 = link_rot[:, 0]
             rel = pw - link_pos[:, 0]
             # linear rows wrt body angular velocity: -skew(rel) @ R0
@@ -282,12 +283,14 @@ def heightfield_sample(heights, cell, ox, oy, x, y):
                     h00 + u * (h11 - h01) + w * (h01 - h00))
 
 
-def contact_kernel(probes, stiffness, damping, friction, link_rot, link_pos,
-                   v_body, ground, out_normal, out_tangent, out_flag, out_wrench):
-    """Compliant probe-terrain contacts; accumulates link wrenches (world).
+def contact_kernel(probes, link_rot, link_pos, v_body, ground):
+    """Compliant probe-terrain contacts with the probes' own stiffness,
+    damping and friction.
 
     ``ground`` is any terrain with ``surface_height(x, y)``; the gap is
-    measured vertically and the normal is world ``+z``.
+    measured vertically and the normal is world ``+z``. Returns the normal
+    and tangential forces ``(E, P, 3)``, the contact flags ``(E, P)`` and
+    the summed world wrenches ``[f, tau]`` on each link ``(E, L, 6)``.
     """
     li = probes.link
     rot = link_rot[:, li]
@@ -296,20 +299,20 @@ def contact_kernel(probes, stiffness, damping, friction, link_rot, link_pos,
     # world velocity of the probe point
     vb = v_body[:, li]
     vp = _mv(rot, vb[..., 3:] + _cross(vb[..., :3], probes.offset))
-    fn = stiffness * depth - damping * vp[..., 2]
+    fn = probes.stiffness * depth - probes.damping * vp[..., 2]
     active = (depth > 0.0) & (fn > 0.0)
     fn = np.where(active, fn, 0.0)
     # Coulomb-clamped viscous tangential opposition
-    ft = np.where(active[..., None], -damping[..., None] * vp[..., :2], 0.0)
+    ft = np.where(active[..., None], -probes.damping[:, None] * vp[..., :2], 0.0)
     fmag = np.sqrt(ft[..., 0] * ft[..., 0] + ft[..., 1] * ft[..., 1])
-    fmax = friction * fn
+    fmax = probes.friction * fn
     clamp = (fmag > fmax) & (fmag > 0.0)
     ft = np.where(clamp[..., None], ft * (fmax / np.where(clamp, fmag, 1.0))[..., None], ft)
-    out_flag[:] = active
-    out_normal[:] = 0.0
-    out_normal[..., 2] = fn
-    out_tangent[:] = 0.0
-    out_tangent[..., :2] = ft
+    zero = np.zeros_like(fn)
+    normal = np.stack([zero, zero, fn], axis=-1)
+    tangent = np.concatenate([ft, zero[..., None]], axis=-1)
     force = np.concatenate([ft, fn[..., None]], axis=-1)
-    wrench = np.concatenate([force, _cross(pw - link_pos[:, li], force)], axis=-1)
-    np.add.at(out_wrench, (slice(None), li), wrench)
+    wrench = np.zeros(link_pos.shape[:2] + (6,))
+    np.add.at(wrench, (slice(None), li),
+              np.concatenate([force, _cross(pw - link_pos[:, li], force)], axis=-1))
+    return normal, tangent, active, wrench

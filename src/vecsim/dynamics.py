@@ -5,6 +5,19 @@ trees the generalized velocity exposed here is *mixed*: the root block is
 ``[angular velocity (body frame), linear velocity (world frame)]`` followed
 by the joint rates. Keeping the root linear velocity in world coordinates
 makes free-flight linear momentum exact under the discrete integrator.
+
+Every query goes through three private helpers: :func:`_motion` (joint
+frames, motion transforms, base pose and body velocities), :func:`_mass`
+(CRBA, the mixed-coordinate congruence and the armature diagonal) and
+:func:`_bias` (RNEA). The root's body-frame linear velocity ``R^T v`` changes
+at ``R^T dv/dt - w_b x v_b`` even at constant world velocity, so in mixed
+coordinates the bias gains ``-M[:, lin] (w_b x v_b)``. Like gravity, that
+term is a fictitious base acceleration, so RNEA takes it as one (Featherstone,
+*Rigid Body Dynamics Algorithms*, 2008) and the bias never needs ``M``.
+
+Reflected motor inertia (armature) comes from :attr:`DynParams.armature`
+only; the mass matrix that ``mass_matrix`` returns is the one ``step``
+solves with.
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ from . import _dyn_kernels as k
 from .articulation import ArticulationState, ContactPointSet, KinematicTree
 from .maths import (
     Transform,
+    matrix_to_quat,
     quat_from_rotvec,
     quat_mul,
     quat_normalize,
@@ -46,11 +60,6 @@ class FlatGround:
     def surface_height(self, x, y):
         return np.broadcast_arrays(np.asarray(x, dtype=float), y)[0] * 0.0 + self.height
 
-    def gap(self, points: np.ndarray) -> np.ndarray:
-        """Signed height gap of world points above the surface."""
-        points = np.asarray(points, dtype=np.float64)
-        return points[..., 2] - self.height
-
 
 @dataclass
 class HeightfieldGround:
@@ -72,12 +81,6 @@ class HeightfieldGround:
         return k.heightfield_sample(self.heights, self.cell_size,
                                     self.origin_xy[0], self.origin_xy[1],
                                     np.atleast_1d(x), np.atleast_1d(y))
-
-    def gap(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.float64)
-        flat = points.reshape(-1, 3)
-        h = self.surface_height(flat[:, 0], flat[:, 1])
-        return (flat[:, 2] - h).reshape(points.shape[:-1])
 
 
 @dataclass
@@ -126,39 +129,75 @@ class ContactForces:
         )
 
 
-def _batched_q(tree: KinematicTree, q: np.ndarray) -> tuple[np.ndarray, bool]:
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim == 1:
-        return q.reshape(1, -1), True
-    return q, False
+def _batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``x`` as a float ``(E, n)`` batch, and whether it was one row."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        return x.reshape(1, -1), True
+    return x, False
 
 
-def _base_arrays(tree, env_count, root_pose: Transform | None):
-    if root_pose is None:
-        pos = np.zeros((env_count, 3))
-        rot = np.tile(np.eye(3), (env_count, 1, 1))
-    else:
-        pos = np.ascontiguousarray(
-            np.broadcast_to(root_pose.pos, (env_count, 3)), dtype=np.float64)
-        rot = np.ascontiguousarray(
-            quat_to_matrix(np.broadcast_to(root_pose.quat, (env_count, 4))))
-    return pos, rot
-
-
-def _fk_arrays(tree, q, base_pos, base_rot):
-    rot, pos = k.joint_xforms(tree, q)
-    return k.fk_kernel(tree, rot, pos, base_rot, base_pos)
-
-
-def _motion(tree, state):
+def _motion(tree, q, root_pose=None, qd=None, root_twist=None):
     """Joint frames ``(rot, pos)``, motion transforms ``X``, body velocities
-    and the base rotation of a state."""
-    base_rot = quat_to_matrix(state.root_quat)
-    frames = k.joint_xforms(tree, state.q)
+    (``None`` without ``qd``), base rotation and base position.
+
+    ``root_pose`` is the floating base's pose or a fixed tree's mount,
+    identity by default; ``root_twist`` is the free root's world twist
+    ``[lin, ang]``, at rest by default.
+    """
+    E = q.shape[0]
+    if root_pose is None:
+        base_rot = np.broadcast_to(np.eye(3), (E, 3, 3))
+        base_pos = np.zeros((E, 3))
+    else:
+        base_rot = quat_to_matrix(np.broadcast_to(root_pose.quat, (E, 4)))
+        base_pos = np.broadcast_to(np.asarray(root_pose.pos, dtype=np.float64),
+                                   (E, 3))
+    frames = k.joint_xforms(tree, q)
     xf = k.motion_xforms(*frames)
-    root_twist = np.concatenate([state.root_lin_vel, state.root_ang_vel], axis=1)
-    v_body = k.vel_kernel(tree, xf, state.qd, base_rot, root_twist)
-    return frames, xf, v_body, base_rot
+    v_body = None
+    if qd is not None:
+        twist = np.zeros((E, 6)) if root_twist is None else np.broadcast_to(
+            np.asarray(root_twist, dtype=np.float64), (E, 6))
+        v_body = k.vel_kernel(tree, xf, qd, base_rot, twist)
+    return frames, xf, v_body, base_rot, base_pos
+
+
+def _state_motion(tree, state: ArticulationState):
+    twist = np.concatenate([state.root_lin_vel, state.root_ang_vel], axis=1)
+    return _motion(tree, state.q, state.root_pose, state.qd, twist)
+
+
+def _mass(tree, xf, inertia, base_rot, armature):
+    """CRBA, then the mixed-coordinate congruence, then the armature."""
+    if np.any(armature < 0):
+        raise ValueError("armature must be >= 0")
+    m = k.crba_kernel(tree, xf, inertia)
+    off = 0
+    if tree.floating:
+        # root linear block into world coordinates: diag(1, R, 1) M diag(1, R^T, 1)
+        m[:, 3:6, :] = base_rot @ m[:, 3:6, :]
+        m[:, :, 3:6] = m[:, :, 3:6] @ np.swapaxes(base_rot, 1, 2)
+        off = 6
+    idx = off + np.arange(tree.num_joints)
+    m[:, idx, idx] += armature
+    return m
+
+
+def _to_mixed(vec, base_rot):
+    """Rotate the root linear rows of generalized forces into world coords."""
+    vec[:, 3:6] = np.einsum("eab,eb->ea", base_rot, vec[:, 3:6])
+    return vec
+
+
+def _bias(tree, xf, v_body, qd, inertia, base_rot, gravity):
+    """RNEA bias in the public coordinates, mixed for a floating root."""
+    g = np.broadcast_to(np.asarray(gravity, dtype=np.float64), (qd.shape[0], 3))
+    a_base = -np.einsum("eba,eb->ea", base_rot, g)
+    if tree.floating:
+        a_base -= np.cross(v_body[:, 0, :3], v_body[:, 0, 3:])
+    bias = k.rnea_kernel(tree, xf, v_body, qd, inertia, a_base)
+    return _to_mixed(bias, base_rot) if tree.floating else bias
 
 
 def forward_kinematics(tree: KinematicTree, q: np.ndarray,
@@ -168,11 +207,9 @@ def forward_kinematics(tree: KinematicTree, q: np.ndarray,
     For a floating tree ``root_pose`` is the base pose; for a fixed-base
     tree it is the mount pose (identity by default).
     """
-    from .maths import matrix_to_quat
-
-    q2, squeeze = _batched_q(tree, q)
-    base_pos, base_rot = _base_arrays(tree, q2.shape[0], root_pose)
-    link_rot, link_pos = _fk_arrays(tree, q2, base_pos, base_rot)
+    q, squeeze = _batched(q)
+    frames, _, _, base_rot, base_pos = _motion(tree, q, root_pose)
+    link_rot, link_pos = k.fk_kernel(tree, *frames, base_rot, base_pos)
     quat = matrix_to_quat(link_rot)
     if squeeze:
         return Transform(link_pos[0], quat[0])
@@ -185,138 +222,65 @@ def jacobian(tree: KinematicTree, q: np.ndarray, link: int,
     """Point Jacobian, rows ``[linear, angular]``, columns in qvel order."""
     if not 0 <= link < tree.num_links:
         raise IndexError(f"link index {link} out of range")
-    q2, squeeze = _batched_q(tree, q)
-    base_pos, base_rot = _base_arrays(tree, q2.shape[0], root_pose)
-    link_rot, link_pos = _fk_arrays(tree, q2, base_pos, base_rot)
+    q, squeeze = _batched(q)
+    frames, _, _, base_rot, base_pos = _motion(tree, q, root_pose)
+    link_rot, link_pos = k.fk_kernel(tree, *frames, base_rot, base_pos)
     out = k.jacobian_kernel(tree, link_rot, link_pos, link,
                             np.asarray(point_offset, dtype=np.float64))
     return out[0] if squeeze else out
 
 
 def mass_matrix(tree: KinematicTree, q: np.ndarray,
-                armature: np.ndarray | None = None,
                 root_pose: Transform | None = None,
                 params: DynParams | None = None) -> np.ndarray:
     """Symmetric positive-definite generalized mass matrix (CRBA).
 
-    ``armature`` (reflected motor inertia) adds to the joint diagonal. For
-    floating trees the root block is in mixed coordinates.
+    ``params`` (the tree's own values by default) supplies the inertias and
+    the armature, which adds to the joint diagonal; this is the matrix
+    ``step`` solves with. For floating trees the root block is in mixed
+    coordinates, for the base orientation of ``root_pose``.
+
+    Raises:
+        ValueError: if ``params.armature`` is negative.
     """
-    q2, squeeze = _batched_q(tree, q)
-    E = q2.shape[0]
+    q, squeeze = _batched(q)
     if params is None:
-        params = DynParams.from_tree(tree, E)
-    xf = k.motion_xforms(*k.joint_xforms(tree, q2))
-    m = k.crba_kernel(tree, xf, k.spatial_inertia(params.mass, params.com,
-                                                  params.inertia))
-    if tree.floating:
-        _, base_rot = _base_arrays(tree, E, root_pose)
-        _mix_matrix_inplace(m, base_rot)
-    off = 6 if tree.floating else 0
-    if armature is not None:
-        arm = np.broadcast_to(np.asarray(armature, dtype=np.float64),
-                              (E, tree.num_joints))
-        if np.any(arm < 0):
-            raise ValueError("armature must be >= 0")
-        idx = np.arange(tree.num_joints)
-        m[:, off + idx, off + idx] += arm
-    return m[0] if squeeze else m
-
-
-def _mix_matrix_inplace(m: np.ndarray, base_rot: np.ndarray) -> None:
-    """Congruence transform of the root linear block into world coords."""
-    m[:, 3:6, :] = base_rot @ m[:, 3:6, :]
-    m[:, :, 3:6] = m[:, :, 3:6] @ np.swapaxes(base_rot, 1, 2)
-
-
-def _mix_vector_inplace(vec: np.ndarray, base_rot: np.ndarray) -> None:
-    vec[:, 3:6] = np.einsum("eab,eb->ea", base_rot, vec[:, 3:6])
-
-
-def _bias_and_m(tree, state, gravity, params):
-    """Internal: (M_u, bias_u, joint frames, X, v_body, base_rot).
-
-    The motion transforms ``X`` and the spatial inertias are computed once
-    here and shared by the velocity, CRBA and RNEA kernels; ``step`` reuses
-    the joint frames for FK and ``X`` for wrench mapping.
-    """
-    E = state.env_count
-    frames, xf, v_body, base_rot = _motion(tree, state)
-    g = np.broadcast_to(np.asarray(gravity, dtype=np.float64), (E, 3))
+        params = DynParams.from_tree(tree, q.shape[0])
+    _, xf, _, base_rot, _ = _motion(tree, q, root_pose)
     inertia = k.spatial_inertia(params.mass, params.com, params.inertia)
-    m = k.crba_kernel(tree, xf, inertia)
-    bias = k.rnea_kernel(tree, xf, v_body, state.qd, inertia, base_rot, g)
-    if tree.floating:
-        # Mixed-frame correction: subtract M[:, lin] @ (w_b x v_b) before
-        # rotating the linear rows into world coordinates.
-        w_b = v_body[:, 0, :3]
-        v_b = v_body[:, 0, 3:]
-        bias -= np.einsum("eij,ej->ei", m[:, :, 3:6], np.cross(w_b, v_b))
-        _mix_vector_inplace(bias, base_rot)
-        _mix_matrix_inplace(m, base_rot)
-    off = 6 if tree.floating else 0
-    idx = np.arange(tree.num_joints)
-    m[:, off + idx, off + idx] += params.armature
-    return m, bias, frames, xf, v_body, base_rot
+    m = _mass(tree, xf, inertia, base_rot, params.armature)
+    return m[0] if squeeze else m
 
 
 def bias_forces(tree: KinematicTree, q: np.ndarray, qd: np.ndarray,
                 gravity=GRAVITY, root_pose: Transform | None = None,
                 root_twist: np.ndarray | None = None,
                 params: DynParams | None = None) -> np.ndarray:
-    """Coriolis, centrifugal, and gravity forces in generalized coordinates."""
-    q2, squeeze = _batched_q(tree, q)
-    qd2, _ = _batched_q(tree, qd)
-    E = q2.shape[0]
-    state = ArticulationState.zeros(tree, E)
-    state.q[:] = q2
-    state.qd[:] = qd2
-    if root_pose is not None:
-        state.root_pos[:] = np.broadcast_to(root_pose.pos, (E, 3))
-        state.root_quat[:] = np.broadcast_to(root_pose.quat, (E, 4))
-    if root_twist is not None:
-        rt = np.broadcast_to(np.asarray(root_twist, dtype=np.float64), (E, 6))
-        state.root_lin_vel[:] = rt[:, :3]
-        state.root_ang_vel[:] = rt[:, 3:]
+    """Coriolis, centrifugal, and gravity forces in generalized coordinates.
+
+    ``root_twist`` is a floating root's world twist ``[lin, ang]``.
+    """
+    q, squeeze = _batched(q)
+    qd, _ = _batched(qd)
     if params is None:
-        params = DynParams.from_tree(tree, E)
-    _, bias, *_ = _bias_and_m(tree, state, gravity, params)
+        params = DynParams.from_tree(tree, q.shape[0])
+    _, xf, v_body, base_rot, _ = _motion(tree, q, root_pose, qd, root_twist)
+    inertia = k.spatial_inertia(params.mass, params.com, params.inertia)
+    bias = _bias(tree, xf, v_body, qd, inertia, base_rot, gravity)
     return bias[0] if squeeze else bias
 
 
 def contact_forces(tree: KinematicTree, state: ArticulationState,
-                   probes: ContactPointSet, terrain,
-                   contact_params: tuple | None = None,
-                   out: ContactForces | None = None,
-                   wrench_accum: np.ndarray | None = None) -> ContactForces:
+                   probes: ContactPointSet, terrain) -> ContactForces:
     """Evaluate probe-terrain penalty contacts for the current state.
 
-    ``contact_params`` optionally overrides per-env ``(stiffness, damping,
-    friction)`` arrays of shape ``(E, P)``.
+    Stiffness, damping and friction are the probes' own.
     """
-    frames, _, v_body, base_rot = _motion(tree, state)
-    link_rot, link_pos = k.fk_kernel(tree, *frames, base_rot, state.root_pos)
-    return _contacts(tree, probes, terrain, contact_params, link_rot,
-                     link_pos, v_body, out, wrench_accum)
-
-
-def _contacts(tree, probes, terrain, contact_params, link_rot, link_pos,
-              v_body, out, wrench_accum):
-    E = link_rot.shape[0]
-    P = probes.count
-    if contact_params is None:
-        kk = np.tile(probes.stiffness, (E, 1))
-        cc = np.tile(probes.damping, (E, 1))
-        mu = np.tile(probes.friction, (E, 1))
-    else:
-        kk, cc, mu = contact_params
-    if out is None:
-        out = ContactForces.zeros(E, P)
-    if wrench_accum is None:
-        wrench_accum = np.zeros((E, tree.num_links, 6))
-    k.contact_kernel(probes, kk, cc, mu, link_rot, link_pos, v_body, terrain,
-                     out.normal, out.tangent, out.in_contact, wrench_accum)
-    return out
+    frames, _, v_body, base_rot, base_pos = _state_motion(tree, state)
+    link_rot, link_pos = k.fk_kernel(tree, *frames, base_rot, base_pos)
+    normal, tangent, active, _ = k.contact_kernel(probes, link_rot, link_pos,
+                                                  v_body, terrain)
+    return ContactForces(normal, tangent, active)
 
 
 def apply_external_wrench(state: ArticulationState, force, torque, link: int,
@@ -335,17 +299,22 @@ def step(tree: KinematicTree, state: ArticulationState,
          gravity=GRAVITY, implicit_pd: ImplicitPD | None = None,
          probes: ContactPointSet | None = None, terrain=None,
          params: DynParams | None = None,
-         contact_params: tuple | None = None,
-         contacts_out: ContactForces | None = None,
-         velocity_limit: np.ndarray | None = None) -> ArticulationState:
+         contacts_out: ContactForces | None = None) -> ArticulationState:
     """Advance the articulation one semi-implicit Euler substep, in place.
 
     Solves ``(M + dt*diag(kd) + dt^2*diag(kp)) u+ = M u + dt*(tau + J_c^T f_c
     - bias + kp*(q* - q) + kd*qd*)`` then integrates positions with ``u+``.
-    Without implicit PD gains the system matrix is ``M`` alone. The free
+    Without ``implicit_pd`` gains the system matrix is ``M`` alone. The free
     root integrates its quaternion with renormalization.
 
+    ``gravity`` is the world gravity vector. ``params`` (the tree's own
+    values by default) supplies the inertias and armature. Contacts run when
+    both ``probes`` and ``terrain`` are given; their forces are copied into
+    ``contacts_out`` when one is given.
+
     Raises:
+        ValueError: if ``dt <= 0``, an effort is non-finite or
+            ``params.armature`` is negative.
         SimulationDivergenceError: if any environment's state leaves the
             finite range, naming the offending environment indices.
     """
@@ -362,35 +331,37 @@ def step(tree: KinematicTree, state: ArticulationState,
     if params is None:
         params = DynParams.from_tree(tree, E)
 
-    m, bias, frames, xf, v_body, base_rot = _bias_and_m(
-        tree, state, gravity, params)
+    frames, xf, v_body, base_rot, base_pos = _state_motion(tree, state)
+    inertia = k.spatial_inertia(params.mass, params.com, params.inertia)
+    m = _mass(tree, xf, inertia, base_rot, params.armature)
+    bias = _bias(tree, xf, v_body, state.qd, inertia, base_rot, gravity)
     off = 6 if tree.floating else 0
-    nv = tree.nv
 
     # generalized applied forces
-    wrench = np.ascontiguousarray(state.ext_wrench)
+    wrench = state.ext_wrench
     contacts = probes is not None and terrain is not None and probes.count
     f_gen = 0.0
     if contacts or np.any(wrench):
-        link_rot, link_pos = k.fk_kernel(tree, *frames, base_rot, state.root_pos)
+        link_rot, link_pos = k.fk_kernel(tree, *frames, base_rot, base_pos)
         if contacts:
-            _contacts(tree, probes, terrain, contact_params, link_rot, link_pos,
-                      v_body, contacts_out, wrench)
+            normal, tangent, active, contact_wrench = k.contact_kernel(
+                probes, link_rot, link_pos, v_body, terrain)
+            if contacts_out is not None:
+                contacts_out.normal[:] = normal
+                contacts_out.tangent[:] = tangent
+                contacts_out.in_contact[:] = active
+            wrench = wrench + contact_wrench
         f_gen = k.wrench_kernel(tree, xf, link_rot, wrench)
         if tree.floating:
-            _mix_vector_inplace(f_gen, base_rot)
+            _to_mixed(f_gen, base_rot)
 
-    tau = np.zeros((E, nv))
+    tau = np.zeros((E, tree.nv))
     tau[:, off:] = joint_efforts
 
     # current generalized velocity (mixed coordinates)
-    u = np.empty((E, nv))
+    u = state.qd
     if tree.floating:
-        u[:, :3] = v_body[:, 0, :3]
-        u[:, 3:6] = state.root_lin_vel
-        u[:, 6:] = state.qd
-    else:
-        u[:] = state.qd
+        u = np.concatenate([v_body[:, 0, :3], state.root_lin_vel, state.qd], axis=1)
 
     a_sys = m
     rhs = np.einsum("eij,ej->ei", m, u) + dt * (tau + f_gen - bias)
@@ -398,17 +369,14 @@ def step(tree: KinematicTree, state: ArticulationState,
         kp = np.broadcast_to(np.asarray(implicit_pd.kp, dtype=np.float64), (E, nj))
         kd = np.broadcast_to(np.asarray(implicit_pd.kd, dtype=np.float64), (E, nj))
         a_sys = m.copy()
-        idx = np.arange(nj)
-        a_sys[:, off + idx, off + idx] += dt * kd + dt * dt * kp
+        idx = off + np.arange(nj)
+        a_sys[:, idx, idx] += dt * kd + dt * dt * kp
         pd_rhs = kp * (implicit_pd.q_target - state.q)
         if implicit_pd.qd_target is not None:
             pd_rhs = pd_rhs + kd * implicit_pd.qd_target
         rhs[:, off:] += dt * pd_rhs
 
     u_new = np.linalg.solve(a_sys, rhs[..., None])[..., 0]
-    if velocity_limit is not None:
-        lim = np.broadcast_to(np.asarray(velocity_limit, dtype=np.float64), (E, nj))
-        u_new[:, off:] = np.clip(u_new[:, off:], -lim, lim)
 
     state.qd[:] = u_new[:, off:]
     state.q += dt * state.qd

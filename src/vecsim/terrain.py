@@ -227,20 +227,20 @@ def curriculum_update(state: CurriculumState, scores: np.ndarray,
     Scores at or above the promote threshold move an environment up one
     difficulty row; promoting past the top row keeps it there and
     re-randomizes the terrain column. Scores at or below the demote
-    threshold move it down one row (clamped at zero).
+    threshold move it down one row (clamped at zero). ``env_ids`` must be
+    unique.
     """
     if promote_threshold <= demote_threshold:
         raise ValueError("promote threshold must exceed demote threshold")
-    env_ids = np.asarray(env_ids)
-    scores = np.asarray(scores)
-    for e in env_ids:
-        s = scores[e]
-        if s >= promote_threshold:
-            if state.levels[e] + 1 >= rows:
-                state.levels[e] = rows - 1
-                state.columns[e] = rng.integers(0, cols)
-            else:
-                state.levels[e] += 1
-        elif s <= demote_threshold:
-            state.levels[e] = max(state.levels[e] - 1, 0)
+    env_ids = np.asarray(env_ids, dtype=np.int64)
+    scores = np.asarray(scores)[env_ids]
+    levels = state.levels[env_ids]
+    promote = scores >= promote_threshold
+    demote = scores <= demote_threshold
+    top = promote & (levels + 1 >= rows)
+    state.levels[env_ids] = np.where(
+        promote, np.minimum(levels + 1, rows - 1),
+        np.where(demote, np.maximum(levels - 1, 0), levels))
+    # one draw per env in env_ids order, the same stream as per-env draws
+    state.columns[env_ids[top]] = rng.integers(0, cols, int(top.sum()))
     return state

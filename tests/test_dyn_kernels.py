@@ -144,8 +144,8 @@ def test_rnea_matches_reference(case):
     ref.rnea_kernel(*case.ref_args(), case.qd, case.ref_rot, case.ref_pos,
                     case.base_rot, case.base_pos, case.ref_v, case.mass,
                     case.com, case.inertia, case.gravity, t.floating, expected)
-    bias = k.rnea_kernel(t, case.X, case.v, case.qd, case.spatial,
-                         case.base_rot, case.gravity)
+    base_acc = -np.einsum("eba,eb->ea", case.base_rot, case.gravity)
+    bias = k.rnea_kernel(t, case.X, case.v, case.qd, case.spatial, base_acc)
     assert_matches(bias, expected)
 
 
@@ -185,9 +185,13 @@ def test_jacobian_matches_reference(case):
 def test_contacts_match_reference(case, terrain):
     t, rng = case.tree, case.rng
     E, P = case.q.shape[0], 2 * t.num_links
+    # random per-probe parameters reach every branch: probes inside the
+    # friction cone, clamped probes, and penetrating probes whose damping
+    # leaves f_n <= 0
     probes = ContactPointSet(
         link=rng.integers(0, t.num_links, P), offset=rng.uniform(-0.2, 0.2, (P, 3)),
-        radius=rng.uniform(0.02, 0.1, P), stiffness=1.0, damping=1.0, friction=1.0)
+        radius=rng.uniform(0.02, 0.1, P), stiffness=rng.uniform(100.0, 5000.0, P),
+        damping=rng.uniform(0.0, 200.0, P), friction=rng.uniform(0.1, 1.0, P))
     probe_z = (case.ref_pos[:, probes.link]
                + np.einsum("epab,pb->epa", case.ref_rot[:, probes.link], probes.offset))[..., 2]
     level = float(np.median(probe_z))
@@ -199,20 +203,15 @@ def test_contacts_match_reference(case, terrain):
         ground = HeightfieldGround(level + rng.uniform(-0.3, 0.3, (9, 7)),
                                    cell_size=0.25, origin_xy=(-1.0, -0.8))
         encoded = (1, 0.0, ground.heights, ground.cell_size, *ground.origin_xy)
-    # random per-env parameters reach every branch: probes inside the
-    # friction cone, clamped probes, and penetrating probes whose damping
-    # leaves f_n <= 0
-    kk = rng.uniform(100.0, 5000.0, (E, P))
-    cc = rng.uniform(0.0, 200.0, (E, P))
-    mu = rng.uniform(0.1, 1.0, (E, P))
+    kk, cc, mu = (np.broadcast_to(a, (E, P)) for a in
+                  (probes.stiffness, probes.damping, probes.friction))
 
     exp = [np.zeros((E, P, 3)), np.zeros((E, P, 3)), np.zeros((E, P), bool),
            case.wrench.copy()]
     ref.contact_kernel(probes.link, probes.offset, probes.radius, kk, cc, mu,
                        case.ref_rot, case.ref_pos, case.ref_v, *encoded, *exp)
-    got = [np.zeros((E, P, 3)), np.zeros((E, P, 3)), np.zeros((E, P), bool),
-           case.wrench.copy()]
-    k.contact_kernel(probes, kk, cc, mu, case.rot, case.pos, case.v, ground, *got)
+    got = list(k.contact_kernel(probes, case.rot, case.pos, case.v, ground))
+    got[3] = got[3] + case.wrench
     assert 0 < exp[2].sum() < exp[2].size
     np.testing.assert_array_equal(got[2], exp[2])
     for new, expected in zip(got[:2] + got[3:], exp[:2] + exp[3:]):

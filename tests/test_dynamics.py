@@ -28,7 +28,10 @@ from vecsim.dynamics import (
     mass_matrix,
     step,
 )
-from vecsim.maths import Transform, quat_to_matrix
+from vecsim import _dyn_kernels
+from vecsim.maths import (Transform, quat_from_rotvec, quat_mul, quat_normalize,
+                          quat_to_matrix)
+from test_dyn_kernels import quadruped, random_tree
 
 
 # ---------------------------------------------------------------- kinematics
@@ -199,10 +202,39 @@ def test_mass_matrix_single_revolute_with_armature():
         LinkSpec("l0", -1, "revolute", axis=(0, 0, 1), mass=1.0,
                  inertia=(1.0, 1.5, 2.0)),
     ])
-    m = mass_matrix(tree, np.zeros(1), armature=np.array([0.1]))
+    params = DynParams.from_tree(tree, 1)
+    params.armature[:] = 0.1
+    m = mass_matrix(tree, np.zeros(1), params=params)
     np.testing.assert_allclose(m, [[2.1]], atol=1e-12)
     m0 = mass_matrix(tree, np.zeros(1))
     np.testing.assert_allclose(m0, [[2.0]], atol=1e-12)
+
+
+def test_step_solves_with_the_armature_of_mass_matrix():
+    # from rest without gravity one step gives qd = dt M^-1 tau
+    rng = np.random.default_rng(8)
+    tree = random_chain_tree(rng, n=3)
+    params = DynParams.from_tree(tree, 2)
+    params.armature[:] = rng.uniform(0.05, 0.5, (2, 3))
+    state = ArticulationState.zeros(tree, 2)
+    state.q[:] = rng.uniform(-np.pi, np.pi, (2, 3))
+    tau = rng.standard_normal((2, 3))
+    dt = 1e-3
+    m = mass_matrix(tree, state.q, params=params)
+    expected = dt * np.linalg.solve(m, tau[..., None])[..., 0]
+    step(tree, state, tau, dt, gravity=(0, 0, 0), params=params)
+    np.testing.assert_allclose(state.qd, expected, rtol=1e-12, atol=1e-15)
+
+
+def test_negative_armature_rejected():
+    tree = random_chain_tree(np.random.default_rng(9), n=3)
+    params = DynParams.from_tree(tree, 2)
+    params.armature[1, 2] = -0.1
+    state = ArticulationState.zeros(tree, 2)
+    with pytest.raises(ValueError, match="armature"):
+        mass_matrix(tree, state.q, params=params)
+    with pytest.raises(ValueError, match="armature"):
+        step(tree, state, None, 1e-3, params=params)
 
 
 def test_mass_matrix_double_pendulum_closed_form():
@@ -248,6 +280,57 @@ def test_bias_matches_lagrangian_oracle():
         qd = rng.standard_normal(2) * 2
         np.testing.assert_allclose(
             bias_forces(tree, q, qd), dp_bias_oracle(q, qd), atol=1e-8)
+
+
+@pytest.mark.parametrize("name", ["quadruped", "floating_tree"])
+def test_floating_bias_linear_rows_are_momentum_rate(name):
+    # The root's world position is a true coordinate, so Lagrange gives
+    # d/dt(M[3:6] u) = m g for the world linear momentum M[3:6] u at zero
+    # applied force: bias[3:6] == dM[3:6]/dt u - m g, with dM/dt by central
+    # differences of mass_matrix along the motion.
+    rng = np.random.default_rng(10)
+    tree = quadruped() if name == "quadruped" else random_tree(rng, 9, floating=True)
+    E, nj = 3, tree.num_joints
+    q = rng.uniform(-np.pi, np.pi, (E, nj))
+    qd = rng.standard_normal((E, nj)) * 2.0
+    quat = quat_normalize(rng.standard_normal((E, 4)))
+    pos = rng.standard_normal((E, 3))
+    w_b = rng.standard_normal((E, 3)) * 2.0
+    v_w = rng.standard_normal((E, 3))
+    gravity = np.array([0.3, -0.2, -9.81])
+    twist = np.concatenate([v_w, np.einsum("eab,eb->ea", quat_to_matrix(quat), w_b)],
+                           axis=1)
+    bias = bias_forces(tree, q, qd, gravity=gravity, root_pose=Transform(pos, quat),
+                       root_twist=twist)
+
+    def m_at(h):
+        pose = Transform(pos + h * v_w, quat_mul(quat, quat_from_rotvec(h * w_b)))
+        return mass_matrix(tree, q + h * qd, root_pose=pose)
+
+    h = 1e-6
+    m_dot = (m_at(h) - m_at(-h)) / (2 * h)
+    u = np.concatenate([w_b, v_w, qd], axis=1)
+    expected = np.einsum("eij,ej->ei", m_dot[:, 3:6], u) - tree.mass.sum() * gravity
+    np.testing.assert_allclose(bias[:, 3:6], expected, rtol=0.0,
+                               atol=1e-9 * (1.0 + np.abs(expected).max()))
+
+
+def test_bias_forces_runs_no_crba(monkeypatch):
+    tree = quadruped()
+    rng = np.random.default_rng(11)
+    q = rng.uniform(-1, 1, (2, tree.num_joints))
+    qd = rng.standard_normal((2, tree.num_joints))
+    pose = Transform(rng.standard_normal((2, 3)),
+                     quat_normalize(rng.standard_normal((2, 4))))
+    twist = rng.standard_normal((2, 6))
+    expected = bias_forces(tree, q, qd, root_pose=pose, root_twist=twist)
+
+    def no_crba(*args, **kwargs):
+        raise AssertionError("bias_forces ran CRBA")
+
+    monkeypatch.setattr(_dyn_kernels, "crba_kernel", no_crba)
+    got = bias_forces(tree, q, qd, root_pose=pose, root_twist=twist)
+    np.testing.assert_array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------- step

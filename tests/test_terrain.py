@@ -240,6 +240,44 @@ def test_curriculum_rejects_bad_thresholds():
                           np.random.default_rng(0))
 
 
+def curriculum_update_loop(state, scores, promote_threshold, demote_threshold,
+                           rows, cols, env_ids, rng):
+    """Reference: the per-env loop that ``curriculum_update`` vectorizes."""
+    for e in env_ids:
+        s = scores[e]
+        if s >= promote_threshold:
+            if state.levels[e] + 1 >= rows:
+                state.levels[e] = rows - 1
+                state.columns[e] = rng.integers(0, cols)
+            else:
+                state.levels[e] += 1
+        elif s <= demote_threshold:
+            state.levels[e] = max(state.levels[e] - 1, 0)
+    return state
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 7))
+def test_curriculum_matches_loop_reference(seed, rows, cols):
+    data = np.random.default_rng(seed)
+    n = int(data.integers(1, 40))
+    levels = data.integers(0, rows, n)
+    columns = data.integers(0, cols, n)
+    a = CurriculumState(levels.copy(), columns.copy())
+    b = CurriculumState(levels.copy(), columns.copy())
+    rng_a = np.random.default_rng(seed + 1)
+    rng_b = np.random.default_rng(seed + 1)
+    for _ in range(5):
+        scores = data.uniform(-2, 2, n)
+        demote, promote = np.sort(data.uniform(-2, 2, 2))
+        ids = data.choice(n, size=data.integers(0, n + 1), replace=False)
+        curriculum_update(a, scores, promote, demote, rows, cols, ids, rng_a)
+        curriculum_update_loop(b, scores, promote, demote, rows, cols, ids, rng_b)
+        np.testing.assert_array_equal(a.levels, b.levels)
+        np.testing.assert_array_equal(a.columns, b.columns)
+        assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_curriculum_levels_stay_in_range(seed, rows):
