@@ -7,13 +7,13 @@ Every call works on a batch of E environments at once. The modules are:
 * ``dynamics``: forward kinematics, point Jacobians, CRBA mass matrix, RNEA
   bias forces, penalty contacts on flat or heightfield ground, and a
   semi-implicit Euler step with optional implicit PD;
-* ``actuators``: explicit and implicit joint actuator models;
+* ``actuators``: explicit joint actuator models;
 * ``controllers``: differential IK, joint impedance and operational-space
   control;
 * ``raycast``: triangle meshes, BVHs and closest-hit ray casting;
 * ``sensors``: ray patterns, depth images, contact and IMU sensors;
-* ``terrain``: heightfield generators, meshing, terrain grids and the
-  difficulty curriculum;
+* ``terrain``: the heightfield type, its generators, meshing, terrain grids
+  and the difficulty curriculum;
 * ``registry``: the entity registry and the per-step lazy cache.
 
 There is no environment class; the benchmark in ``bench/`` shows how the

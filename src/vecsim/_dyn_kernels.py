@@ -262,27 +262,6 @@ def jacobian_kernel(tree, link_rot, link_pos, link, offset):
     return out
 
 
-def heightfield_sample(heights, cell, ox, oy, x, y):
-    """Surface heights at points ``(x, y)`` via the mesher's triangle split.
-
-    Points outside the grid clamp to the border.
-    """
-    n, m = heights.shape
-    fx = np.clip((np.asarray(x, dtype=np.float64) - ox) / cell, 0.0, n - 1.000001)
-    fy = np.clip((np.asarray(y, dtype=np.float64) - oy) / cell, 0.0, m - 1.000001)
-    i = fx.astype(np.int64)
-    j = fy.astype(np.int64)
-    u = fx - i
-    w = fy - j
-    h00 = heights[i, j]
-    h10 = heights[i + 1, j]
-    h01 = heights[i, j + 1]
-    h11 = heights[i + 1, j + 1]
-    return np.where(u >= w,
-                    h00 + u * (h10 - h00) + w * (h11 - h10),
-                    h00 + u * (h11 - h01) + w * (h01 - h00))
-
-
 def contact_kernel(probes, link_rot, link_pos, v_body, ground):
     """Compliant probe-terrain contacts with the probes' own stiffness,
     damping and friction.

@@ -1,9 +1,11 @@
 """Joint actuator models: PD variants, friction, limits, and thrusters.
 
-Explicit actuators turn desired joint commands into applied efforts each
-physics substep. The pipeline is PD feedback -> joint friction -> kind
-specific effort clamping. Implicit PD actuators do not compute efforts here;
-their gains are folded into the integrator (see :mod:`vecsim.dynamics`).
+The five kinds (ideal PD, DC motor, delayed PD, remotized PD and neural) are
+explicit: they turn desired joint commands into applied efforts each physics
+substep. The pipeline is PD feedback -> joint friction -> kind specific
+effort clamping. Implicit PD is not an actuator kind; its gains are folded
+into the integrator's solve through :class:`vecsim.dynamics.ImplicitPD`, and
+armature is :attr:`vecsim.dynamics.DynParams.armature`.
 """
 
 from __future__ import annotations
@@ -12,12 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ACTUATOR_KINDS = ("implicit_pd", "ideal_pd", "dc_motor", "delayed_pd",
-                  "remotized_pd", "neural")
-
-
-class ActuatorMisuseError(RuntimeError):
-    """Raised when an actuator is driven through the wrong interface."""
+ACTUATOR_KINDS = ("ideal_pd", "dc_motor", "delayed_pd", "remotized_pd", "neural")
 
 
 @dataclass
@@ -50,7 +47,6 @@ class ActuatorConfig:
     damping: float = 0.0
     effort_limit: float = np.inf
     velocity_limit: float = np.inf
-    armature: float = 0.0
     friction: FrictionConfig = field(default_factory=FrictionConfig)
     # dc_motor
     saturation_effort: float = np.nan
@@ -65,7 +61,7 @@ class ActuatorConfig:
     def __post_init__(self):
         if self.kind not in ACTUATOR_KINDS:
             raise ValueError(f"unknown actuator kind {self.kind!r}")
-        for name in ("stiffness", "damping", "armature"):
+        for name in ("stiffness", "damping"):
             if np.any(np.asarray(getattr(self, name)) < 0):
                 raise ValueError(f"{name} must be >= 0")
         if self.effort_limit < 0 or self.velocity_limit < 0:
@@ -147,7 +143,7 @@ class ActuatorGroup:
     """One actuator config bound to per-environment mutable state.
 
     Gain/limit arrays are per-env copies of the config values so events can
-    randomize them; the ``default_*`` twins hold the startup values.
+    randomize them.
     """
 
     def __init__(self, config: ActuatorConfig, env_count: int):
@@ -164,11 +160,6 @@ class ActuatorGroup:
         self.kp = expand(config.stiffness)
         self.kd = expand(config.damping)
         self.effort_limit = expand(config.effort_limit)
-        self.armature = expand(config.armature)
-        self.default_kp = self.kp.copy()
-        self.default_kd = self.kd.copy()
-        self.default_effort_limit = self.effort_limit.copy()
-        self.default_armature = self.armature.copy()
 
         self._delay_buf = None
         self._fresh = np.ones(env_count, dtype=bool)
@@ -178,10 +169,6 @@ class ActuatorGroup:
         self._hist = None
         if config.kind == "neural":
             self._hist = np.zeros((env_count, config.history_length, 2, m))
-
-    @property
-    def is_implicit(self) -> bool:
-        return self.config.kind == "implicit_pd"
 
     def reset(self, env_ids=None) -> None:
         """Clear delay/history buffers so the next command pre-fills them."""
@@ -195,10 +182,6 @@ class ActuatorGroup:
         ``q``/``qd`` are the group's joint slice, shape ``(E, m)``.
         """
         cfg = self.config
-        if cfg.kind == "implicit_pd":
-            raise ActuatorMisuseError(
-                "implicit_pd actuators are solved inside the integrator; "
-                "compute_effort is only valid for explicit kinds")
         stacked = command.stack()
         if not np.isfinite(stacked).all():
             bad = np.nonzero(~np.isfinite(stacked).all(axis=(0, 1)))[0]

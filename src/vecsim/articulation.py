@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,12 +173,6 @@ class ArticulationState:
             self.root_quat.copy(), self.root_lin_vel.copy(),
             self.root_ang_vel.copy(), self.ext_wrench.copy(),
         )
-
-    def write_envs(self, other: "ArticulationState", env_ids: np.ndarray) -> None:
-        """Copy the state of selected environments from ``other``."""
-        for name in ("q", "qd", "root_pos", "root_quat", "root_lin_vel",
-                     "root_ang_vel", "ext_wrench"):
-            getattr(self, name)[env_ids] = getattr(other, name)[env_ids]
 
 
 @dataclass

@@ -17,7 +17,11 @@ term is a fictitious base acceleration, so RNEA takes it as one (Featherstone,
 
 Reflected motor inertia (armature) comes from :attr:`DynParams.armature`
 only; the mass matrix that ``mass_matrix`` returns is the one ``step``
-solves with.
+solves with. Implicit PD gains come from :class:`ImplicitPD` only.
+
+Contacts query any ground with ``surface_height(x, y)``: :class:`FlatGround`
+or a :class:`vecsim.terrain.HeightField`, which this module also exports
+under its older name ``HeightfieldGround``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from .maths import (
     quat_rotate,
     quat_to_matrix,
 )
+# the old name stays for existing callers (the benchmark); it is the same class
+from .terrain import HeightField as HeightfieldGround  # noqa: F401
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -59,28 +65,6 @@ class FlatGround:
 
     def surface_height(self, x, y):
         return np.broadcast_arrays(np.asarray(x, dtype=float), y)[0] * 0.0 + self.height
-
-
-@dataclass
-class HeightfieldGround:
-    """Ground defined by a regular-grid heightfield.
-
-    Uses the same per-cell triangle split as the terrain mesher, so contact
-    heights agree with raycasts against the generated mesh. Queries outside
-    the grid clamp to the border.
-    """
-
-    heights: np.ndarray
-    cell_size: float
-    origin_xy: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        self.heights = np.ascontiguousarray(self.heights, dtype=np.float64)
-
-    def surface_height(self, x, y):
-        return k.heightfield_sample(self.heights, self.cell_size,
-                                    self.origin_xy[0], self.origin_xy[1],
-                                    np.atleast_1d(x), np.atleast_1d(y))
 
 
 @dataclass

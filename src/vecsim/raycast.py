@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maths import Transform, quat_rotate, quat_to_matrix
+from .maths import Transform, quat_to_matrix
 
 
 class MeshFormatError(ValueError):
@@ -53,9 +53,6 @@ class TriMesh:
     @property
     def num_triangles(self) -> int:
         return len(self.triangles)
-
-    def transformed_vertices(self) -> np.ndarray:
-        return self.pose.apply(self.vertices)
 
 
 def load_obj(source) -> TriMesh:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 logger = logging.getLogger(__name__)
@@ -29,10 +29,6 @@ class EntityView:
     entries: tuple[EntityEntry, ...]
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def count(self) -> int:
         return len(self.entries)
 
     @property
@@ -69,7 +65,6 @@ class EntityRegistry:
             raise ValueError("env_count must be positive")
         self.env_count = env_count
         self._entries: dict[str, EntityEntry] = {}
-        self._order: dict[str, int] = {}
 
     def register(self, path: str, kind: str, env_index: int, payload: Any = None) -> EntityEntry:
         if not path.startswith("/"):
@@ -79,7 +74,6 @@ class EntityRegistry:
         if not 0 <= env_index < self.env_count:
             raise ValueError(f"env_index {env_index} out of range for {self.env_count} envs")
         entry = EntityEntry(path, kind, env_index, payload)
-        self._order[path] = len(self._order)
         self._entries[path] = entry
         return entry
 
@@ -100,7 +94,9 @@ class EntityRegistry:
             if required:
                 raise EmptyViewError(f"pattern {pattern!r} matched no entities")
             logger.warning("pattern %r matched no entities", pattern)
-        matched.sort(key=lambda e: (e.env_index, self._order[e.path]))
+        # entries are never removed, so dict order is registration order
+        # and the stable sort keeps it among entities of one env
+        matched.sort(key=lambda e: e.env_index)
         return EntityView(pattern, tuple(matched))
 
 
@@ -122,10 +118,6 @@ class LazyCache:
         self._slots: dict[str, _CacheSlot] = {}
         self._step = 0
         self.on_recompute: Callable[[str], None] | None = None
-
-    @property
-    def step_count(self) -> int:
-        return self._step
 
     def advance(self, steps: int = 1) -> None:
         self._step += steps

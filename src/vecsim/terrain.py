@@ -1,24 +1,36 @@
-"""Procedural terrain: heightfield generators, meshing, difficulty grids,
-and the promote/demote level curriculum."""
+"""Procedural terrain: the heightfield type, its generators, meshing,
+difficulty grids, and the promote/demote level curriculum.
+
+:class:`HeightField` is the one heightfield format. It is validated when it
+is built, and it owns the node placement and the per-cell triangle split
+that both :meth:`HeightField.surface_height` (contact heights, scan checks)
+and :func:`hf_to_mesh` (the mesh rays are cast against) use, so the two
+agree exactly. :func:`compose_grid` lays sub-terrains out as one
+heightfield and meshes it once.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .dynamics import HeightfieldGround
-from .maths import Transform
 from .raycast import TriMesh
 
 
 @dataclass
 class HeightField:
-    """Regular-grid surface heights; node (i, j) sits at (i*cell, j*cell)."""
+    """Regular-grid surface heights; node (i, j) sits at
+    ``origin_xy + (i*cell, j*cell)``.
+
+    Each cell is split along its (i, j)-(i+1, j+1) diagonal into two
+    triangles, and heights between nodes interpolate linearly on them.
+    """
 
     heights: np.ndarray
     cell_size: float
+    origin_xy: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         self.heights = np.asarray(self.heights, dtype=np.float64)
@@ -26,13 +38,37 @@ class HeightField:
             raise ValueError("heightfield needs at least a 2x2 grid")
         if not np.isfinite(self.heights).all():
             raise ValueError("heightfield heights must be finite")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be > 0")
+        if not 0 < self.cell_size < np.inf:
+            raise ValueError("cell_size must be finite and > 0")
 
     @property
     def size(self) -> tuple[float, float]:
         n, m = self.heights.shape
         return ((n - 1) * self.cell_size, (m - 1) * self.cell_size)
+
+    def surface_height(self, x, y):
+        """Surface heights at points ``(x, y)`` on the mesher's triangles.
+
+        Points outside the grid clamp to the border.
+        """
+        heights, cell = self.heights, self.cell_size
+        ox, oy = self.origin_xy
+        n, m = heights.shape
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+        fx = np.clip((x - ox) / cell, 0.0, n - 1.000001)
+        fy = np.clip((y - oy) / cell, 0.0, m - 1.000001)
+        i = fx.astype(np.int64)
+        j = fy.astype(np.int64)
+        u = fx - i
+        w = fy - j
+        h00 = heights[i, j]
+        h10 = heights[i + 1, j]
+        h01 = heights[i, j + 1]
+        h11 = heights[i + 1, j + 1]
+        return np.where(u >= w,
+                        h00 + u * (h10 - h00) + w * (h11 - h10),
+                        h00 + u * (h11 - h01) + w * (h01 - h00))
 
 
 def _nodes(extent: float, cell: float) -> int:
@@ -73,15 +109,16 @@ def hf_pyramid_stairs(size: tuple[float, float], cell: float, step_height: float
     return HeightField(sign * level * step_height, cell)
 
 
-def hf_to_mesh(hf: HeightField, origin_xy=(0.0, 0.0)) -> TriMesh:
+def hf_to_mesh(hf: HeightField) -> TriMesh:
     """Triangulate a heightfield: ``n*m`` vertices, ``2(n-1)(m-1)`` triangles.
 
     Vertex heights equal the field values exactly; winding faces +z. The
-    per-cell diagonal matches the contact-query interpolation.
+    per-cell diagonal is the one :meth:`HeightField.surface_height`
+    interpolates on.
     """
     n, m = hf.heights.shape
-    xs = np.arange(n) * hf.cell_size + origin_xy[0]
-    ys = np.arange(m) * hf.cell_size + origin_xy[1]
+    xs = np.arange(n) * hf.cell_size + hf.origin_xy[0]
+    ys = np.arange(m) * hf.cell_size + hf.origin_xy[1]
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([gx.ravel(), gy.ravel(), hf.heights.ravel()])
 
@@ -136,17 +173,9 @@ class TerrainGrid:
 
     rows: int
     cols: int
-    sub_size: tuple[float, float]
-    border: float
     origins: np.ndarray                 # (rows, cols, 3)
-    cell_meshes: list
-    mesh: TriMesh
-    field: HeightField
-    ground: HeightfieldGround
-
-    def origin_transform(self, row: int, col: int) -> Transform:
-        return Transform(self.origins[row, col].copy(),
-                         np.array([1.0, 0, 0, 0]))
+    mesh: TriMesh                       # hf_to_mesh(ground)
+    ground: HeightField
 
 
 def compose_grid(specs: list[TerrainTypeSpec], rows: int, border: float = 0.0,
@@ -181,7 +210,6 @@ def compose_grid(specs: list[TerrainTypeSpec], rows: int, border: float = 0.0,
     total_m = cols * (m - 1) + (cols + 1) * border_cells + 1
     global_h = np.zeros((total_n, total_m))
     origins = np.zeros((rows, cols, 3))
-    cell_meshes = []
     sub_size = ((n - 1) * cell, (m - 1) * cell)
     for r in range(rows):
         for c in range(cols):
@@ -189,17 +217,12 @@ def compose_grid(specs: list[TerrainTypeSpec], rows: int, border: float = 0.0,
             j0 = border_cells + c * ((m - 1) + border_cells)
             global_h[i0:i0 + n, j0:j0 + m] = fields[r][c].heights
             x0, y0 = i0 * cell, j0 * cell
-            cell_meshes.append(hf_to_mesh(fields[r][c], origin_xy=(x0, y0)))
             ci, cj = (n - 1) // 2, (m - 1) // 2
             origins[r, c] = (x0 + sub_size[0] / 2, y0 + sub_size[1] / 2,
                              fields[r][c].heights[ci, cj])
-    gfield = HeightField(global_h, cell)
-    return TerrainGrid(
-        rows=rows, cols=cols, sub_size=sub_size, border=border_cells * cell,
-        origins=origins, cell_meshes=cell_meshes,
-        mesh=hf_to_mesh(gfield), field=gfield,
-        ground=HeightfieldGround(global_h, cell),
-    )
+    ground = HeightField(global_h, cell)
+    return TerrainGrid(rows=rows, cols=cols, origins=origins,
+                       mesh=hf_to_mesh(ground), ground=ground)
 
 
 @dataclass

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from vecsim.actuators import (
     ActuatorConfig,
     ActuatorGroup,
-    ActuatorMisuseError,
     FrictionConfig,
     JointCommand,
     apply_friction,
@@ -44,10 +43,12 @@ def test_ideal_pd_clamps_to_effort_limit():
     np.testing.assert_allclose(tau, [[7.0]])
 
 
-def test_implicit_rejects_compute_effort():
-    grp = make_group(kind="implicit_pd", stiffness=10.0)
-    with pytest.raises(ActuatorMisuseError):
-        grp.compute_effort(command(0.0), np.zeros((1, 1)), np.zeros((1, 1)))
+def test_implicit_pd_and_armature_are_not_actuator_settings():
+    # implicit PD is dynamics.ImplicitPD and armature is DynParams.armature
+    with pytest.raises(ValueError, match="implicit_pd"):
+        ActuatorConfig(joint_ids=[0], kind="implicit_pd")
+    with pytest.raises(TypeError, match="armature"):
+        ActuatorConfig(joint_ids=[0], stiffness=10.0, armature=0.1)
 
 
 def test_nan_command_names_joint():

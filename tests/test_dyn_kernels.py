@@ -13,8 +13,9 @@ import reference_dyn_kernels as ref
 from conftest import random_chain_tree, random_spd
 from vecsim import _dyn_kernels as k
 from vecsim.articulation import ContactPointSet, KinematicTree, LinkSpec
-from vecsim.dynamics import FlatGround, HeightfieldGround
+from vecsim.dynamics import FlatGround
 from vecsim.maths import quat_normalize, quat_to_matrix
+from vecsim.terrain import HeightField
 
 ENV_COUNTS = (1, 3, 64)
 
@@ -200,8 +201,8 @@ def test_contacts_match_reference(case, terrain):
         encoded = (0, level, np.zeros((2, 2)), 1.0, 0.0, 0.0)
     else:
         # grid over part of the probes' xy range so some queries clamp
-        ground = HeightfieldGround(level + rng.uniform(-0.3, 0.3, (9, 7)),
-                                   cell_size=0.25, origin_xy=(-1.0, -0.8))
+        ground = HeightField(level + rng.uniform(-0.3, 0.3, (9, 7)),
+                             cell_size=0.25, origin_xy=(-1.0, -0.8))
         encoded = (1, 0.0, ground.heights, ground.cell_size, *ground.origin_xy)
     kk, cc, mu = (np.broadcast_to(a, (E, P)) for a in
                   (probes.stiffness, probes.damping, probes.friction))
@@ -237,9 +238,9 @@ def test_heightfield_sample_bitwise_matches_scalar():
     pts = np.concatenate([random_pts, on_x_edges, on_y_edges, on_diagonals, outside])
     expected = np.array([ref.heightfield_sample(heights, cell, ox, oy, x, y)
                          for x, y in pts])
-    got = k.heightfield_sample(heights, cell, ox, oy, pts[:, 0], pts[:, 1])
+    ground = HeightField(heights, cell, (ox, oy))
+    got = ground.surface_height(pts[:, 0], pts[:, 1])
     np.testing.assert_array_equal(got, expected)
-    ground = HeightfieldGround(heights, cell, (ox, oy))
     np.testing.assert_array_equal(
         ground.surface_height(pts[:, 0].reshape(5, -1), pts[:, 1].reshape(5, -1)),
         expected.reshape(5, -1))

@@ -28,7 +28,7 @@ from vecsim.dynamics import (
     mass_matrix,
     step,
 )
-from vecsim import _dyn_kernels
+from vecsim import _dyn_kernels, terrain
 from vecsim.maths import (Transform, quat_from_rotvec, quat_mul, quat_normalize,
                           quat_to_matrix)
 from test_dyn_kernels import quadruped, random_tree
@@ -566,6 +566,21 @@ def test_ball_settles_on_ground():
     z_expected = 0.1 - 9.81 / 5000.0
     assert abs(state.root_pos[0, 2] - z_expected) < 1e-3
     assert abs(state.root_lin_vel[0, 2]) < 1e-3
+
+
+def test_heightfield_ground_is_the_terrain_heightfield():
+    assert HeightfieldGround is terrain.HeightField
+
+
+@pytest.mark.parametrize("heights, cell_size", [
+    (np.zeros((3, 3)), 0.0),
+    (np.zeros((3, 3)), -1.0),
+    (np.array([[0.0, np.nan], [0.0, 0.0]]), 0.5),
+    (np.zeros((1, 1)), 0.5),
+], ids=["zero_cell", "negative_cell", "nan_height", "one_by_one"])
+def test_heightfield_ground_rejects_invalid_grid(heights, cell_size):
+    with pytest.raises(ValueError):
+        HeightfieldGround(heights, cell_size)
 
 
 def test_contact_on_heightfield_matches_local_height():

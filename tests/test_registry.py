@@ -18,7 +18,7 @@ def make_registry(n_envs=4, robots=True, cubes=False):
 def test_view_pattern_matches_cloned_envs():
     reg = make_registry(4)
     view = reg.create_view("/World/envs/*/Robot")
-    assert view.count == 4
+    assert len(view) == 4
     assert view.env_indices == [0, 1, 2, 3]
     assert view.payloads == [0, 10, 20, 30]
 
@@ -26,7 +26,7 @@ def test_view_pattern_matches_cloned_envs():
 def test_view_literal_path():
     reg = make_registry(4)
     view = reg.create_view("/World/envs/env_2/Robot")
-    assert view.count == 1
+    assert len(view) == 1
     assert view.entries[0].env_index == 2
 
 
@@ -35,7 +35,7 @@ def test_empty_view_raises_or_warns(caplog):
     with pytest.raises(EmptyViewError):
         reg.create_view("/World/envs/*/Cube")
     view = reg.create_view("/World/envs/*/Cube", required=False)
-    assert view.count == 0
+    assert len(view) == 0
 
 
 def test_star_matches_exactly_one_segment():

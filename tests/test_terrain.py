@@ -143,7 +143,9 @@ def test_compose_single_cell():
     grid = compose_grid([flat_spec(size=(2.0, 2.0), cell=0.5)], rows=1)
     assert grid.rows == 1 and grid.cols == 1
     np.testing.assert_allclose(grid.origins[0, 0], [1.0, 1.0, 0.0])
-    assert len(grid.cell_meshes) == 1
+    np.testing.assert_array_equal(grid.ground.heights, np.zeros((5, 5)))
+    assert grid.ground.cell_size == 0.5
+    assert grid.mesh.num_triangles == 2 * 4 * 4
 
 
 def test_compose_linear_difficulty_rows():
@@ -156,19 +158,34 @@ def test_compose_linear_difficulty_rows():
 
 
 def test_compose_cells_disjoint_in_xy():
-    specs = [random_rough_spec(size=(2.0, 2.0), cell=0.1),
-             flat_spec(size=(2.0, 2.0), cell=0.1)]
-    grid = compose_grid(specs, rows=3, border=0.5, rng=np.random.default_rng(1))
-    boxes = []
-    for mesh in grid.cell_meshes:
-        lo = mesh.vertices[:, :2].min(axis=0)
-        hi = mesh.vertices[:, :2].max(axis=0)
-        boxes.append((lo, hi))
-    for a in range(len(boxes)):
-        for b in range(a + 1, len(boxes)):
-            (alo, ahi), (blo, bhi) = boxes[a], boxes[b]
-            overlap = np.all(alo < bhi) and np.all(blo < ahi)
-            assert not overlap
+    # 0.25 m cells keep every offset and origin exact in binary; the 0.6 m
+    # border snaps to 2 cells (0.5 m)
+    specs = [random_rough_spec(size=(2.0, 2.0), cell=0.25),
+             pyramid_stairs_spec(size=(2.0, 2.0), cell=0.25, step_width=0.25,
+                                 levels=2)]
+    rows, cols, border_cells = 3, 2, 2
+    grid = compose_grid(specs, rows=rows, border=0.6, rng=np.random.default_rng(1))
+    # the generator draws compose_grid makes, in its row-major order
+    rng = np.random.default_rng(1)
+    fields = [[spec.make(r / (rows - 1), rng) for spec in specs]
+              for r in range(rows)]
+    n, m = fields[0][0].heights.shape
+    assert grid.ground.heights.shape == (rows * (n - 1) + (rows + 1) * border_cells + 1,
+                                         cols * (m - 1) + (cols + 1) * border_cells + 1)
+    covered = np.zeros(grid.ground.heights.shape, dtype=bool)
+    for r in range(rows):
+        for c in range(cols):
+            i0 = border_cells + r * (n - 1 + border_cells)
+            j0 = border_cells + c * (m - 1 + border_cells)
+            block = (slice(i0, i0 + n), slice(j0, j0 + m))
+            np.testing.assert_array_equal(grid.ground.heights[block],
+                                          fields[r][c].heights)
+            assert not covered[block].any()
+            covered[block] = True
+    np.testing.assert_array_equal(grid.ground.heights[~covered], 0.0)
+    # adjacent origins: sub-terrain size (2 m) + snapped border (0.5 m) apart
+    np.testing.assert_array_equal(np.diff(grid.origins[..., 0], axis=0), 2.5)
+    np.testing.assert_array_equal(np.diff(grid.origins[..., 1], axis=1), 2.5)
 
 
 def test_compose_origin_lifted_to_surface():
@@ -177,12 +194,11 @@ def test_compose_origin_lifted_to_surface():
     grid = compose_grid([spec], rows=2, rng=np.random.default_rng(2))
     # top difficulty row: center reaches 2 * 0.2 = 0.4
     np.testing.assert_allclose(grid.origins[1, 0, 2], 0.4, atol=1e-12)
-    # origins inside their cells
+    # no border: row r's block spans x in [4r, 4r + 4], y in [0, 4]
     for r in range(2):
-        x, y = grid.origins[r, 0, :2]
-        mesh = grid.cell_meshes[r]
-        assert mesh.vertices[:, 0].min() <= x <= mesh.vertices[:, 0].max()
-        assert mesh.vertices[:, 1].min() <= y <= mesh.vertices[:, 1].max()
+        x, y, z = grid.origins[r, 0]
+        assert 4.0 * r < x < 4.0 * (r + 1) and 0.0 < y < 4.0
+        np.testing.assert_allclose(grid.ground.surface_height(x, y), z, atol=1e-12)
 
 
 def test_compose_ground_matches_mesh():
@@ -190,7 +206,7 @@ def test_compose_ground_matches_mesh():
     grid = compose_grid(specs, rows=2, border=0.2, rng=np.random.default_rng(3))
     bvh = build_bvh(grid.mesh)
     rng = np.random.default_rng(4)
-    n, m = grid.field.heights.shape
+    n, m = grid.ground.heights.shape
     xs = rng.uniform(0, (n - 1) * 0.1, 50)
     ys = rng.uniform(0, (m - 1) * 0.1, 50)
     origins = np.column_stack([xs, ys, np.full(50, 3.0)])
