@@ -10,9 +10,11 @@ origins. The parent->child motion transforms ``X`` (``(E, L, 6, 6)``, from
 :func:`motion_xforms`) and the spatial inertias (``(E, L, 6, 6)``, from
 :func:`spatial_inertia`) depend only on ``q`` and the physical parameters,
 so the integrator computes them once per substep and passes them to the
-velocity, RNEA, CRBA and wrench kernels. Forces move to the parent with
-``X^T``; the leaf-to-root pass that projects them onto the joint axes is
-shared by RNEA, CRBA and wrench mapping (:func:`_project_to_joints`).
+velocity, RNEA and CRBA kernels. Both force passes follow Featherstone
+(*Rigid Body Dynamics Algorithms*, 2008): RNEA takes the applied link forces
+as an input and moves every link force to its parent with ``X^T`` (Table
+5.1); CRBA carries each joint's composite force up its own chain of
+ancestors (Table 6.2).
 """
 
 from __future__ import annotations
@@ -153,35 +155,16 @@ def vel_kernel(tree, X, qd, base_rot, root_twist_w):
     return v
 
 
-def _project_to_joints(tree, X, f):
-    """Leaf-to-root pass shared by RNEA, CRBA and wrench mapping.
-
-    Each link's spatial force (``f``, ``(E, L, 6, K)``) is moved into its
-    parent's with ``X^T``, leaf to root, so that ``f[:, i]`` becomes the
-    force transmitted across joint ``i``; ``f`` is consumed. Returns its
-    projection onto the joint axes, ``(E, nv, K)``, with a floating root's
-    whole force in rows ``0..5``.
-    """
-    for i in range(tree.num_links - 1, 0, -1):
-        p = tree.parent[i]
-        if p >= 0:
-            f[:, p] += np.swapaxes(X[:, i], -1, -2) @ f[:, i]
-    off = 6 if tree.floating else 0
-    out = np.zeros((f.shape[0], tree.nv) + f.shape[3:])
-    moving = tree.qidx >= 0
-    out[:, off + tree.qidx[moving]] = (tree.subspace[:, None] @ f)[:, moving, 0]
-    if tree.floating:
-        out[:, :6] = f[:, 0]
-    return out
-
-
-def rnea_kernel(tree, X, v, qd, inertia, base_acc):
-    """Bias forces (Coriolis + centrifugal + gravity) at zero joint acceleration.
+def rnea_kernel(tree, X, v, qd, inertia, base_acc, f_ext):
+    """Joint forces that give zero joint acceleration: Coriolis, centrifugal
+    and gravity, less the applied link forces.
 
     ``base_acc`` ``(E, 3)`` is the linear acceleration of the base (a fixed
     tree's mount) in its own frame; gravity enters as its upward part, so
-    pass ``-R^T g``. ``inertia`` holds the spatial inertias. Returns
-    ``(E, nv)`` in body coordinates.
+    pass ``-R^T g``. ``inertia`` holds the spatial inertias and ``f_ext``
+    the applied body-frame forces ``[torque, force]`` on each link,
+    ``(E, L, 6)`` or ``0.0``. Returns ``(E, nv)`` in body coordinates, with a
+    floating root's whole force in rows ``0..5``.
     """
     E, L = v.shape[:2]
     crm = _crm(v)
@@ -197,42 +180,53 @@ def rnea_kernel(tree, X, v, qd, inertia, base_acc):
             a[:, i] = _mv(X[:, i], a_base if p < 0 else a[:, p]) + c[:, i]
     # v x* h == -crm(v)^T h, computed as the row vector h^T crm(v)
     h = _mv(inertia, v)
-    f = _mv(inertia, a) - (h[..., None, :] @ crm)[..., 0, :]
-    return _project_to_joints(tree, X, f[..., None])[..., 0]
+    f = _mv(inertia, a) - (h[..., None, :] @ crm)[..., 0, :] - f_ext
+    # leaf to root: f[:, i] becomes the force transmitted across joint i;
+    # X^T f is computed as the row vector f^T X
+    for i in range(L - 1, 0, -1):
+        p = tree.parent[i]
+        if p >= 0:
+            f[:, p] += (f[:, i, None, :] @ X[:, i])[:, 0]
+    out = np.zeros((E, tree.nv))
+    moving = tree.qidx >= 0
+    off = 6 if tree.floating else 0
+    out[:, off + tree.qidx[moving]] = (f[:, moving] * tree.subspace[moving]).sum(-1)
+    if tree.floating:
+        out[:, :6] = f[:, 0]
+    return out
 
 
 def crba_kernel(tree, X, inertia):
     """Composite-rigid-body mass matrix ``(E, nv, nv)``, body coordinates.
 
-    Column ``j`` starts as the force ``Ic_j S_j`` on joint ``j``'s link
-    (``Ic`` the composite inertia); the shared leaf-to-root pass carries it
-    to every ancestor, whose projection is the upper-triangle entry.
+    Each moving joint's force ``Ic_i S_i`` (``Ic`` the composite inertia)
+    is carried up its chain of ancestors; its projection onto an ancestor's
+    axis is an upper-triangle entry, and a floating root's 6 rows take the
+    whole force. The lower triangle mirrors the upper one exactly.
     """
     E, L = inertia.shape[:2]
-    nv = tree.nv
     off = 6 if tree.floating else 0
     ic = inertia.copy()
     for i in range(L - 1, 0, -1):
         p = tree.parent[i]
         if p >= 0:
             ic[:, p] += np.swapaxes(X[:, i], -1, -2) @ ic[:, i] @ X[:, i]
-    f = np.zeros((E, L, 6, nv))
+    m = np.zeros((E, tree.nv, tree.nv))
     if tree.floating:
-        f[:, 0, :, :6] = ic[:, 0]
-    moving = tree.qidx >= 0
-    # column qidx[i] of link i's force block: f.swapaxes(2, 3)[:, i, col]
-    np.swapaxes(f, 2, 3)[:, moving, off + tree.qidx[moving]] = _mv(
-        ic[:, moving], tree.subspace[moving])
-    upper = np.triu(_project_to_joints(tree, X, f))
-    return upper + np.swapaxes(np.triu(upper, 1), -1, -2)
-
-
-def wrench_kernel(tree, X, link_rot, wrench_w):
-    """Generalized forces ``(E, nv)`` from world link wrenches ``[f, tau]``."""
-    rt = np.swapaxes(link_rot, -1, -2)
-    fb = np.concatenate([_mv(rt, wrench_w[..., 3:]), _mv(rt, wrench_w[..., :3])],
-                        axis=-1)
-    return _project_to_joints(tree, X, fb[..., None])[..., 0]
+        m[:, :6, :6] = np.triu(ic[:, 0])
+    for i in np.flatnonzero(tree.qidx >= 0):
+        col = off + tree.qidx[i]
+        f = _mv(ic[:, i], tree.subspace[i])
+        m[:, col, col] = f @ tree.subspace[i]
+        j = i
+        while tree.parent[j] >= 0:
+            f = (f[:, None, :] @ X[:, j])[:, 0]
+            j = tree.parent[j]
+            if tree.qidx[j] >= 0:
+                m[:, off + tree.qidx[j], col] = f @ tree.subspace[j]
+            elif j == 0 and tree.floating:
+                m[:, :6, col] = f
+    return m + np.swapaxes(np.triu(m, 1), -1, -2)
 
 
 def jacobian_kernel(tree, link_rot, link_pos, link, offset):

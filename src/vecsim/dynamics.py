@@ -14,6 +14,9 @@ at ``R^T dv/dt - w_b x v_b`` even at constant world velocity, so in mixed
 coordinates the bias gains ``-M[:, lin] (w_b x v_b)``. Like gravity, that
 term is a fictitious base acceleration, so RNEA takes it as one (Featherstone,
 *Rigid Body Dynamics Algorithms*, 2008) and the bias never needs ``M``.
+RNEA also takes the applied link forces: ``step`` turns the external and
+contact wrenches into body-frame forces once and subtracts them in the same
+pass, so the bias it solves with is ``c(q, u) - J^T f``.
 
 Reflected motor inertia (armature) comes from :attr:`DynParams.armature`
 only; the mass matrix that ``mass_matrix`` returns is the one ``step``
@@ -51,7 +54,7 @@ class SimulationDivergenceError(RuntimeError):
     """Simulation state became non-finite."""
 
     def __init__(self, env_ids):
-        self.env_ids = list(np.atleast_1d(env_ids))
+        self.env_ids = np.atleast_1d(env_ids).tolist()
         super().__init__(
             f"non-finite simulation state in environment(s) {self.env_ids}"
         )
@@ -168,20 +171,18 @@ def _mass(tree, xf, inertia, base_rot, armature):
     return m
 
 
-def _to_mixed(vec, base_rot):
-    """Rotate the root linear rows of generalized forces into world coords."""
-    vec[:, 3:6] = np.einsum("eab,eb->ea", base_rot, vec[:, 3:6])
-    return vec
-
-
-def _bias(tree, xf, v_body, qd, inertia, base_rot, gravity):
-    """RNEA bias in the public coordinates, mixed for a floating root."""
+def _bias(tree, xf, v_body, qd, inertia, base_rot, gravity, f_ext):
+    """RNEA bias less the applied body-frame link forces ``f_ext``, in the
+    public coordinates (mixed for a floating root)."""
     g = np.broadcast_to(np.asarray(gravity, dtype=np.float64), (qd.shape[0], 3))
     a_base = -np.einsum("eba,eb->ea", base_rot, g)
     if tree.floating:
         a_base -= np.cross(v_body[:, 0, :3], v_body[:, 0, 3:])
-    bias = k.rnea_kernel(tree, xf, v_body, qd, inertia, a_base)
-    return _to_mixed(bias, base_rot) if tree.floating else bias
+    bias = k.rnea_kernel(tree, xf, v_body, qd, inertia, a_base, f_ext)
+    if tree.floating:
+        # root linear rows into world coordinates
+        bias[:, 3:6] = np.einsum("eab,eb->ea", base_rot, bias[:, 3:6])
+    return bias
 
 
 def forward_kinematics(tree: KinematicTree, q: np.ndarray,
@@ -250,7 +251,7 @@ def bias_forces(tree: KinematicTree, q: np.ndarray, qd: np.ndarray,
         params = DynParams.from_tree(tree, q.shape[0])
     _, xf, v_body, base_rot, _ = _motion(tree, q, root_pose, qd, root_twist)
     inertia = k.spatial_inertia(params.mass, params.com, params.inertia)
-    bias = _bias(tree, xf, v_body, qd, inertia, base_rot, gravity)
+    bias = _bias(tree, xf, v_body, qd, inertia, base_rot, gravity, 0.0)
     return bias[0] if squeeze else bias
 
 
@@ -286,8 +287,10 @@ def step(tree: KinematicTree, state: ArticulationState,
          contacts_out: ContactForces | None = None) -> ArticulationState:
     """Advance the articulation one semi-implicit Euler substep, in place.
 
-    Solves ``(M + dt*diag(kd) + dt^2*diag(kp)) u+ = M u + dt*(tau + J_c^T f_c
-    - bias + kp*(q* - q) + kd*qd*)`` then integrates positions with ``u+``.
+    Solves ``(M + dt*diag(kd) + dt^2*diag(kp)) u+ = M u + dt*(tau + J^T f
+    - c + kp*(q* - q) + kd*qd*)`` then integrates positions with ``u+``;
+    ``c`` is the bias and ``f`` the external and contact wrenches, and one
+    RNEA pass gives ``c - J^T f``.
     Without ``implicit_pd`` gains the system matrix is ``M`` alone. The free
     root integrates its quaternion with renormalization.
 
@@ -311,20 +314,19 @@ def step(tree: KinematicTree, state: ArticulationState,
     joint_efforts = np.asarray(joint_efforts, dtype=np.float64)
     if not np.all(np.isfinite(joint_efforts)):
         bad = np.nonzero(~np.isfinite(joint_efforts).all(axis=-1))[0]
-        raise ValueError(f"non-finite joint efforts for environment(s) {list(bad)}")
+        raise ValueError(f"non-finite joint efforts for environment(s) {bad.tolist()}")
     if params is None:
         params = DynParams.from_tree(tree, E)
 
     frames, xf, v_body, base_rot, base_pos = _state_motion(tree, state)
     inertia = k.spatial_inertia(params.mass, params.com, params.inertia)
     m = _mass(tree, xf, inertia, base_rot, params.armature)
-    bias = _bias(tree, xf, v_body, state.qd, inertia, base_rot, gravity)
     off = 6 if tree.floating else 0
 
-    # generalized applied forces
+    # applied link forces: world wrenches [f, tau] into body-frame [tau, f]
     wrench = state.ext_wrench
     contacts = probes is not None and terrain is not None and probes.count
-    f_gen = 0.0
+    f_ext = 0.0
     if contacts or np.any(wrench):
         link_rot, link_pos = k.fk_kernel(tree, *frames, base_rot, base_pos)
         if contacts:
@@ -335,9 +337,9 @@ def step(tree: KinematicTree, state: ArticulationState,
                 contacts_out.tangent[:] = tangent
                 contacts_out.in_contact[:] = active
             wrench = wrench + contact_wrench
-        f_gen = k.wrench_kernel(tree, xf, link_rot, wrench)
-        if tree.floating:
-            _to_mixed(f_gen, base_rot)
+        # R^T w as the row vector w^T R, for the torque and then the force
+        f_ext = (wrench.reshape(E, -1, 2, 3)[:, :, ::-1] @ link_rot).reshape(E, -1, 6)
+    bias = _bias(tree, xf, v_body, state.qd, inertia, base_rot, gravity, f_ext)
 
     tau = np.zeros((E, tree.nv))
     tau[:, off:] = joint_efforts
@@ -348,7 +350,7 @@ def step(tree: KinematicTree, state: ArticulationState,
         u = np.concatenate([v_body[:, 0, :3], state.root_lin_vel, state.qd], axis=1)
 
     a_sys = m
-    rhs = np.einsum("eij,ej->ei", m, u) + dt * (tau + f_gen - bias)
+    rhs = np.einsum("eij,ej->ei", m, u) + dt * (tau - bias)
     if implicit_pd is not None:
         kp = np.broadcast_to(np.asarray(implicit_pd.kp, dtype=np.float64), (E, nj))
         kd = np.broadcast_to(np.asarray(implicit_pd.kd, dtype=np.float64), (E, nj))

@@ -172,9 +172,6 @@ class Transform:
         """Map points from this frame into the parent frame."""
         return self.pos + quat_rotate(self.quat, points)
 
-    def copy(self) -> "Transform":
-        return Transform(self.pos.copy(), self.quat.copy())
-
 
 def compose(a: Transform, b: Transform) -> Transform:
     """Composition ``a ∘ b``: apply ``b`` first, then ``a``."""

@@ -41,11 +41,6 @@ class HeightField:
         if not 0 < self.cell_size < np.inf:
             raise ValueError("cell_size must be finite and > 0")
 
-    @property
-    def size(self) -> tuple[float, float]:
-        n, m = self.heights.shape
-        return ((n - 1) * self.cell_size, (m - 1) * self.cell_size)
-
     def surface_height(self, x, y):
         """Surface heights at points ``(x, y)`` on the mesher's triangles.
 
@@ -216,11 +211,10 @@ def compose_grid(specs: list[TerrainTypeSpec], rows: int, border: float = 0.0,
             i0 = border_cells + r * ((n - 1) + border_cells)
             j0 = border_cells + c * ((m - 1) + border_cells)
             global_h[i0:i0 + n, j0:j0 + m] = fields[r][c].heights
-            x0, y0 = i0 * cell, j0 * cell
-            ci, cj = (n - 1) // 2, (m - 1) // 2
-            origins[r, c] = (x0 + sub_size[0] / 2, y0 + sub_size[1] / 2,
-                             fields[r][c].heights[ci, cj])
+            origins[r, c, :2] = (i0 * cell + sub_size[0] / 2,
+                                 j0 * cell + sub_size[1] / 2)
     ground = HeightField(global_h, cell)
+    origins[..., 2] = ground.surface_height(origins[..., 0], origins[..., 1])
     return TerrainGrid(rows=rows, cols=cols, origins=origins,
                        mesh=hf_to_mesh(ground), ground=ground)
 

@@ -146,7 +146,7 @@ def test_rnea_matches_reference(case):
                     case.base_rot, case.base_pos, case.ref_v, case.mass,
                     case.com, case.inertia, case.gravity, t.floating, expected)
     base_acc = -np.einsum("eba,eb->ea", case.base_rot, case.gravity)
-    bias = k.rnea_kernel(t, case.X, case.v, case.qd, case.spatial, base_acc)
+    bias = k.rnea_kernel(t, case.X, case.v, case.qd, case.spatial, base_acc, 0.0)
     assert_matches(bias, expected)
 
 
@@ -167,7 +167,16 @@ def test_wrench_mapping_matches_reference(case):
     ref.wrench_kernel(*case.ref_args(), case.ref_rot, case.ref_pos,
                       case.base_rot, case.base_pos, case.wrench, t.floating,
                       expected)
-    assert_matches(k.wrench_kernel(t, case.X, case.rot, case.wrench), expected)
+    # at rest and without gravity RNEA returns minus the applied forces'
+    # generalized projection; it takes them body-frame, [torque, force]
+    rt = np.swapaxes(case.rot, -1, -2)
+    f_body = np.concatenate([np.einsum("elab,elb->ela", rt, case.wrench[..., 3:]),
+                             np.einsum("elab,elb->ela", rt, case.wrench[..., :3])],
+                            axis=-1)
+    E, L = case.wrench.shape[:2]
+    got = -k.rnea_kernel(t, case.X, np.zeros((E, L, 6)), np.zeros_like(case.qd),
+                         case.spatial, np.zeros((E, 3)), f_body)
+    assert_matches(got, expected)
 
 
 def test_jacobian_matches_reference(case):

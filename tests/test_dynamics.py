@@ -431,6 +431,42 @@ def test_step_determinism_bitwise():
     np.testing.assert_array_equal(a.qd, b.qd)
 
 
+def test_step_rejects_nonpositive_dt():
+    tree = double_pendulum_tree()
+    state = ArticulationState.zeros(tree, 1)
+    for dt in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt"):
+            step(tree, state, None, dt=dt)
+
+
+def test_step_rejects_non_finite_efforts_naming_envs():
+    tree = double_pendulum_tree()
+    state = ArticulationState.zeros(tree, 4)
+    tau = np.zeros((4, 2))
+    tau[1, 0] = np.nan
+    tau[3, 1] = np.inf
+    with pytest.raises(ValueError, match=r"environment\(s\) \[1, 3\]"):
+        step(tree, state, tau, dt=1e-3)
+    np.testing.assert_array_equal(state.q, 0.0)
+
+
+def test_implicit_pd_velocity_target_closed_form():
+    # one revolute joint, kp = 0, no gravity: (I + dt kd) qd+ = I qd + dt kd qd*
+    m, length, i_yy = 1.5, 0.8, 0.05
+    tree = KinematicTree(pendulum_links(mass=m, length=length,
+                                        inertia=(0.02, i_yy, 0.03)))
+    inertia = i_yy + m * length ** 2
+    kd, dt = np.array([[3.0], [40.0]]), 1e-2
+    qd, qd_star = np.array([[0.5], [-1.0]]), np.array([[2.0], [0.25]])
+    state = ArticulationState.zeros(tree, 2)
+    state.qd[:] = qd
+    pd = ImplicitPD(kp=np.zeros((2, 1)), kd=kd, q_target=np.zeros((2, 1)),
+                    qd_target=qd_star)
+    step(tree, state, None, dt=dt, gravity=(0, 0, 0), implicit_pd=pd)
+    expected = (inertia * qd + dt * kd * qd_star) / (inertia + dt * kd)
+    np.testing.assert_allclose(state.qd, expected, rtol=1e-13)
+
+
 def test_step_divergence_error_names_env():
     tree = double_pendulum_tree()
     state = ArticulationState.zeros(tree, 3)
@@ -502,6 +538,45 @@ def test_invalid_link_index_rejected():
     state = ArticulationState.zeros(tree, 1)
     with pytest.raises(IndexError):
         apply_external_wrench(state, force=(0, 0, 1), torque=(0, 0, 0), link=5)
+    with pytest.raises(IndexError):
+        jacobian(tree, state.q, link=5)
+
+
+@pytest.mark.parametrize("name", ["quadruped", "fixed_tree"])
+def test_applied_wrench_step_matches_jacobian_transpose(name):
+    # From rest without gravity, one step under a world wrench [F, T] on a
+    # distal link gives u = dt M^-1 J^T [F; T] in the public (mixed)
+    # coordinates, with M from mass_matrix and J from jacobian.
+    rng = np.random.default_rng(13)
+    if name == "quadruped":
+        tree, link = quadruped(), 3  # first calf
+    else:
+        tree = random_tree(rng, 9, floating=False)
+        link = tree.num_links - 1
+    E, dt = 2, 1e-3
+    state = ArticulationState.zeros(tree, E)
+    state.q[:] = rng.uniform(-np.pi, np.pi, (E, tree.num_joints))
+    state.root_pos[:] = rng.standard_normal((E, 3))
+    state.root_quat[:] = quat_normalize(rng.standard_normal((E, 4)))
+    pose = Transform(state.root_pos.copy(), state.root_quat.copy())
+    q0 = state.q.copy()
+    force, torque = rng.standard_normal((E, 3)), rng.standard_normal((E, 3))
+    for e in range(E):
+        apply_external_wrench(state, force[e], torque[e], link, env_ids=[e])
+
+    m = mass_matrix(tree, q0, root_pose=pose)
+    jac = jacobian(tree, q0, link, root_pose=pose)
+    gen = np.einsum("eki,ek->ei", jac, np.concatenate([force, torque], axis=1))
+    expected = dt * np.linalg.solve(m, gen[..., None])[..., 0]
+
+    step(tree, state, None, dt=dt, gravity=(0, 0, 0))
+    u = state.qd
+    if tree.floating:
+        w_b = np.einsum("eba,eb->ea", quat_to_matrix(state.root_quat),
+                        state.root_ang_vel)
+        u = np.concatenate([w_b, state.root_lin_vel, state.qd], axis=1)
+    np.testing.assert_allclose(u, expected, rtol=0.0,
+                               atol=1e-12 * np.abs(expected).max())
 
 
 # ------------------------------------------------------------------ contacts

@@ -157,6 +157,22 @@ def test_compose_linear_difficulty_rows():
     np.testing.assert_allclose(centers, [0.0, 0.2 / 3, 0.4 / 3, 0.2], atol=1e-12)
 
 
+def test_compose_origin_on_surface_with_odd_cell_count():
+    # 21 cells per side: the sub-terrain centre is the middle of cell
+    # (10, 10), on its diagonal, where the surface is (h[10, 10] + h[11, 11]) / 2
+    spec = random_rough_spec(size=(2.1, 2.1), cell=0.1, max_height=0.1)
+    grid = compose_grid([spec], rows=2, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    fields = [spec.make(r, rng).heights for r in range(2)]
+    x, y, z = np.moveaxis(grid.origins[:, 0], -1, 0)
+    np.testing.assert_allclose(x, [1.05, 3.15], atol=1e-12)
+    np.testing.assert_allclose(y, [1.05, 1.05], atol=1e-12)
+    np.testing.assert_allclose(z, [(h[10, 10] + h[11, 11]) / 2 for h in fields],
+                               atol=1e-12)
+    assert z[1] != fields[1][10, 10]
+    np.testing.assert_array_equal(z, grid.ground.surface_height(x, y))
+
+
 def test_compose_cells_disjoint_in_xy():
     # 0.25 m cells keep every offset and origin exact in binary; the 0.6 m
     # border snaps to 2 cells (0.5 m)
