@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .articulation import JOINT_FREE, JOINT_PRISMATIC, JOINT_REVOLUTE
+from .maths import cross
 
 
 # skew(v) == (v @ _SKEW).reshape(3, 3): row c holds the pattern of v_c
@@ -43,11 +44,6 @@ def _mv(a, x):
 def _skew(v):
     """``skew(v) @ x == v x x`` over leading axes."""
     return (v @ _SKEW).reshape(v.shape[:-1] + (3, 3))
-
-
-def _cross(a, b):
-    """Cross product over the last axis (cheaper than ``np.cross``)."""
-    return _mv(_skew(a), b)
 
 
 def _crm(v):
@@ -241,7 +237,7 @@ def jacobian_kernel(tree, link_rot, link_pos, link, offset):
         col = off + tree.qidx[j]
         if jt == JOINT_REVOLUTE:
             aw = _mv(link_rot[:, j], tree.axis[j])
-            out[:, :3, col] = _cross(aw, pw - link_pos[:, j])
+            out[:, :3, col] = cross(aw, pw - link_pos[:, j])
             out[:, 3:, col] = aw
         elif jt == JOINT_PRISMATIC:
             out[:, :3, col] = _mv(link_rot[:, j], tree.axis[j])
@@ -271,7 +267,7 @@ def contact_kernel(probes, link_rot, link_pos, v_body, ground):
     depth = ground.surface_height(pw[..., 0], pw[..., 1]) - (pw[..., 2] - probes.radius)
     # world velocity of the probe point
     vb = v_body[:, li]
-    vp = _mv(rot, vb[..., 3:] + _cross(vb[..., :3], probes.offset))
+    vp = _mv(rot, vb[..., 3:] + cross(vb[..., :3], probes.offset))
     fn = probes.stiffness * depth - probes.damping * vp[..., 2]
     active = (depth > 0.0) & (fn > 0.0)
     fn = np.where(active, fn, 0.0)
@@ -287,5 +283,5 @@ def contact_kernel(probes, link_rot, link_pos, v_body, ground):
     force = np.concatenate([ft, fn[..., None]], axis=-1)
     wrench = np.zeros(link_pos.shape[:2] + (6,))
     np.add.at(wrench, (slice(None), li),
-              np.concatenate([force, _cross(pw - link_pos[:, li], force)], axis=-1))
+              np.concatenate([force, cross(pw - link_pos[:, li], force)], axis=-1))
     return normal, tangent, active, wrench

@@ -37,6 +37,7 @@ from . import _dyn_kernels as k
 from .articulation import ArticulationState, ContactPointSet, KinematicTree
 from .maths import (
     Transform,
+    cross,
     matrix_to_quat,
     quat_from_rotvec,
     quat_mul,
@@ -67,7 +68,8 @@ class FlatGround:
     height: float = 0.0
 
     def surface_height(self, x, y):
-        return np.broadcast_arrays(np.asarray(x, dtype=float), y)[0] * 0.0 + self.height
+        return np.full(np.broadcast_shapes(np.shape(x), np.shape(y)),
+                       self.height, dtype=np.float64)
 
 
 @dataclass
@@ -177,7 +179,7 @@ def _bias(tree, xf, v_body, qd, inertia, base_rot, gravity, f_ext):
     g = np.broadcast_to(np.asarray(gravity, dtype=np.float64), (qd.shape[0], 3))
     a_base = -np.einsum("eba,eb->ea", base_rot, g)
     if tree.floating:
-        a_base -= np.cross(v_body[:, 0, :3], v_body[:, 0, 3:])
+        a_base -= cross(v_body[:, 0, :3], v_body[:, 0, 3:])
     bias = k.rnea_kernel(tree, xf, v_body, qd, inertia, a_base, f_ext)
     if tree.floating:
         # root linear rows into world coordinates

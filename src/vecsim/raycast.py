@@ -5,12 +5,21 @@ an axis-aligned-bounding-box BVH (median split, leaves of at most
 ``LEAF_SIZE`` triangles) that is built one tree level at a time, all nodes
 of a level together.
 
-Casting moves all rays through a tree together, one level per pass: a
-frontier of ``(ray, node)`` pairs is slab-tested as flat arrays, the leaves
-it reached are intersected in fixed-size blocks, and the children of the
-inner nodes it reached form the next frontier. Each ray keeps the closest
-hit over all meshes: lowest distance, then lowest mesh id, then lowest
-triangle id. Misses carry distance ``+inf``.
+Each ray's candidate triangles come from one of two sources, and one
+Moller-Trumbore routine intersects them all:
+
+* the BVH, for every ray of a mesh without a cell table and every slanted
+  ray: all rays move through the tree together, one level per pass. A
+  frontier of ``(ray, node)`` pairs is slab-tested as flat arrays, the
+  leaves it reached are intersected in fixed-size blocks, and the children
+  of the inner nodes it reached form the next frontier;
+* the mesh's :class:`GridCells` table, for a ray whose mesh-local direction
+  has zero x and y components on a mesh that has one (``hf_to_mesh``
+  fills it): the triangles of the 2 x 2 cells nearest the ray's local xy,
+  with no traversal.
+
+Each ray keeps the closest hit over all meshes: lowest distance, then
+lowest mesh id, then lowest triangle id. Misses carry distance ``+inf``.
 """
 
 from __future__ import annotations
@@ -32,12 +41,32 @@ class MeshFormatError(ValueError):
 
 
 @dataclass
+class GridCells:
+    """The triangles of a mesh laid over a regular xy grid, cell by cell.
+
+    Cell ``(i, j)`` is the closed square from ``origin_xy + (i, j)*cell_size``
+    to ``origin_xy + (i+1, j+1)*cell_size`` in mesh-local coordinates, and
+    ``tris[i, j]`` holds the ids of the ``k`` triangles inside it.
+    """
+
+    origin_xy: tuple[float, float]
+    cell_size: float
+    tris: np.ndarray  # (cells along x, cells along y, k) int64
+
+
+@dataclass
 class TriMesh:
-    """Indexed triangle mesh with a rigid world pose."""
+    """Indexed triangle mesh with a rigid world pose.
+
+    ``grid``, when given, must list every triangle exactly once, each in a
+    cell that holds all three of its vertices; vertical rays then take
+    their candidates from it instead of the BVH.
+    """
 
     vertices: np.ndarray
     triangles: np.ndarray
     pose: Transform = field(default_factory=Transform.identity)
+    grid: GridCells | None = None
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
@@ -49,6 +78,32 @@ class TriMesh:
         if self.triangles.size and (self.triangles.min() < 0
                                     or self.triangles.max() >= len(self.vertices)):
             raise ValueError("triangle indices out of range")
+        if self.grid is not None:
+            self._check_grid()
+
+    def _check_grid(self) -> None:
+        g = self.grid
+        g.tris = np.ascontiguousarray(g.tris, dtype=np.int64)
+        if g.tris.ndim != 3 or 0 in g.tris.shape:
+            raise ValueError("grid tris must be (I, J, k) with I, J, k >= 1")
+        if not 0 < g.cell_size < np.inf or not np.isfinite(g.origin_xy).all():
+            raise ValueError("grid cell_size must be finite and > 0, origin finite")
+        ids = g.tris.ravel()
+        t = self.num_triangles
+        if (ids.size != t or ids.min() < 0 or ids.max() >= t
+                or np.bincount(ids, minlength=t).max() > 1):
+            raise ValueError("grid cells must list every triangle exactly once")
+        # cell edges with the mesher's node arithmetic, so the test is exact
+        ci, cj, _ = g.tris.shape
+        ex = (np.arange(ci + 1) * g.cell_size + g.origin_xy[0])[:, None, None, None]
+        ey = (np.arange(cj + 1) * g.cell_size + g.origin_xy[1])[:, None, None]
+        x, y = np.moveaxis(self.vertices[self.triangles[g.tris], :2], -1, 0)
+        outside = ((x < ex[:-1]) | (x > ex[1:])
+                   | (y < ey[:-1]) | (y > ey[1:])).any(axis=-1)
+        if outside.any():
+            i, j, s = np.argwhere(outside)[0]
+            raise ValueError(f"triangle {int(g.tris[i, j, s])} lies outside "
+                             f"grid cell ({int(i)}, {int(j)})")
 
     @property
     def num_triangles(self) -> int:
@@ -114,7 +169,7 @@ def save_obj(mesh: TriMesh, path) -> None:
 
 
 LEAF_SIZE = 4
-_LEAF_BLOCK = 1024  # (ray, leaf) pairs intersected per block
+_LEAF_BLOCK = 1024  # (ray, leaf) pairs, or grid rays, intersected per block
 
 
 @dataclass
@@ -236,6 +291,59 @@ def _cast_mesh(mesh: TriMesh, bvh: Bvh, rot, pos, origins, dirs,
                max_range: float, mesh_id: int, hits: RayHits) -> None:
     """Closest hit of all rays against one mesh; updates ``hits`` in place.
 
+    On a mesh with a cell table, rays whose local direction has zero x and
+    y components take their candidates from the table and the rest
+    traverse the BVH; elsewhere every ray traverses the BVH.
+    """
+    # rays in mesh-local coordinates (rigid: t is preserved), one row per axis
+    o = ((origins - pos) @ rot).T.copy()
+    d = (dirs @ rot).T.copy()
+    # vertices one row per axis too: gathers from contiguous rows are faster
+    vt = np.ascontiguousarray(mesh.vertices.T)
+    ray = np.arange(o.shape[1])
+    if mesh.grid is not None:
+        vertical = (d[0] == 0.0) & (d[1] == 0.0)
+        # a non-finite origin misses, as in the BVH, and has no cell
+        finite = np.isfinite(o[0]) & np.isfinite(o[1])
+        _cast_grid(mesh, vt, o, d, np.flatnonzero(vertical & finite),
+                   max_range, mesh_id, hits)
+        ray = np.flatnonzero(~vertical)
+    if ray.size:
+        _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits)
+
+
+def _cast_grid(mesh, vt, o, d, ray, max_range, mesh_id, hits) -> None:
+    """Vertical rays against the triangles of the 2 x 2 cells nearest each
+    ray's local xy, clamped to the grid.
+
+    The cell table puts every triangle in a closed cell that holds all its
+    vertices, and the Moller-Trumbore tolerance (1e-12 in barycentric
+    coordinates) cannot admit a hit half a cell away, so these candidates
+    include every triangle a vertical ray can hit.
+    """
+    g = mesh.grid
+    ci, cj, k = g.tris.shape
+    first = []
+    for a, cells in ((0, ci), (1, cj)):
+        f = (o[a][ray] - g.origin_xy[a]) / g.cell_size
+        # lower of the two nearest cells; clamped as a float, so no cast
+        # overflows
+        first.append(np.clip(np.floor(f - 0.5), 0, max(cells - 2, 0))
+                     .astype(np.int64))
+    step_i, step_j = min(ci - 1, 1) * cj, min(cj - 1, 1)
+    cell = first[0] * cj + first[1]
+    quad = np.array([0, step_i, step_j, step_i + step_j])
+    table = g.tris.reshape(-1, k)
+    for b in range(0, ray.size, _LEAF_BLOCK):
+        blk = slice(b, b + _LEAF_BLOCK)
+        tri = table[cell[blk, None] + quad].ravel()
+        _intersect(mesh, vt, o, d, np.repeat(ray[blk], 4 * k), tri,
+                   max_range, mesh_id, hits)
+
+
+def _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
+    """Closest hit of the given rays through the BVH.
+
     The frontier holds one ``(ray, node)`` pair per box still to test,
     sorted by ray. Each pass slab-tests the whole frontier against
     ``[0, min(best_t, max_range)]``, intersects the triangles of the leaves
@@ -246,9 +354,6 @@ def _cast_mesh(mesh: TriMesh, bvh: Bvh, rot, pos, origins, dirs,
     before their hits prune anything; a depth-first walk can instead skip a
     tied triangle whose box entry distance rounds above its hit distance.
     """
-    # rays in mesh-local coordinates (rigid: t is preserved), one row per axis
-    o = ((origins - pos) @ rot).T.copy()
-    d = (dirs @ rot).T.copy()
     # a ray parallel to an axis gets an interval check on it instead of a
     # slab (its NaN inverse leaves tn/tf unchanged); per axis, the parallel
     # rays are None, all (True) or a mask
@@ -256,11 +361,10 @@ def _cast_mesh(mesh: TriMesh, bvh: Bvh, rot, pos, origins, dirs,
     np.divide(1.0, d, out=inv, where=d != 0.0)
     parallel = []
     for a in range(3):
-        flat = d[a] == 0.0
-        parallel.append(True if flat.all() else flat if flat.any() else None)
+        flat = d[a][ray] == 0.0
+        parallel.append(True if flat.all() else d[a] == 0.0 if flat.any() else None)
     bmin, bmax = bvh.bounds_min.T, bvh.bounds_max.T
 
-    ray = np.arange(o.shape[1])
     node = np.zeros(ray.size, dtype=np.int64)
     while ray.size:
         # slab test against [0, min(best_t, max_range)]
@@ -290,12 +394,28 @@ def _cast_mesh(mesh: TriMesh, bvh: Bvh, rot, pos, origins, dirs,
         ray_l, node_l, count_l = ray[leaf], node[leaf], count[leaf]
         for b in range(0, ray_l.size, _LEAF_BLOCK):
             blk = slice(b, b + _LEAF_BLOCK)
-            _intersect_leaves(mesh, bvh, o, d, ray_l[blk], node_l[blk],
-                              count_l[blk], max_range, mesh_id, hits)
+            lane_ray, tri = _leaf_lanes(bvh, ray_l[blk], node_l[blk],
+                                        count_l[blk])
+            _intersect(mesh, vt, o, d, lane_ray, tri, max_range, mesh_id,
+                       hits)
         # children stay next to each other, so the frontier stays sorted by ray
         inner = node[~leaf]
         ray = np.repeat(ray[~leaf], 2)
         node = np.column_stack((bvh.left[inner], bvh.right[inner])).ravel()
+
+
+def _leaf_lanes(bvh, ray, node, count):
+    """One ``(ray, triangle)`` lane per triangle of each (ray, leaf) pair."""
+    pair = np.repeat(np.arange(ray.size), count)
+    slot = bvh.start[node][pair] + (np.arange(pair.size)
+                                    - (np.cumsum(count) - count)[pair])
+    return ray[pair], bvh.tri_order[slot]
+
+
+def _rows(a, idx):
+    """``a[:, idx]`` of a C-contiguous ``(3, n)`` array, row by row (a
+    quarter of the cost of one 2-D gather)."""
+    return np.stack((a[0][idx], a[1][idx], a[2][idx]))
 
 
 def _cross(a, b):
@@ -315,30 +435,22 @@ def _dot(a, b):
     return out
 
 
-def _intersect_leaves(mesh, bvh, o, d, ray, node, count, max_range, mesh_id,
-                      hits) -> None:
-    """Moller-Trumbore for every triangle of the given (ray, leaf) pairs,
-    sorted by ray, then keep each ray's closest candidate if it beats the
+def _intersect(mesh, vt, o, d, ray, tri, max_range, mesh_id, hits) -> None:
+    """Moller-Trumbore for every ``(ray, triangle)`` lane, lanes of one ray
+    adjacent, then keep each ray's closest candidate if it beats the
     current best under the tie rule.
 
-    Vectors are ``(3, n)`` arrays, freed as soon as they are spent, so the
-    temporaries stay few.
+    ``vt`` is ``mesh.vertices.T``, C-contiguous. Vectors are ``(3, n)``
+    arrays, freed as soon as they are spent, so the temporaries stay few.
     """
-    pair = np.repeat(np.arange(ray.size), count)
-    slot = bvh.start[node][pair] + (np.arange(pair.size)
-                                    - (np.cumsum(count) - count)[pair])
-    ray = ray[pair]
-    tri = bvh.tri_order[slot]
-    del pair, slot
-    corners = mesh.triangles[tri]
-    vt = mesh.vertices.T
-    v0 = vt[:, corners[:, 0]]
-    e1 = vt[:, corners[:, 1]]
+    corners = np.take(mesh.triangles, tri, axis=0)
+    v0 = _rows(vt, corners[:, 0])
+    e1 = _rows(vt, corners[:, 1])
     e1 -= v0
-    e2 = vt[:, corners[:, 2]]
+    e2 = _rows(vt, corners[:, 2])
     e2 -= v0
     del corners
-    dr = d[:, ray]
+    dr = _rows(d, ray)
     ph = _cross(dr, e2)
     det = _dot(e1, ph)
     miss = (det > -1e-12) & (det < 1e-12)
@@ -363,7 +475,7 @@ def _intersect_leaves(mesh, bvh, o, d, ray, node, count, max_range, mesh_id,
         th *= inv_det
     miss |= (th < 0.0) | (th > max_range)
     th[miss] = np.inf
-    # lanes are sorted by ray: reduce each ray's run to its closest
+    # lanes are grouped by ray: reduce each ray's run to its closest
     # candidate (lowest t, then lowest triangle id) and hand it to every
     # lane of the run, so the scatter below writes one value per ray
     head = np.ones(ray.size, dtype=np.bool_)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maths import Transform, compose, quat_mul, quat_rotate, quat_rotate_inverse, relative_pose
+from .maths import Transform, compose, cross, quat_mul, quat_rotate, quat_rotate_inverse, relative_pose
 
 # rotation taking camera-frame vectors of each convention into the internal
 # world convention (x-forward, y-left, z-up)
@@ -348,7 +348,7 @@ class ImuSensor:
             raise ValueError("dt must be > 0")
         quat = np.atleast_2d(body_pose.quat)
         pos_offset_w = quat_rotate(quat, self.offset.pos)
-        v_pt = body_lin_vel + np.cross(body_ang_vel, pos_offset_w)
+        v_pt = body_lin_vel + cross(body_ang_vel, pos_offset_w)
         accel_w = np.where(self._has_prev[:, None],
                            (v_pt - self._prev_vel) / dt, 0.0)
         self._prev_vel[:] = v_pt

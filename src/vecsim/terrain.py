@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .raycast import TriMesh
+from .raycast import GridCells, TriMesh
 
 
 @dataclass
@@ -51,10 +51,11 @@ class HeightField:
         n, m = heights.shape
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        fx = np.clip((x - ox) / cell, 0.0, n - 1.000001)
-        fy = np.clip((y - oy) / cell, 0.0, m - 1.000001)
-        i = fx.astype(np.int64)
-        j = fy.astype(np.int64)
+        fx = np.clip((x - ox) / cell, 0.0, n - 1)
+        fy = np.clip((y - oy) / cell, 0.0, m - 1)
+        # a point on the far edge lies in the last cell, at u or w = 1
+        i = np.minimum(fx.astype(np.int64), n - 2)
+        j = np.minimum(fy.astype(np.int64), m - 2)
         u = fx - i
         w = fy - j
         h00 = heights[i, j]
@@ -109,7 +110,10 @@ def hf_to_mesh(hf: HeightField) -> TriMesh:
 
     Vertex heights equal the field values exactly; winding faces +z. The
     per-cell diagonal is the one :meth:`HeightField.surface_height`
-    interpolates on.
+    interpolates on. Cell ``(i, j)`` holds triangles ``c`` and ``c + C``,
+    with ``c = i*(m-1) + j`` and ``C = (n-1)(m-1)``; the mesh's
+    :class:`GridCells` table records this, so vertical rays find their
+    candidates by cell instead of through a BVH.
     """
     n, m = hf.heights.shape
     xs = np.arange(n) * hf.cell_size + hf.origin_xy[0]
@@ -126,7 +130,11 @@ def hf_to_mesh(hf: HeightField) -> TriMesh:
         np.column_stack([v00, v10, v11]),
         np.column_stack([v00, v11, v01]),
     ])
-    return TriMesh(verts, tris)
+    cells = (n - 1) * (m - 1)
+    lower = np.arange(cells).reshape(n - 1, m - 1)
+    grid = GridCells(hf.origin_xy, hf.cell_size,
+                     np.stack([lower, lower + cells], axis=-1))
+    return TriMesh(verts, tris, grid=grid)
 
 
 @dataclass

@@ -389,12 +389,13 @@ def heightfield_sample(heights, cell, ox, oy, x, y):
         fx = 0.0
     if fy < 0.0:
         fy = 0.0
-    if fx > n - 1.000001:
-        fx = n - 1.000001
-    if fy > m - 1.000001:
-        fy = m - 1.000001
-    i = int(fx)
-    j = int(fy)
+    if fx > n - 1:
+        fx = n - 1
+    if fy > m - 1:
+        fy = m - 1
+    # the far edge belongs to the last cell
+    i = min(int(fx), n - 2)
+    j = min(int(fy), m - 2)
     u = fx - i
     w = fy - j
     h00 = heights[i, j]

@@ -667,3 +667,13 @@ def test_contact_on_heightfield_matches_local_height():
     state.root_pos[0] = [1.0, 0.0, 0.4 + 0.1 - 0.02]
     out = contact_forces(tree, state, probes, ground)
     np.testing.assert_allclose(out.normal[0, 0, 2], 1000.0 * 0.02, rtol=1e-4)
+
+
+def test_flat_ground_height_at_infinite_coordinates():
+    ground = FlatGround(0.25)
+    x = np.array([[np.inf, -np.inf, 0.0]])
+    y = np.array([[1.0], [-np.inf]])
+    h = ground.surface_height(x, y)
+    assert h.shape == (2, 3) and h.dtype == np.float64
+    np.testing.assert_array_equal(h, 0.25)
+    assert FlatGround(0).surface_height(np.inf, 2.0).dtype == np.float64

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from vecsim.maths import (
     Transform,
     compose,
+    cross,
     inverse,
     matrix_to_quat,
     quat_from_axis_angle,
@@ -175,3 +176,14 @@ def test_quat_mul_matches_matrix_product():
         quat_to_matrix(a) @ quat_to_matrix(b),
         atol=1e-12,
     )
+
+
+def test_cross_is_bitwise_np_cross():
+    rng = np.random.default_rng(5)
+    for sa, sb in [((3,), (3,)), ((64, 3), (64, 3)), ((16, 13, 3), (3,)),
+                   ((5, 1, 3), (4, 3)), ((2, 1, 3), (1, 7, 3))]:
+        a = rng.standard_normal(sa) * 10.0 ** rng.integers(-8, 8, sa)
+        b = rng.standard_normal(sb)
+        got = cross(a, b)
+        np.testing.assert_array_equal(got, np.cross(a, b))
+        assert got.shape == np.cross(a, b).shape

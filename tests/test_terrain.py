@@ -139,6 +139,24 @@ def test_vertical_scan_hits_surface_height_on_compose_grid():
 
 
 
+def test_surface_height_matches_vertical_rays_at_the_edges():
+    # points on and within 1e-6 cell of the far edges used to clip to
+    # n - 1.000001 cells and read up to 2e-7 m off the mesh
+    rng = np.random.default_rng(9)
+    hf = HeightField(rng.uniform(-0.1, 0.1, (41, 41)), 0.1)
+    mesh = hf_to_mesh(hf)
+    hi = mesh.vertices[:, 0].max()
+    near = [hi, hi - 1e-9, hi - 1e-7, hi - 1e-6, hi - 0.05, 0.0, 1e-9, 1e-7]
+    xy = np.array([(a, b) for a in near for b in (2.05, 0.0, hi - 1e-9, hi)]
+                  + [(b, a) for a in near for b in (2.05, 0.0, hi - 1e-9, hi)])
+    origins = np.column_stack([xy, np.ones(len(xy))])
+    dirs = np.tile([0.0, 0.0, -1.0], (len(xy), 1))
+    hits = raycast([mesh], [build_bvh(mesh)], origins, dirs)
+    assert hits.hit.all()
+    surface = hf.surface_height(xy[:, 0], xy[:, 1])
+    np.testing.assert_allclose(hits.point[:, 2], surface, rtol=0.0, atol=1e-12)
+
+
 def test_compose_single_cell():
     grid = compose_grid([flat_spec(size=(2.0, 2.0), cell=0.5)], rows=1)
     assert grid.rows == 1 and grid.cols == 1
