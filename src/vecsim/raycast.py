@@ -413,8 +413,8 @@ def _leaf_lanes(bvh, ray, node, count):
 
 
 def _rows(a, idx):
-    """``a[:, idx]`` of a C-contiguous ``(3, n)`` array, row by row (a
-    quarter of the cost of one 2-D gather)."""
+    """``a[:, idx]`` of a C-contiguous ``(3, n)`` array, row by row (about
+    a third of the cost of one 2-D gather)."""
     return np.stack((a[0][idx], a[1][idx], a[2][idx]))
 
 

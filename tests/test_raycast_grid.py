@@ -263,7 +263,11 @@ def test_grid_cells_rejects_a_bad_table(count, tris, match):
         TriMesh(VERTS, TRIS[:count], grid=GridCells((0.0, 0.0), 1.0, tris))
 
 
-def test_grid_cells_rejects_a_shifted_origin():
+def test_grid_cells_rejects_a_shifted_origin_or_a_bad_cell():
     # the same cell a hair to the right no longer holds node x = 0
     with pytest.raises(ValueError, match="triangle 0 lies outside grid cell"):
         TriMesh(VERTS, TRIS[:2], grid=GridCells((1e-12, 0.0), 1.0, [[[0, 1]]]))
+    for origin, cell in (((0.0, 0.0), 0.0), ((0.0, 0.0), np.inf),
+                         ((np.nan, 0.0), 1.0)):
+        with pytest.raises(ValueError, match="cell_size"):
+            TriMesh(VERTS, TRIS[:2], grid=GridCells(origin, cell, [[[0, 1]]]))
