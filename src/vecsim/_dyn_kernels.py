@@ -65,7 +65,7 @@ def joint_xforms(tree, q):
 
     Returns ``rot`` ``(E, L, 3, 3)`` and ``pos`` ``(E, L, 3)``: the fixed
     joint origin followed by the joint motion. The free root's entry is
-    its (unused) origin.
+    its origin, the identity, so the root's world frame is the base pose.
     """
     E = q.shape[0]
     rot = np.repeat(tree.x_rot[None], E, axis=0)
@@ -116,10 +116,6 @@ def fk_kernel(tree, rot, pos, base_rot, base_pos):
     link_pos = np.empty((E, L, 3))
     for i in range(L):
         p = tree.parent[i]
-        if i == 0 and tree.floating:
-            link_rot[:, 0] = base_rot
-            link_pos[:, 0] = base_pos
-            continue
         rp, pp = (base_rot, base_pos) if p < 0 else (link_rot[:, p], link_pos[:, p])
         link_rot[:, i] = rp @ rot[:, i]
         link_pos[:, i] = pp + _mv(rp, pos[:, i])
@@ -170,10 +166,7 @@ def rnea_kernel(tree, X, v, qd, inertia, base_acc, f_ext):
     a = np.empty((E, L, 6))
     for i in range(L):
         p = tree.parent[i]
-        if i == 0 and tree.floating:
-            a[:, 0] = a_base
-        else:
-            a[:, i] = _mv(X[:, i], a_base if p < 0 else a[:, p]) + c[:, i]
+        a[:, i] = _mv(X[:, i], a_base if p < 0 else a[:, p]) + c[:, i]
     # v x* h == -crm(v)^T h, computed as the row vector h^T crm(v)
     h = _mv(inertia, v)
     f = _mv(inertia, a) - (h[..., None, :] @ crm)[..., 0, :] - f_ext
@@ -185,10 +178,11 @@ def rnea_kernel(tree, X, v, qd, inertia, base_acc, f_ext):
             f[:, p] += (f[:, i, None, :] @ X[:, i])[:, 0]
     out = np.zeros((E, tree.nv))
     moving = tree.qidx >= 0
-    off = 6 if tree.floating else 0
+    # the root's rows (6 for a free root, none for a fixed tree) take its
+    # whole force
+    off = tree.nv - tree.num_joints
     out[:, off + tree.qidx[moving]] = (f[:, moving] * tree.subspace[moving]).sum(-1)
-    if tree.floating:
-        out[:, :6] = f[:, 0]
+    out[:, :off] = f[:, 0, :off]
     return out
 
 

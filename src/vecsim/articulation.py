@@ -28,7 +28,8 @@ class LinkSpec:
     ``parent`` is the index of the parent link, or ``-1`` for the world /
     mount frame. ``origin_pos``/``origin_quat`` place the joint frame in the
     parent frame; the joint motion then acts in the child frame about
-    ``axis`` (expressed in the child frame).
+    ``axis`` (expressed in the child frame). A free root's origin must be
+    the identity: its pose is the state's root pose.
     """
 
     name: str
@@ -90,6 +91,9 @@ class KinematicTree:
             self.axis[i] = ax
             self.x_rot[i] = quat_to_matrix(quat_normalize(np.asarray(link.origin_quat)))
             self.x_pos[i] = link.origin_pos
+            if code == JOINT_FREE and (self.x_pos[i].any()
+                                       or (self.x_rot[i] != np.eye(3)).any()):
+                raise ValueError("a free root's origin must be the identity")
             self.mass[i] = link.mass
             self.com[i] = link.com
             inr = np.asarray(link.inertia, dtype=np.float64)
@@ -114,16 +118,9 @@ class KinematicTree:
         self.floating = bool(self.jtype[0] == JOINT_FREE)
         # Generalized-velocity size: [root twist (6) if floating] + joints.
         self.nv = 6 * self.floating + nq
-        self.joint_names = [
-            links[i].name for i in range(n) if self.qidx[i] >= 0
-        ]
         for arr in (self.jtype, self.parent, self.axis, self.x_rot, self.x_pos,
                     self.mass, self.com, self.inertia, self.qidx, self.subspace):
             arr.setflags(write=False)
-
-    def joint_index(self, name: str) -> int:
-        """Index of a named joint within the q vector."""
-        return self.joint_names.index(name)
 
     def link_index(self, name: str) -> int:
         return self.names.index(name)

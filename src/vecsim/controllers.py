@@ -20,11 +20,13 @@ IK_METHODS = ("pinv", "svd_adaptive", "transpose", "damped")
 
 @dataclass
 class IkConfig:
-    """Differential IK configuration."""
+    """Differential IK update settings.
+
+    The error being driven to zero, position only or full pose, is the
+    caller's choice of :func:`pose_error` ``mode``.
+    """
 
     method: str = "damped"
-    command_mode: str = "pose"        # pose | position
-    command_frame: str = "absolute"   # absolute | relative
     damping: float = 0.05             # damped least-squares lambda
     singular_value_cutoff: float | None = None  # default 0.05 * sigma_max
     transpose_gain: float = 1.0
@@ -33,10 +35,6 @@ class IkConfig:
     def __post_init__(self):
         if self.method not in IK_METHODS:
             raise ValueError(f"unknown IK method {self.method!r}")
-        if self.command_mode not in ("pose", "position"):
-            raise ValueError("command_mode must be 'pose' or 'position'")
-        if self.command_frame not in ("absolute", "relative"):
-            raise ValueError("command_frame must be 'absolute' or 'relative'")
         if self.damping < 0 or self.transpose_gain <= 0:
             raise ValueError("damping must be >= 0 and transpose_gain > 0")
         if self.singular_value_cutoff is not None and self.singular_value_cutoff < 0:
@@ -93,20 +91,19 @@ def joint_impedance(q: np.ndarray, qd: np.ndarray, q_des: np.ndarray,
                     stiffness: np.ndarray, damping: np.ndarray, *,
                     tree=None, gravity_comp: bool = False,
                     inertia_scaling: bool = False, gravity=GRAVITY,
-                    qd_des: np.ndarray | None = None,
                     root_pose: Transform | None = None) -> np.ndarray:
     """Joint-space impedance control with optional dynamics compensation.
 
-    ``tau = [M(q) @]? (K (q_des - q) - D qd) [+ gravity bias]``; the
-    bracketed terms follow the flags. Gains may vary per step and per joint
-    (variable stiffness / variable impedance).
+    ``tau = [M(q) @]? (K (q_des - q) - D qd) [+ gravity bias]``, a spring
+    to ``q_des`` damped toward rest; the bracketed terms follow the flags.
+    Gains may vary per step and per joint (variable stiffness / variable
+    impedance).
     """
     stiffness = np.asarray(stiffness, dtype=np.float64)
     damping = np.asarray(damping, dtype=np.float64)
     if np.any(stiffness < 0) or np.any(damping < 0):
         raise ValueError("impedance gains must be >= 0")
-    err_d = -qd if qd_des is None else qd_des - qd
-    tau = stiffness * (q_des - q) + damping * err_d
+    tau = stiffness * (q_des - q) - damping * qd
     if inertia_scaling:
         if tree is None:
             raise ValueError("inertia scaling requires the kinematic tree")
@@ -143,11 +140,11 @@ class TaskSpaceGains:
 def osc(j: np.ndarray, m: np.ndarray, dx: np.ndarray, xd: np.ndarray,
         gains: TaskSpaceGains, *, gravity_bias: np.ndarray | None = None,
         null_posture: tuple | None = None, q: np.ndarray | None = None,
-        qd: np.ndarray | None = None, reg: float = 0.0) -> np.ndarray:
+        qd: np.ndarray | None = None) -> np.ndarray:
     """Operational-space control torque.
 
     ``Lambda = inv(J M^-1 J^T)`` (rank-deficient cases fall back to a
-    truncated pseudo-inverse; ``reg`` adds optional Tikhonov damping),
+    truncated pseudo-inverse),
     ``F = Lambda (S (K dx - D xd)) + (I - S) F_ff`` and
     ``tau = J^T F [+ gravity bias] [+ null-space posture]`` where the
     posture term uses the dynamically consistent null-space projector.
@@ -164,8 +161,6 @@ def osc(j: np.ndarray, m: np.ndarray, dx: np.ndarray, xd: np.ndarray,
         raise ValueError("mass matrix is not positive-definite") from None
     m_inv = np.linalg.inv(m)
     a = j @ m_inv @ j.swapaxes(-1, -2)
-    if reg > 0.0:
-        a = a + reg * np.eye(k)
     lam = np.linalg.pinv(a, rcond=1e-10)
 
     s = gains.selection[..., :k]

@@ -297,18 +297,21 @@ def step(tree: KinematicTree, state: ArticulationState,
     root integrates its quaternion with renormalization.
 
     ``gravity`` is the world gravity vector. ``params`` (the tree's own
-    values by default) supplies the inertias and armature. Contacts run when
-    both ``probes`` and ``terrain`` are given; their forces are copied into
-    ``contacts_out`` when one is given.
+    values by default) supplies the inertias and armature. Contacts run
+    between ``probes`` and ``terrain``, which are given together or not at
+    all; their forces are copied into ``contacts_out`` when one is given.
 
     Raises:
-        ValueError: if ``dt <= 0``, an effort is non-finite or
-            ``params.armature`` is negative.
+        ValueError: if ``dt <= 0``, only one of ``probes`` and ``terrain`` is
+            given, an effort is non-finite or ``params.armature`` is
+            negative.
         SimulationDivergenceError: if any environment's state leaves the
             finite range, naming the offending environment indices.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
+    if (probes is None) != (terrain is None):
+        raise ValueError("contacts need both probes and terrain")
     E = state.env_count
     nj = tree.num_joints
     if joint_efforts is None:
@@ -327,7 +330,7 @@ def step(tree: KinematicTree, state: ArticulationState,
 
     # applied link forces: world wrenches [f, tau] into body-frame [tau, f]
     wrench = state.ext_wrench
-    contacts = probes is not None and terrain is not None and probes.count
+    contacts = probes is not None and probes.count
     f_ext = 0.0
     if contacts or np.any(wrench):
         link_rot, link_pos = k.fk_kernel(tree, *frames, base_rot, base_pos)

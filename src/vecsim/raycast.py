@@ -295,8 +295,10 @@ def _cast_mesh(mesh: TriMesh, bvh: Bvh, rot, pos, origins, dirs,
     y components take their candidates from the table and the rest
     traverse the BVH; elsewhere every ray traverses the BVH.
     """
-    # rays in mesh-local coordinates (rigid: t is preserved), one row per axis
-    o = ((origins - pos) @ rot).T.copy()
+    # rays in mesh-local coordinates (rigid: t is preserved), one row per
+    # axis; an infinite origin makes inf * 0 here and still misses below
+    with np.errstate(invalid="ignore"):
+        o = ((origins - pos) @ rot).T.copy()
     d = (dirs @ rot).T.copy()
     # vertices one row per axis too: gathers from contiguous rows are faster
     vt = np.ascontiguousarray(mesh.vertices.T)
@@ -347,22 +349,21 @@ def _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
     The frontier holds one ``(ray, node)`` pair per box still to test,
     sorted by ray. Each pass slab-tests the whole frontier against
     ``[0, min(best_t, max_range)]``, intersects the triangles of the leaves
-    it reached and replaces the inner nodes by their children. The slab and
-    triangle tests do the per-ray walk's scalar arithmetic per component and
-    in the same order, so every ray-triangle distance is bitwise the scalar
-    one. Hits prune only later passes, so all leaves of one level are tested
-    before their hits prune anything; a depth-first walk can instead skip a
-    tied triangle whose box entry distance rounds above its hit distance.
+    it reached and replaces the inner nodes by their children. The slab
+    test (Williams et al., *J. Graphics Tools* 2005) needs no case for a ray
+    parallel to an axis: its inverse is +inf, so outside the slab both
+    distances have one sign and reject the box, inside they are -inf and
+    +inf, and on a face one is NaN, which ``fmax``/``fmin`` skip. The slab
+    and triangle tests do the per-ray walk's scalar arithmetic per component
+    and in the same order, so every ray-triangle distance is bitwise the
+    scalar one. Hits prune only later passes, so all leaves of one level are
+    tested before their hits prune anything; a depth-first walk can instead
+    skip a tied triangle whose box entry distance rounds above its hit
+    distance.
     """
-    # a ray parallel to an axis gets an interval check on it instead of a
-    # slab (its NaN inverse leaves tn/tf unchanged); per axis, the parallel
-    # rays are None, all (True) or a mask
-    inv = np.full_like(d, np.nan)
-    np.divide(1.0, d, out=inv, where=d != 0.0)
-    parallel = []
-    for a in range(3):
-        flat = d[a][ray] == 0.0
-        parallel.append(True if flat.all() else d[a] == 0.0 if flat.any() else None)
+    # + 0.0 turns -0.0 into +0.0, so a zero component's inverse is +inf
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / (d + 0.0)
     bmin, bmax = bvh.bounds_min.T, bvh.bounds_max.T
 
     node = np.zeros(ray.size, dtype=np.int64)
@@ -370,23 +371,16 @@ def _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
         # slab test against [0, min(best_t, max_range)]
         tn = np.zeros(ray.size)
         tf = np.fmin(hits.t[ray], max_range)
-        out = np.zeros(ray.size, dtype=np.bool_)
-        for a in range(3):
-            oa = o[a][ray]
-            lo = bmin[a][node]
-            hi = bmax[a][node]
-            if parallel[a] is not None:
-                outside = (oa < lo) | (oa > hi)
-                out |= outside if parallel[a] is True else outside & parallel[a][ray]
-                if parallel[a] is True:
-                    continue
-            ia = inv[a][ray]
-            t1 = (lo - oa) * ia
-            t2 = (hi - oa) * ia
-            swap = t1 > t2
-            np.fmax(tn, np.where(swap, t2, t1), out=tn)
-            np.fmin(tf, np.where(swap, t1, t2), out=tf)
-        keep = ~(out | (tn > tf))
+        with np.errstate(invalid="ignore"):
+            for a in range(3):
+                oa = o[a][ray]
+                ia = inv[a][ray]
+                t1 = (bmin[a][node] - oa) * ia
+                t2 = (bmax[a][node] - oa) * ia
+                swap = t1 > t2
+                np.fmax(tn, np.where(swap, t2, t1), out=tn)
+                np.fmin(tf, np.where(swap, t1, t2), out=tf)
+        keep = ~(tn > tf)
         ray, node = ray[keep], node[keep]
         count = bvh.count[node]
         leaf = count > 0

@@ -240,48 +240,58 @@ class ContactSensor:
     """Net contact forces plus contact/air time bookkeeping per body.
 
     Keeps the current contact and air timers (never simultaneously
-    positive), the last completed durations, and a short history ring of
-    completed episodes.
+    positive) and a short history ring of completed episodes, newest last.
+    ``in_contact`` and the last completed durations are read from them.
+
+    Raises:
+        ValueError: if ``history_length`` is below 1.
     """
 
     def __init__(self, env_count: int, body_count: int, history_length: int = 3,
                  force_threshold: float = 1e-6):
+        if history_length < 1:
+            raise ValueError("history_length must be >= 1")
         self.env_count = env_count
         self.body_count = body_count
         self.history_length = history_length
         self.force_threshold = force_threshold
         shape = (env_count, body_count)
         self.net_force = np.zeros(shape + (3,))
-        self.in_contact = np.zeros(shape, dtype=bool)
         self.contact_time = np.zeros(shape)
         self.air_time = np.zeros(shape)
-        self.last_contact_duration = np.zeros(shape)
-        self.last_air_duration = np.zeros(shape)
         self.contact_history = np.zeros(shape + (history_length,))
         self.air_history = np.zeros(shape + (history_length,))
+
+    @property
+    def in_contact(self) -> np.ndarray:
+        return self.contact_time > 0
+
+    @property
+    def last_contact_duration(self) -> np.ndarray:
+        return self.contact_history[..., -1].copy()
+
+    @property
+    def last_air_duration(self) -> np.ndarray:
+        return self.air_history[..., -1].copy()
 
     def reset(self, env_ids=None) -> None:
         ids = slice(None) if env_ids is None else env_ids
         for arr in (self.net_force, self.contact_time, self.air_time,
-                    self.last_contact_duration, self.last_air_duration,
                     self.contact_history, self.air_history):
             arr[ids] = 0.0
-        self.in_contact[ids] = False
 
     def update(self, net_forces: np.ndarray, dt: float) -> None:
-        if dt <= 0:
+        if not dt > 0:
             raise ValueError("dt must be > 0")
         self.net_force[:] = net_forces
         contact = np.linalg.norm(net_forces, axis=-1) > self.force_threshold
         touchdown = contact & (self.air_time > 0)
         liftoff = ~contact & (self.contact_time > 0)
         if touchdown.any():
-            self.last_air_duration[touchdown] = self.air_time[touchdown]
             self.air_history[touchdown] = np.roll(
                 self.air_history[touchdown], -1, axis=-1)
             self.air_history[touchdown, -1] = self.air_time[touchdown]
         if liftoff.any():
-            self.last_contact_duration[liftoff] = self.contact_time[liftoff]
             self.contact_history[liftoff] = np.roll(
                 self.contact_history[liftoff], -1, axis=-1)
             self.contact_history[liftoff, -1] = self.contact_time[liftoff]
@@ -289,7 +299,6 @@ class ContactSensor:
         self.contact_time[~contact] = 0.0
         self.contact_time[contact] += dt
         self.air_time[~contact] += dt
-        self.in_contact[:] = contact
 
 
 # -------------------------------------------------------------------- IMU

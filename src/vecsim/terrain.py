@@ -44,7 +44,8 @@ class HeightField:
     def surface_height(self, x, y):
         """Surface heights at points ``(x, y)`` on the mesher's triangles.
 
-        Points outside the grid clamp to the border.
+        Points outside the grid clamp to the border; a NaN coordinate gives
+        a NaN height.
         """
         heights, cell = self.heights, self.cell_size
         ox, oy = self.origin_xy
@@ -53,9 +54,11 @@ class HeightField:
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
         fx = np.clip((x - ox) / cell, 0.0, n - 1)
         fy = np.clip((y - oy) / cell, 0.0, m - 1)
-        # a point on the far edge lies in the last cell, at u or w = 1
-        i = np.minimum(fx.astype(np.int64), n - 2)
-        j = np.minimum(fy.astype(np.int64), m - 2)
+        # a point on the far edge lies in the last cell, at u or w = 1; fmax
+        # sends a NaN point to cell 0, and its NaN u or w spreads to the
+        # height
+        i = np.minimum(np.fmax(fx, 0.0).astype(np.int64), n - 2)
+        j = np.minimum(np.fmax(fy, 0.0).astype(np.int64), m - 2)
         u = fx - i
         w = fy - j
         h00 = heights[i, j]

@@ -119,8 +119,7 @@ def test_ik_shape_mismatch():
 
 def test_reacher_converges_on_reachable_targets():
     tree, lengths = planar_arm()
-    cfg = IkConfig(method="damped", damping=0.05, step_scale=1.0,
-                   command_mode="position")
+    cfg = IkConfig(method="damped", damping=0.05, step_scale=1.0)
     rng = np.random.default_rng(2)
     reach = sum(lengths)
     successes = 0
@@ -246,3 +245,19 @@ def test_osc_rejects_non_pd_mass():
     m = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(ValueError):
         osc(np.eye(3), m, np.zeros(3), np.zeros(3), gains)
+
+
+# ------------------------------------------------------ removed settings
+
+
+@pytest.mark.parametrize("call", [
+    lambda: IkConfig(command_mode="position"),
+    lambda: IkConfig(command_frame="relative"),
+    lambda: osc(np.eye(3), np.eye(3), np.zeros(3), np.zeros(3),
+                TaskSpaceGains(np.ones(3), np.ones(3)), reg=1e-3),
+    lambda: joint_impedance(np.zeros(1), np.zeros(1), np.zeros(1),
+                            np.ones(1), np.ones(1), qd_des=np.ones(1)),
+], ids=["command_mode", "command_frame", "reg", "qd_des"])
+def test_removed_settings_are_rejected(call):
+    with pytest.raises(TypeError):
+        call()

@@ -467,6 +467,17 @@ def test_implicit_pd_velocity_target_closed_form():
     np.testing.assert_allclose(state.qd, expected, rtol=1e-13)
 
 
+@pytest.mark.parametrize("probes, terrain", [
+    (True, False), (False, True)], ids=["probes_only", "terrain_only"])
+def test_step_rejects_half_given_contacts(probes, terrain):
+    tree, pset = _probe_body()
+    state = ArticulationState.zeros(tree, 1)
+    with pytest.raises(ValueError, match="both probes and terrain"):
+        step(tree, state, None, dt=1e-3, probes=pset if probes else None,
+             terrain=FlatGround() if terrain else None)
+    np.testing.assert_array_equal(state.root_pos, 0.0)
+
+
 def test_step_divergence_error_names_env():
     tree = double_pendulum_tree()
     state = ArticulationState.zeros(tree, 3)
@@ -477,6 +488,16 @@ def test_step_divergence_error_names_env():
 
 
 # ------------------------------------------------------------- free root
+
+
+@pytest.mark.parametrize("origin", [
+    {"origin_pos": (0.0, 0.0, 0.1)},
+    {"origin_quat": (0.0, 0.0, 0.0, 1.0)},
+], ids=["pos", "quat"])
+def test_free_root_origin_must_be_identity(origin):
+    with pytest.raises(ValueError, match="free root's origin"):
+        KinematicTree([LinkSpec("base", -1, "free", mass=1.0,
+                                inertia=(0.1, 0.1, 0.1), **origin)])
 
 
 def test_free_body_momentum_conserved():
@@ -656,6 +677,16 @@ def test_heightfield_ground_is_the_terrain_heightfield():
 def test_heightfield_ground_rejects_invalid_grid(heights, cell_size):
     with pytest.raises(ValueError):
         HeightfieldGround(heights, cell_size)
+
+
+def test_nan_root_over_heightfield_raises_divergence():
+    tree, probes = _probe_body()
+    ground = HeightfieldGround(np.zeros((3, 3)), cell_size=0.5)
+    state = ArticulationState.zeros(tree, 2)
+    state.root_pos[1] = [np.nan, 0.2, 0.5]
+    with pytest.raises(SimulationDivergenceError) as exc:
+        step(tree, state, None, dt=1e-3, probes=probes, terrain=ground)
+    assert exc.value.env_ids == [1]
 
 
 def test_contact_on_heightfield_matches_local_height():

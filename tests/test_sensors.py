@@ -290,6 +290,28 @@ def test_contact_history_ring():
     np.testing.assert_allclose(sensor.contact_history[0, 0], [0.1, 0.2, 0.3])
 
 
+def test_contact_sensor_rejects_empty_history():
+    with pytest.raises(ValueError, match="history_length"):
+        ContactSensor(1, 1, history_length=0)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, np.nan])
+def test_contact_sensor_rejects_bad_dt(dt):
+    with pytest.raises(ValueError, match="dt"):
+        ContactSensor(1, 1).update(np.zeros((1, 1, 3)), dt)
+
+
+def test_contact_flag_follows_touchdown_liftoff_and_reset():
+    sensor = ContactSensor(2, 1)
+    on = np.array([[[0, 0, 1.0]], [[0, 0, 0.0]]])
+    sensor.update(on, 0.1)
+    np.testing.assert_array_equal(sensor.in_contact, [[True], [False]])
+    sensor.update(on[::-1], 0.1)
+    np.testing.assert_array_equal(sensor.in_contact, [[False], [True]])
+    sensor.reset([1])
+    np.testing.assert_array_equal(sensor.in_contact, [[False], [False]])
+
+
 def test_aggregate_body_forces_with_filter():
     forces = np.zeros((1, 3, 3))
     forces[0, :, 2] = [1.0, 2.0, 4.0]

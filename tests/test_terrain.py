@@ -157,6 +157,16 @@ def test_surface_height_matches_vertical_rays_at_the_edges():
     np.testing.assert_allclose(hits.point[:, 2], surface, rtol=0.0, atol=1e-12)
 
 
+def test_surface_height_of_a_nan_point_is_nan():
+    # heights 3 i + j lie on one plane, so any point reads 3 fx + fy
+    hf = HeightField(np.add.outer(3.0 * np.arange(3), np.arange(3)), 0.5)
+    h = hf.surface_height([np.nan, 0.2], [0.1, 0.2])
+    assert np.isnan(h[0])
+    assert h[1] == pytest.approx(3 * 0.4 + 0.4, abs=1e-15)
+    assert h[1] == hf.surface_height(0.2, 0.2)[0]
+    assert np.isnan(hf.surface_height(0.2, np.nan)).all()
+
+
 def test_compose_single_cell():
     grid = compose_grid([flat_spec(size=(2.0, 2.0), cell=0.5)], rows=1)
     assert grid.rows == 1 and grid.cols == 1
