@@ -5,18 +5,23 @@ an axis-aligned-bounding-box BVH (median split, leaves of at most
 ``LEAF_SIZE`` triangles) that is built one tree level at a time, all nodes
 of a level together.
 
-Each ray's candidate triangles come from one of two sources, and one
-Moller-Trumbore routine intersects them all:
+A ray whose mesh-local direction is non-finite or zero misses and is
+dropped before anything else. Every other ray takes its candidate triangles
+from one of three sources, and one Moller-Trumbore routine intersects them
+all:
 
-* the BVH, for every ray of a mesh without a cell table and every slanted
-  ray: all rays move through the tree together, one level per pass. A
-  frontier of ``(ray, node)`` pairs is slab-tested as flat arrays, the
-  leaves it reached are intersected in fixed-size blocks, and the children
-  of the inner nodes it reached form the next frontier;
 * the mesh's :class:`GridCells` table, for a ray whose mesh-local direction
   has zero x and y components on a mesh that has one (``hf_to_mesh``
   fills it): the triangles of the 2 x 2 cells nearest the ray's local xy,
-  with no traversal.
+  with no traversal;
+* every triangle, for the other rays on a mesh of at most ``_DENSE_MAX``
+  triangles: the rays that enter the mesh's bounding box meet all its
+  triangles in broadcast ``(triangles, rays)`` blocks, with no traversal;
+* the BVH, for the other rays on a larger mesh: all rays move through the
+  tree together, one level per pass. A frontier of ``(ray, node)`` pairs
+  is slab-tested as flat arrays, the leaves it reached are intersected in
+  fixed-size blocks, and the children of the inner nodes it reached form
+  the next frontier.
 
 Each ray keeps the closest hit over all meshes: lowest distance, then
 lowest mesh id, then lowest triangle id. Misses carry distance ``+inf``.
@@ -170,6 +175,8 @@ def save_obj(mesh: TriMesh, path) -> None:
 
 LEAF_SIZE = 4
 _LEAF_BLOCK = 1024  # (ray, leaf) pairs, or grid rays, intersected per block
+_DENSE_MAX = 48  # meshes with at most this many triangles skip the BVH
+_DENSE_LANES = 8192  # (triangle, ray) lanes per dense block
 
 
 @dataclass
@@ -291,26 +298,33 @@ def _cast_mesh(mesh: TriMesh, bvh: Bvh, rot, pos, origins, dirs,
                max_range: float, mesh_id: int, hits: RayHits) -> None:
     """Closest hit of all rays against one mesh; updates ``hits`` in place.
 
-    On a mesh with a cell table, rays whose local direction has zero x and
-    y components take their candidates from the table and the rest
-    traverse the BVH; elsewhere every ray traverses the BVH.
+    Rays whose local direction is non-finite or zero miss and are dropped
+    first. On a mesh with a cell table, rays whose local direction has zero
+    x and y components take their candidates from the table. The others
+    are scanned against every triangle of a mesh of at most ``_DENSE_MAX``
+    triangles and traverse the BVH of a larger one.
     """
     # rays in mesh-local coordinates (rigid: t is preserved), one row per
-    # axis; an infinite origin makes inf * 0 here and still misses below
+    # axis; an infinite origin or direction makes inf * 0 here and still
+    # misses below
     with np.errstate(invalid="ignore"):
         o = ((origins - pos) @ rot).T.copy()
-    d = (dirs @ rot).T.copy()
+        d = (dirs @ rot).T.copy()
+    ray = np.flatnonzero(np.isfinite(d).all(axis=0) & d.any(axis=0))
     # vertices one row per axis too: gathers from contiguous rows are faster
     vt = np.ascontiguousarray(mesh.vertices.T)
-    ray = np.arange(o.shape[1])
     if mesh.grid is not None:
-        vertical = (d[0] == 0.0) & (d[1] == 0.0)
+        vertical = (d[0][ray] == 0.0) & (d[1][ray] == 0.0)
         # a non-finite origin misses, as in the BVH, and has no cell
-        finite = np.isfinite(o[0]) & np.isfinite(o[1])
-        _cast_grid(mesh, vt, o, d, np.flatnonzero(vertical & finite),
-                   max_range, mesh_id, hits)
-        ray = np.flatnonzero(~vertical)
-    if ray.size:
+        finite = np.isfinite(o[0][ray]) & np.isfinite(o[1][ray])
+        _cast_grid(mesh, vt, o, d, ray[vertical & finite], max_range,
+                   mesh_id, hits)
+        ray = ray[~vertical]
+    if not ray.size:
+        return
+    if mesh.num_triangles <= _DENSE_MAX:
+        _cast_dense(mesh, bvh, o, d, ray, max_range, mesh_id, hits)
+    else:
         _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits)
 
 
@@ -343,44 +357,49 @@ def _cast_grid(mesh, vt, o, d, ray, max_range, mesh_id, hits) -> None:
                    max_range, mesh_id, hits)
 
 
+def _cast_dense(mesh, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
+    """The given rays against every triangle of a small mesh, with no
+    traversal.
+
+    The rays that enter the mesh's root box within
+    ``[0, min(best_t, max_range)]`` meet all ``T`` triangles in ``(T, n)``
+    blocks of at most ``_DENSE_LANES`` lanes: triangle data broadcasts as
+    ``(T, 1)`` columns against ``(n,)`` ray rows. This is the walk over a
+    single leaf that holds every triangle in id order, an exhaustive scan.
+    """
+    ray = ray[_enters(bvh.bounds_min.T, bvh.bounds_max.T, 0, o, _inverse(d),
+                      ray, np.fmin(hits.t[ray], max_range))]
+    # (corner, axis, T, 1)
+    corner = mesh.vertices[mesh.triangles].transpose(1, 2, 0)[..., None]
+    v0 = corner[0]
+    e1 = corner[1] - v0
+    e2 = corner[2] - v0
+    step = max(1, _DENSE_LANES // mesh.num_triangles)
+    for b in range(0, ray.size, step):
+        blk = ray[b:b + step]
+        th = _distances(v0, e1, e2, _rows(o, blk), _rows(d, blk), max_range)
+        # lowest t, then lowest triangle id: the first row at the minimum
+        best = np.fmin.reduce(th, axis=0)
+        _keep_closer(hits, mesh_id, blk, best, np.argmax(th == best, axis=0))
+
+
 def _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
     """Closest hit of the given rays through the BVH.
 
     The frontier holds one ``(ray, node)`` pair per box still to test,
     sorted by ray. Each pass slab-tests the whole frontier against
     ``[0, min(best_t, max_range)]``, intersects the triangles of the leaves
-    it reached and replaces the inner nodes by their children. The slab
-    test (Williams et al., *J. Graphics Tools* 2005) needs no case for a ray
-    parallel to an axis: its inverse is +inf, so outside the slab both
-    distances have one sign and reject the box, inside they are -inf and
-    +inf, and on a face one is NaN, which ``fmax``/``fmin`` skip. The slab
-    and triangle tests do the per-ray walk's scalar arithmetic per component
-    and in the same order, so every ray-triangle distance is bitwise the
-    scalar one. Hits prune only later passes, so all leaves of one level are
-    tested before their hits prune anything; a depth-first walk can instead
-    skip a tied triangle whose box entry distance rounds above its hit
-    distance.
+    it reached and replaces the inner nodes by their children. Hits prune
+    only later passes, so all leaves of one level are tested before their
+    hits prune anything; a depth-first walk can instead skip a tied
+    triangle whose box entry distance rounds above its hit distance.
     """
-    # + 0.0 turns -0.0 into +0.0, so a zero component's inverse is +inf
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / (d + 0.0)
+    inv = _inverse(d)
     bmin, bmax = bvh.bounds_min.T, bvh.bounds_max.T
-
     node = np.zeros(ray.size, dtype=np.int64)
     while ray.size:
-        # slab test against [0, min(best_t, max_range)]
-        tn = np.zeros(ray.size)
-        tf = np.fmin(hits.t[ray], max_range)
-        with np.errstate(invalid="ignore"):
-            for a in range(3):
-                oa = o[a][ray]
-                ia = inv[a][ray]
-                t1 = (bmin[a][node] - oa) * ia
-                t2 = (bmax[a][node] - oa) * ia
-                swap = t1 > t2
-                np.fmax(tn, np.where(swap, t2, t1), out=tn)
-                np.fmin(tf, np.where(swap, t1, t2), out=tf)
-        keep = ~(tn > tf)
+        keep = _enters(bmin, bmax, node, o, inv, ray,
+                       np.fmin(hits.t[ray], max_range))
         ray, node = ray[keep], node[keep]
         count = bvh.count[node]
         leaf = count > 0
@@ -406,27 +425,93 @@ def _leaf_lanes(bvh, ray, node, count):
     return ray[pair], bvh.tri_order[slot]
 
 
+def _inverse(d):
+    """``1 / d`` of ``(3, n)`` directions, +inf for either sign of zero."""
+    # + 0.0 turns -0.0 into +0.0
+    with np.errstate(divide="ignore"):
+        return 1.0 / (d + 0.0)
+
+
+def _enters(bmin, bmax, node, o, inv, ray, tf):
+    """Whether each ray meets its box within ``[0, tf]``; overwrites ``tf``.
+
+    ``bmin`` and ``bmax`` hold the boxes one row per axis, and ``node``
+    picks each ray's box: an index array, or one box for every ray. The
+    slab test (Williams et al., *J. Graphics Tools* 2005) needs no case for
+    a ray parallel to an axis: its inverse is +inf, so outside the slab
+    both distances have one sign and reject the box, inside they are -inf
+    and +inf, and on a face one is NaN, which ``fmax``/``fmin`` skip. The
+    arithmetic is the per-ray walk's, so the decisions are bitwise its own.
+    """
+    tn = np.zeros(ray.size)
+    with np.errstate(invalid="ignore"):
+        for a in range(3):
+            oa = o[a][ray]
+            ia = inv[a][ray]
+            t1 = (bmin[a][node] - oa) * ia
+            t2 = (bmax[a][node] - oa) * ia
+            swap = t1 > t2
+            np.fmax(tn, np.where(swap, t2, t1), out=tn)
+            np.fmin(tf, np.where(swap, t1, t2), out=tf)
+    return ~(tn > tf)
+
+
 def _rows(a, idx):
-    """``a[:, idx]`` of a C-contiguous ``(3, n)`` array, row by row (about
-    a third of the cost of one 2-D gather)."""
-    return np.stack((a[0][idx], a[1][idx], a[2][idx]))
+    """``a[:, idx]`` of a C-contiguous ``(3, n)`` array as a list of rows
+    (about a third of the cost of one 2-D gather)."""
+    return [a[0][idx], a[1][idx], a[2][idx]]
 
 
 def _cross(a, b):
-    """Row-stacked cross product ``a x b`` of ``(3, n)`` arrays."""
-    out = np.empty_like(a)
+    """Cross product ``a x b`` of component triples, as a list of rows."""
+    out = []
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(a[j], b[k], out=out[i])
-        out[i] -= a[k] * b[j]
+        c = a[j] * b[k]
+        c -= a[k] * b[j]
+        out.append(c)
     return out
 
 
 def _dot(a, b):
-    """Row-stacked dot product of ``(3, n)`` arrays, summed x, y, z."""
+    """Dot product of component triples, summed x, y, z."""
     out = a[0] * b[0]
     out += a[1] * b[1]
     out += a[2] * b[2]
     return out
+
+
+def _distances(v0, e1, e2, o, d, max_range):
+    """Moller-Trumbore distance of every ``(ray, triangle)`` lane, ``+inf``
+    where the ray misses (NaN for a non-finite origin, which never wins).
+
+    Each argument is a component triple whose rows broadcast together:
+    ``(n,)`` lanes for the BVH and the cell table, or ``(T, 1)`` triangle
+    columns against ``(n,)`` rays for a dense block. The arithmetic is the
+    per-ray walk's, component by component and in the same order, so every
+    distance is bitwise the scalar one. Spent temporaries are freed at once.
+    """
+    ph = _cross(d, e2)
+    det = _dot(e1, ph)
+    miss = (det > -1e-12) & (det < 1e-12)
+    # lanes with a tiny det divide by ~0 here; the mask drops them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_det = np.divide(1.0, det, out=det)
+        tv = [o[a] - v0[a] for a in range(3)]
+        u = _dot(tv, ph)
+        u *= inv_det
+        del ph
+        miss |= (u < -1e-12) | (u > 1.0 + 1e-12)
+        qv = _cross(tv, e1)
+        del tv
+        v = _dot(d, qv)
+        v *= inv_det
+        miss |= (v < -1e-12) | (u + v > 1.0 + 1e-12)
+        del u, v
+        th = _dot(e2, qv)
+        th *= inv_det
+    miss |= (th < 0.0) | (th > max_range)
+    th[miss] = np.inf
+    return th
 
 
 def _intersect(mesh, vt, o, d, ray, tri, max_range, mesh_id, hits) -> None:
@@ -434,63 +519,47 @@ def _intersect(mesh, vt, o, d, ray, tri, max_range, mesh_id, hits) -> None:
     adjacent, then keep each ray's closest candidate if it beats the
     current best under the tie rule.
 
-    ``vt`` is ``mesh.vertices.T``, C-contiguous. Vectors are ``(3, n)``
-    arrays, freed as soon as they are spent, so the temporaries stay few.
+    ``vt`` is ``mesh.vertices.T``, C-contiguous.
     """
     corners = np.take(mesh.triangles, tri, axis=0)
     v0 = _rows(vt, corners[:, 0])
     e1 = _rows(vt, corners[:, 1])
-    e1 -= v0
     e2 = _rows(vt, corners[:, 2])
-    e2 -= v0
     del corners
-    dr = _rows(d, ray)
-    ph = _cross(dr, e2)
-    det = _dot(e1, ph)
-    miss = (det > -1e-12) & (det < 1e-12)
-    # lanes with a tiny det divide by ~0 here; the mask drops them
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_det = np.divide(1.0, det, out=det)
-        tv = v0
-        for a in range(3):
-            np.subtract(o[a][ray], v0[a], out=tv[a])
-        u = _dot(tv, ph)
-        u *= inv_det
-        del ph
-        miss |= (u < -1e-12) | (u > 1.0 + 1e-12)
-        qv = _cross(tv, e1)
-        del tv, v0, e1
-        v = _dot(dr, qv)
-        v *= inv_det
-        del dr
-        miss |= (v < -1e-12) | (u + v > 1.0 + 1e-12)
-        del u, v
-        th = _dot(e2, qv)
-        th *= inv_det
-    miss |= (th < 0.0) | (th > max_range)
-    th[miss] = np.inf
-    # lanes are grouped by ray: reduce each ray's run to its closest
-    # candidate (lowest t, then lowest triangle id) and hand it to every
-    # lane of the run, so the scatter below writes one value per ray
+    for a in range(3):
+        e1[a] -= v0[a]
+        e2[a] -= v0[a]
+    th = _distances(v0, e1, e2, _rows(o, ray), _rows(d, ray), max_range)
+    # reduce each ray's run of lanes to its closest candidate: lowest t,
+    # then lowest triangle id
     head = np.ones(ray.size, dtype=np.bool_)
     head[1:] = ray[1:] != ray[:-1]
     start = np.flatnonzero(head)
-    run = np.cumsum(head) - 1
-    best = np.fmin.reduceat(th, start)[run]
-    tri = np.where(th == best, tri, np.iinfo(np.int64).max)
-    tri = np.minimum.reduceat(tri, start)[run]
-    best_t, best_mesh, best_tri = hits.t[ray], hits.mesh_id[ray], hits.tri_id[ray]
-    better = (best < best_t) | ((best == best_t) & (
-        (mesh_id < best_mesh) | ((mesh_id == best_mesh) & (tri < best_tri))))
-    hits.t[ray] = np.where(better, best, best_t)
-    hits.mesh_id[ray] = np.where(better, mesh_id, best_mesh)
-    hits.tri_id[ray] = np.where(better, tri, best_tri)
+    best = np.fmin.reduceat(th, start)
+    tri = np.where(th == best[np.cumsum(head) - 1], tri,
+                   np.iinfo(np.int64).max)
+    _keep_closer(hits, mesh_id, ray[start], best,
+                 np.minimum.reduceat(tri, start))
+
+
+def _keep_closer(hits, mesh_id, ray, t, tri) -> None:
+    """Make ``(t, mesh_id, tri)`` the hit of each of the distinct ``ray``
+    where it beats the current one: lower distance, then lower mesh id,
+    then lower triangle id. A NaN ``t`` never does."""
+    best_t, best_mesh = hits.t[ray], hits.mesh_id[ray]
+    better = (t < best_t) | ((t == best_t) & (
+        (mesh_id < best_mesh)
+        | ((mesh_id == best_mesh) & (tri < hits.tri_id[ray]))))
+    ray = ray[better]
+    hits.t[ray] = t[better]
+    hits.mesh_id[ray] = mesh_id
+    hits.tri_id[ray] = tri[better]
 
 
 def _hit_normals(mesh: TriMesh, rot, sel, tri, normal) -> None:
     """World-frame unit winding normals of the winning triangles."""
     p0, p1, p2 = mesh.vertices[mesh.triangles[tri]].transpose(1, 2, 0)
-    nrm = _cross(p1 - p0, p2 - p0)
+    nrm = np.stack(_cross(p1 - p0, p2 - p0))
     nl = np.sqrt(nrm[0] ** 2 + nrm[1] ** 2 + nrm[2] ** 2)
     normal[sel] = (rot @ nrm / nl).T
 

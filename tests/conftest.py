@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vecsim import raycast as rc
 from vecsim.articulation import KinematicTree, LinkSpec
 
 
@@ -107,3 +108,18 @@ def free_body_tree(mass=2.0, inertia=(0.1, 0.2, 0.3), com=(0.0, 0.0, 0.0)):
     return KinematicTree([
         LinkSpec("body", -1, "free", mass=mass, com=com, inertia=inertia)
     ])
+
+
+@pytest.fixture
+def bvh_rays(monkeypatch):
+    """The ids of the rays each ``raycast`` hands to BVH traversal, one
+    array per traversed mesh."""
+    seen = []
+    cast_bvh = rc._cast_bvh
+
+    def record(mesh, vt, bvh, o, d, ray, *args):
+        seen.append(ray.copy())
+        return cast_bvh(mesh, vt, bvh, o, d, ray, *args)
+
+    monkeypatch.setattr(rc, "_cast_bvh", record)
+    return seen

@@ -13,7 +13,6 @@ import pytest
 
 import reference_raycast as ref
 from test_raycast_reference import BITWISE, single_leaf_bvh, unit
-from vecsim import raycast as rc
 from vecsim.maths import Transform, quat_from_axis_angle, quat_rotate
 from vecsim.raycast import GridCells, TriMesh, build_bvh, raycast
 from vecsim.terrain import (
@@ -47,20 +46,6 @@ def assert_matches_exhaustive(mesh, origins, dirs, max_range=np.inf):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
                                       err_msg=name)
     return got
-
-
-@pytest.fixture
-def bvh_rays(monkeypatch):
-    """The ids of the rays each call hands to BVH traversal."""
-    seen = []
-    cast_bvh = rc._cast_bvh
-
-    def record(mesh, vt, bvh, o, d, ray, *args):
-        seen.append(ray.copy())
-        return cast_bvh(mesh, vt, bvh, o, d, ray, *args)
-
-    monkeypatch.setattr(rc, "_cast_bvh", record)
-    return seen
 
 
 def xy_bounds(mesh):

@@ -8,6 +8,8 @@ transform is a batched matmul, so ids must match and ``t`` agree within
 1e-12 relative.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,25 +28,42 @@ from vecsim.terrain import (
 BITWISE = ("hit", "t", "point", "mesh_id", "tri_id")
 
 
-def box_mesh(lo, hi):
-    """Axis-aligned box, two outward-wound triangles per face."""
-    (x0, y0, z0), (x1, y1, z1) = lo, hi
-    v = np.array([[x, y, z] for x in (x0, x1) for y in (y0, y1)
-                  for z in (z0, z1)], dtype=np.float64)
+def box_mesh(lo, hi, split=1):
+    """Axis-aligned box, each face ``split`` x ``split`` quads of two
+    outward-wound triangles (12 * split**2 triangles)."""
+    k = split
+    # the (k + 1)^3 lattice, x-major; the corners of split 1 are 0..7
+    axes = [np.linspace(lo[a], hi[a], k + 1) for a in range(3)]
+    lattice = np.array(list(itertools.product(range(k + 1), repeat=3)))
+    v = np.column_stack([axes[a][lattice[:, a]] for a in range(3)])
+    corner = lattice[lattice.max(axis=1) <= 1]
     quads = ((0, 1, 3, 2), (4, 6, 7, 5), (0, 4, 5, 1), (2, 3, 7, 6),
              (0, 2, 6, 4), (1, 5, 7, 3))
-    return TriMesh(v, np.array([t for a, b, c, d in quads
-                                for t in ((a, b, c), (a, c, d))]))
+    tris = []
+    for a, b, _, d in quads:
+        # sub-quad (i, j) of the face, wound like the face
+        du, dv = corner[b] - corner[a], corner[d] - corner[a]
+        for i, j in itertools.product(range(k), repeat=2):
+            p = [((k * corner[a] + s * du + t * dv) @ [(k + 1) ** 2, k + 1, 1])
+                 for s, t in ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))]
+            tris += [(p[0], p[1], p[2]), (p[0], p[2], p[3])]
+    return TriMesh(v, np.array(tris))
 
 
-def table_scene():
-    """Floor, table and object box: the depth-camera scene."""
+def table_scene(split=1):
+    """Floor, table and object box: the depth-camera scene. ``split`` > 2
+    puts the boxes above ``_DENSE_MAX``, so they traverse their BVHs."""
     floor = TriMesh(np.array([[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0],
                               [3.0, 3.0, 0.0], [-3.0, 3.0, 0.0]]),
                     np.array([[0, 1, 2], [0, 2, 3]]))
-    table = box_mesh((0.3, -0.5, 0.05), (1.1, 0.5, 0.4))
-    obj = box_mesh((0.56, -0.04, 0.4), (0.64, 0.04, 0.5))
+    table = box_mesh((0.3, -0.5, 0.05), (1.1, 0.5, 0.4), split)
+    obj = box_mesh((0.56, -0.04, 0.4), (0.64, 0.04, 0.5), split)
     return [floor, table, obj]
+
+
+# the camera scene with boxes that take the dense scan (12 triangles), and
+# with boxes that traverse their BVHs (108)
+SPLITS = (1, 3)
 
 
 def small_grid():
@@ -60,17 +79,19 @@ def unit(v):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def cast_both(meshes, origins, dirs, max_range=np.inf):
-    """New build + traversal against reference build + traversal."""
+def cast_both(meshes, origins, dirs, max_range=np.inf, oracle=ref.build_bvh):
+    """New build + cast against the reference walk over the trees that
+    ``oracle`` builds: the reference BVH, or ``single_leaf_bvh`` for the
+    exhaustive scan."""
     got = raycast(meshes, [build_bvh(m) for m in meshes], origins, dirs,
                   max_range)
-    want = ref.raycast(meshes, [ref.build_bvh(m) for m in meshes], origins,
-                       dirs, max_range)
+    want = ref.raycast(meshes, [oracle(m) for m in meshes], origins, dirs,
+                       max_range)
     return got, want
 
 
-def assert_bitwise(meshes, origins, dirs, max_range=np.inf):
-    got, want = cast_both(meshes, origins, dirs, max_range)
+def assert_bitwise(meshes, origins, dirs, max_range=np.inf, oracle=ref.build_bvh):
+    got, want = cast_both(meshes, origins, dirs, max_range, oracle)
     for name in BITWISE:
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
                                       err_msg=name)
@@ -152,15 +173,29 @@ def test_tie_across_leaves_of_different_depth_matches_exhaustive():
     assert np.all(got.tri_id == 0)
 
 
+def corner_rays(n_tris, rng):
+    """A soup of ``n_tris`` random triangles and 400 rays aimed at their
+    vertices from 3 units away."""
+    verts = rng.uniform(-1.0, 1.0, (3 * n_tris, 3))
+    mesh = TriMesh(verts, np.arange(3 * n_tris).reshape(n_tris, 3))
+    targets = verts[rng.integers(0, 3 * n_tris, 400)]
+    origins = targets + unit(rng.standard_normal((400, 3))) * 3.0
+    return mesh, origins, unit(targets - origins)
+
+
 def test_rays_aimed_at_triangle_corners_match_reference():
     # at a corner the barycentric u or v is 0 or 1 up to rounding, so the
-    # 1e-12 tolerances decide whether the ray hits
+    # 1e-12 tolerances decide whether the ray hits. A vertex also lies on
+    # the faces of its BVH leaf's box, and the slab test can reject that
+    # box by an ulp: both BVH walks then lose the hit. 20 triangles take
+    # the dense scan, which is bitwise the exhaustive scan.
     rng = np.random.default_rng(18)
-    verts = rng.uniform(-1.0, 1.0, (60, 3))
-    mesh = TriMesh(verts, np.arange(60).reshape(20, 3))
-    targets = verts[rng.integers(0, 60, 400)]
-    origins = targets + unit(rng.standard_normal((400, 3))) * 3.0
-    got = assert_bitwise([mesh], origins, unit(targets - origins))
+    mesh, origins, dirs = corner_rays(20, rng)
+    got = assert_bitwise([mesh], origins, dirs, oracle=single_leaf_bvh)
+    assert got.hit.mean() > 0.5
+    # 200 triangles traverse the BVH, bitwise the reference walk
+    mesh, origins, dirs = corner_rays(200, rng)
+    got = assert_bitwise([mesh], origins, dirs)
     assert got.hit.mean() > 0.5
 
 
@@ -168,8 +203,9 @@ def test_table_scene_matches_reference():
     rng = np.random.default_rng(6)
     origins = rng.uniform([0.0, -0.6, 0.7], [1.4, 0.6, 1.0], (400, 3))
     dirs = unit(rng.uniform([-0.6, -0.6, -1.0], [0.6, 0.6, -0.2], (400, 3)))
-    got = assert_bitwise(table_scene(), origins, dirs)
-    assert set(np.unique(got.mesh_id)) >= {0, 1, 2}
+    for split in SPLITS:
+        got = assert_bitwise(table_scene(split), origins, dirs)
+        assert set(np.unique(got.mesh_id)) >= {0, 1, 2}
 
 
 def test_axis_aligned_directions_match_reference():
@@ -181,9 +217,9 @@ def test_axis_aligned_directions_match_reference():
     # some rays start exactly on box faces
     origins[:50, 0] = 0.3
     origins[50:100, 2] = 0.4
-    scene = table_scene()
-    got = assert_bitwise(scene, origins, dirs)
-    assert got.hit.any() and not got.hit.all()
+    for split in SPLITS:
+        got = assert_bitwise(table_scene(split), origins, dirs)
+        assert got.hit.any() and not got.hit.all()
     grid = small_grid()
     g_orig, _ = grid_rays(grid, 200, rng, 0.0)
     assert_bitwise([grid.mesh], g_orig, axes[rng.integers(0, 6, 200)])
@@ -196,17 +232,19 @@ def test_mixed_parallel_and_slanted_rays_match_reference():
     dirs[1::3, 1:] = 0.0
     dirs = unit(dirs)
     origins = rng.uniform([0.0, -0.8, 0.2], [1.4, 0.8, 1.0], (400, 3))
-    assert_bitwise(table_scene(), origins, dirs)
+    for split in SPLITS:
+        assert_bitwise(table_scene(split), origins, dirs)
 
 
 def test_origins_inside_a_box_match_reference():
     rng = np.random.default_rng(9)
     origins = rng.uniform([0.35, -0.45, 0.1], [1.05, 0.45, 0.35], (300, 3))
     dirs = unit(rng.standard_normal((300, 3)))
-    got = assert_bitwise(table_scene(), origins, dirs)
-    # every ray leaves the closed table box through one of its faces
-    assert np.all(got.mesh_id[got.hit] >= 1)
-    assert got.hit.all()
+    for split in SPLITS:
+        got = assert_bitwise(table_scene(split), origins, dirs)
+        # every ray leaves the closed table box through one of its faces
+        assert np.all(got.mesh_id[got.hit] >= 1)
+        assert got.hit.all()
 
 
 @pytest.mark.parametrize("max_range", [0.0, 0.35, 0.8, 5.0])
@@ -214,8 +252,9 @@ def test_max_range_cutoffs_match_reference(max_range):
     rng = np.random.default_rng(10)
     origins = rng.uniform([0.0, -0.6, 0.6], [1.4, 0.6, 0.9], (300, 3))
     dirs = unit(rng.uniform([-0.3, -0.3, -1.0], [0.3, 0.3, -0.5], (300, 3)))
-    got = assert_bitwise(table_scene(), origins, dirs, max_range)
-    assert np.all(got.t[got.hit] <= max_range)
+    for split in SPLITS:
+        got = assert_bitwise(table_scene(split), origins, dirs, max_range)
+        assert np.all(got.t[got.hit] <= max_range)
 
 
 def test_max_range_inside_a_box_matches_reference():
@@ -223,9 +262,10 @@ def test_max_range_inside_a_box_matches_reference():
     rng = np.random.default_rng(16)
     origins = rng.uniform([0.35, -0.45, 0.1], [1.05, 0.45, 0.35], (300, 3))
     dirs = unit(rng.standard_normal((300, 3)))
-    got = assert_bitwise(table_scene(), origins, dirs, max_range=0.1)
-    assert got.hit.any() and not got.hit.all()
-    assert np.all(got.t[got.hit] <= 0.1)
+    for split in SPLITS:
+        got = assert_bitwise(table_scene(split), origins, dirs, max_range=0.1)
+        assert got.hit.any() and not got.hit.all()
+        assert np.all(got.t[got.hit] <= 0.1)
 
 
 def test_tiny_mesh_matches_reference():
@@ -245,17 +285,20 @@ def test_empty_ray_set():
 
 
 def test_coincident_planes_tie_break_matches_reference():
-    # three identical planes and a duplicated triangle inside one mesh
-    plane = ground_plane()
-    dup = TriMesh(plane.vertices, np.concatenate([plane.triangles,
-                                                  plane.triangles]))
+    # three identical planes and duplicated triangles inside one mesh; the
+    # 5 x 5-cell plane puts the single (50 triangles) and the duplicated
+    # mesh above _DENSE_MAX
+    cells = hf_to_mesh(HeightField(np.zeros((6, 6)), 2.0, origin_xy=(-5.0, -5.0)))
     rng = np.random.default_rng(11)
     origins = np.column_stack([rng.uniform(-4, 4, (200, 2)), np.ones(200)])
     dirs = unit(np.column_stack([rng.uniform(-0.2, 0.2, (200, 2)),
                                  -np.ones(200)]))
-    got = assert_bitwise([dup, ground_plane(), dup], origins, dirs)
-    assert np.all(got.mesh_id == 0)
-    assert np.all(got.tri_id < 2)
+    for plane in (ground_plane(), TriMesh(cells.vertices, cells.triangles)):
+        dup = TriMesh(plane.vertices, np.concatenate([plane.triangles,
+                                                      plane.triangles]))
+        got = assert_bitwise([dup, plane, dup], origins, dirs)
+        assert np.all(got.mesh_id == 0)
+        assert np.all(got.tri_id < plane.num_triangles)
 
 
 def test_posed_spheres_match_reference():
