@@ -2,26 +2,29 @@
 
 Every kernel works on all E environments at once: arrays carry the
 environment as their leading axis, and the only Python loops run over the
-links of the tree, root to leaf or leaf to root. The interpreter cost is
+links of the tree, root to leaf. The interpreter cost is
 paid once per link, not once per link and environment.
 
 Spatial vectors are body-frame ``[angular, linear]`` about link-frame
 origins. The parent->child motion transforms ``X`` (``(E, L, 6, 6)``, from
 :func:`motion_xforms`) and the spatial inertias (``(E, L, 6, 6)``, from
 :func:`spatial_inertia`) depend only on ``q`` and the physical parameters,
-so the integrator computes them once per substep and passes them to the
-velocity, RNEA and CRBA kernels. Both force passes follow Featherstone
-(*Rigid Body Dynamics Algorithms*, 2008): RNEA takes the applied link forces
-as an input and moves every link force to its parent with ``X^T`` (Table
-5.1); CRBA carries each joint's composite force up its own chain of
-ancestors (Table 6.2).
+so the integrator computes them once per substep. One root-to-leaf pass
+over ``X`` gives every link's body Jacobian ``J_i`` (:func:`body_jacobians`),
+and the other quantities follow from it (Lynch & Park, *Modern Robotics*,
+2017; Featherstone, *Rigid Body Dynamics Algorithms*, 2008): the link
+velocities ``v_i = J_i u``, the mass matrix ``sum_i J_i^T I_i J_i``, the
+generalized forces ``sum_i J_i^T f_i`` of RNEA's link forces and the point
+Jacobians. A free root's block of ``J`` holds the mixed coordinates of
+``u`` (base-frame angular, world linear velocity), so every product of
+``J`` is in the public coordinates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .articulation import JOINT_FREE, JOINT_PRISMATIC, JOINT_REVOLUTE
+from .articulation import JOINT_PRISMATIC, JOINT_REVOLUTE
 from .maths import cross
 
 
@@ -129,34 +132,53 @@ def _joint_motion(tree, qd):
     return tree.subspace * padded[:, tree.qidx, None]
 
 
-def vel_kernel(tree, X, qd, base_rot, root_twist_w):
-    """Body-frame spatial link velocities ``[w, v]``, ``(E, L, 6)``.
+def body_jacobians(tree, X, base_rot):
+    """Body Jacobians ``J`` ``(E, L, 6, nv)``: link ``i``'s body-frame
+    velocity ``[w, v]`` is ``J[:, i] @ u`` for the public generalized
+    velocity ``u``.
 
-    ``root_twist_w`` is the free root's world twist ``[lin, ang]``; a
-    fixed-base mount is at rest.
+    One root-to-leaf pass, ``J_i = X_i J_parent + S_i e_i``. A free root's
+    block is ``[[1, 0], [0, R^T]]``: ``u`` holds its angular velocity in the
+    base frame and its linear velocity in the world frame (mixed
+    coordinates), and this block is the one place that says so.
     """
-    v = _joint_motion(tree, qd)
-    for i in range(tree.num_links):
+    E, L = X.shape[:2]
+    off = tree.nv - tree.num_joints
+    J = np.zeros((E, L, 6, tree.nv))
+    if tree.floating:
+        J[:, 0, :3, :3] = np.eye(3)
+        J[:, 0, 3:, 3:6] = np.swapaxes(base_rot, -1, -2)
+    for i in range(L):
         p = tree.parent[i]
-        if i == 0 and tree.floating:
-            rt = np.swapaxes(base_rot, -1, -2)
-            v[:, 0, :3] = _mv(rt, root_twist_w[:, 3:])
-            v[:, 0, 3:] = _mv(rt, root_twist_w[:, :3])
-        elif p >= 0:
-            v[:, i] += _mv(X[:, i], v[:, p])
-    return v
+        if p >= 0:
+            np.matmul(X[:, i], J[:, p], out=J[:, i])
+        if tree.qidx[i] >= 0:
+            J[:, i, :, off + tree.qidx[i]] = tree.subspace[i]
+    return J
 
 
-def rnea_kernel(tree, X, v, qd, inertia, base_acc, f_ext):
-    """Joint forces that give zero joint acceleration: Coriolis, centrifugal
-    and gravity, less the applied link forces.
+def mass_kernel(J, inertia):
+    """Generalized mass matrix ``sum_i J_i^T I_i J_i``, ``(E, nv, nv)``.
+
+    The lower triangle mirrors the upper one exactly.
+    """
+    E, L, _, nv = J.shape
+    flat = J.reshape(E, 6 * L, nv)
+    m = np.swapaxes(flat, 1, 2) @ (inertia @ J).reshape(E, 6 * L, nv)
+    return np.where(np.tri(nv, k=-1, dtype=bool), np.swapaxes(m, 1, 2), m)
+
+
+def rnea_kernel(tree, X, J, v, qd, inertia, base_acc, f_ext):
+    """Generalized forces that give zero joint acceleration: Coriolis,
+    centrifugal and gravity, less the applied link forces.
 
     ``base_acc`` ``(E, 3)`` is the linear acceleration of the base (a fixed
     tree's mount) in its own frame; gravity enters as its upward part, so
     pass ``-R^T g``. ``inertia`` holds the spatial inertias and ``f_ext``
     the applied body-frame forces ``[torque, force]`` on each link,
-    ``(E, L, 6)`` or ``0.0``. Returns ``(E, nv)`` in body coordinates, with a
-    floating root's whole force in rows ``0..5``.
+    ``(E, L, 6)`` or ``0.0``. The forward pass gives each link's force
+    ``f_i`` (Featherstone 2008, Table 5.1); the result is
+    ``sum_i J_i^T f_i``, ``(E, nv)`` in the coordinates of ``J``.
     """
     E, L = v.shape[:2]
     crm = _crm(v)
@@ -170,80 +192,17 @@ def rnea_kernel(tree, X, v, qd, inertia, base_acc, f_ext):
     # v x* h == -crm(v)^T h, computed as the row vector h^T crm(v)
     h = _mv(inertia, v)
     f = _mv(inertia, a) - (h[..., None, :] @ crm)[..., 0, :] - f_ext
-    # leaf to root: f[:, i] becomes the force transmitted across joint i;
-    # X^T f is computed as the row vector f^T X
-    for i in range(L - 1, 0, -1):
-        p = tree.parent[i]
-        if p >= 0:
-            f[:, p] += (f[:, i, None, :] @ X[:, i])[:, 0]
-    out = np.zeros((E, tree.nv))
-    moving = tree.qidx >= 0
-    # the root's rows (6 for a free root, none for a fixed tree) take its
-    # whole force
-    off = tree.nv - tree.num_joints
-    out[:, off + tree.qidx[moving]] = (f[:, moving] * tree.subspace[moving]).sum(-1)
-    out[:, :off] = f[:, 0, :off]
-    return out
+    return (f.reshape(E, 1, 6 * L) @ J.reshape(E, 6 * L, -1))[:, 0]
 
 
-def crba_kernel(tree, X, inertia):
-    """Composite-rigid-body mass matrix ``(E, nv, nv)``, body coordinates.
-
-    Each moving joint's force ``Ic_i S_i`` (``Ic`` the composite inertia)
-    is carried up its chain of ancestors; its projection onto an ancestor's
-    axis is an upper-triangle entry, and a floating root's 6 rows take the
-    whole force. The lower triangle mirrors the upper one exactly.
-    """
-    E, L = inertia.shape[:2]
-    off = 6 if tree.floating else 0
-    ic = inertia.copy()
-    for i in range(L - 1, 0, -1):
-        p = tree.parent[i]
-        if p >= 0:
-            ic[:, p] += np.swapaxes(X[:, i], -1, -2) @ ic[:, i] @ X[:, i]
-    m = np.zeros((E, tree.nv, tree.nv))
-    if tree.floating:
-        m[:, :6, :6] = np.triu(ic[:, 0])
-    for i in np.flatnonzero(tree.qidx >= 0):
-        col = off + tree.qidx[i]
-        f = _mv(ic[:, i], tree.subspace[i])
-        m[:, col, col] = f @ tree.subspace[i]
-        j = i
-        while tree.parent[j] >= 0:
-            f = (f[:, None, :] @ X[:, j])[:, 0]
-            j = tree.parent[j]
-            if tree.qidx[j] >= 0:
-                m[:, off + tree.qidx[j], col] = f @ tree.subspace[j]
-            elif j == 0 and tree.floating:
-                m[:, :6, col] = f
-    return m + np.swapaxes(np.triu(m, 1), -1, -2)
-
-
-def jacobian_kernel(tree, link_rot, link_pos, link, offset):
-    """Point Jacobian rows ``[linear, angular]``, columns in qvel order."""
-    E = link_rot.shape[0]
-    off = 6 if tree.floating else 0
-    out = np.zeros((E, 6, tree.nv))
-    pw = link_pos[:, link] + _mv(link_rot[:, link], offset)
-    j = link
-    while j >= 0:
-        jt = tree.jtype[j]
-        col = off + tree.qidx[j]
-        if jt == JOINT_REVOLUTE:
-            aw = _mv(link_rot[:, j], tree.axis[j])
-            out[:, :3, col] = cross(aw, pw - link_pos[:, j])
-            out[:, 3:, col] = aw
-        elif jt == JOINT_PRISMATIC:
-            out[:, :3, col] = _mv(link_rot[:, j], tree.axis[j])
-        elif jt == JOINT_FREE:
-            r0 = link_rot[:, 0]
-            rel = pw - link_pos[:, 0]
-            # linear rows wrt body angular velocity: -skew(rel) @ R0
-            out[:, :3, :3] = -(_skew(rel) @ r0)
-            out[:, 3:, :3] = r0
-            out[:, :3, 3:6] = np.eye(3)
-        j = tree.parent[j]
-    return out
+def point_jacobian(J_link, link_rot, offset):
+    """World Jacobian rows ``[linear, angular]`` of the point ``offset`` on a
+    link, from its body Jacobian ``J_link`` ``(E, 6, nv)`` and world
+    rotation ``link_rot`` ``(E, 3, 3)``."""
+    ang = J_link[:, :3]
+    # the point moves at v + w x r == v - skew(r) w in the link frame
+    lin = J_link[:, 3:] - _skew(offset) @ ang
+    return np.concatenate([link_rot @ lin, link_rot @ ang], axis=1)
 
 
 def contact_kernel(probes, link_rot, link_pos, v_body, ground):

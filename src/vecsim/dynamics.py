@@ -1,22 +1,26 @@
 """Reduced-coordinate dynamics: public operations and the step integrator.
 
 The kernel layer works in body-frame spatial coordinates. For floating-base
-trees the generalized velocity exposed here is *mixed*: the root block is
-``[angular velocity (body frame), linear velocity (world frame)]`` followed
-by the joint rates. Keeping the root linear velocity in world coordinates
-makes free-flight linear momentum exact under the discrete integrator.
+trees the generalized velocity ``u`` exposed here is *mixed*: the root block
+is ``[angular velocity (body frame), linear velocity (world frame)]``
+followed by the joint rates. Keeping the root linear velocity in world
+coordinates makes free-flight linear momentum exact under the discrete
+integrator.
 
-Every query goes through three private helpers: :func:`_motion` (joint
-frames, motion transforms, base pose and body velocities), :func:`_mass`
-(CRBA, the mixed-coordinate congruence and the armature diagonal) and
-:func:`_bias` (RNEA). The root's body-frame linear velocity ``R^T v`` changes
-at ``R^T dv/dt - w_b x v_b`` even at constant world velocity, so in mixed
-coordinates the bias gains ``-M[:, lin] (w_b x v_b)``. Like gravity, that
-term is a fictitious base acceleration, so RNEA takes it as one (Featherstone,
-*Rigid Body Dynamics Algorithms*, 2008) and the bias never needs ``M``.
-RNEA also takes the applied link forces: ``step`` turns the external and
-contact wrenches into body-frame forces once and subtracts them in the same
-pass, so the bias it solves with is ``c(q, u) - J^T f``.
+Every query goes through a few private helpers: :func:`_pose` (joint frames
+and base pose), :func:`_jacobians` (motion transforms and the body
+Jacobians ``J``), :func:`_velocity` (``u`` and the link velocities
+``J u``), :func:`_mass` (``sum_i J_i^T I_i J_i`` and the armature diagonal)
+and :func:`_bias` (RNEA, projected by ``J^T``). The root block of ``J``
+holds the mixed coordinates, so the mass matrix, the bias and the point
+Jacobians come out in them with no further rotation. The root's body-frame
+linear velocity ``R^T v`` changes at ``R^T dv/dt - w_b x v_b`` even at
+constant world velocity; like gravity, that term is a fictitious base
+acceleration, so RNEA takes it as one (Featherstone, *Rigid Body Dynamics
+Algorithms*, 2008) and the bias never needs ``M``. RNEA also takes the
+applied link forces: ``step`` turns the external and contact wrenches into
+body-frame forces once and subtracts them in the same pass, so the bias it
+solves with is ``c(q, u) - J^T f``.
 
 Reflected motor inertia (armature) comes from :attr:`DynParams.armature`
 only; the mass matrix that ``mass_matrix`` returns is the one ``step``
@@ -93,12 +97,22 @@ class DynParams:
 
 @dataclass
 class ImplicitPD:
-    """PD gains folded into the integrator's linear solve."""
+    """PD gains folded into the integrator's linear solve.
+
+    Raises:
+        ValueError: if a gain is negative or non-finite.
+    """
 
     kp: np.ndarray          # (nj,) or (E, nj)
     kd: np.ndarray
     q_target: np.ndarray    # (E, nj)
     qd_target: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("kp", "kd"):
+            gain = np.asarray(getattr(self, name), dtype=np.float64)
+            if not np.all(np.isfinite(gain) & (gain >= 0)):
+                raise ValueError(f"implicit PD {name} must be finite and >= 0")
 
 
 @dataclass
@@ -126,13 +140,21 @@ def _batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-def _motion(tree, q, root_pose=None, qd=None, root_twist=None):
-    """Joint frames ``(rot, pos)``, motion transforms ``X``, body velocities
-    (``None`` without ``qd``), base rotation and base position.
+def _finite(x, what, shape):
+    """``x`` as a float array of ``shape``; raises naming the environments
+    (leading axis) that hold a non-finite value."""
+    x = np.broadcast_to(np.asarray(x, dtype=np.float64), shape)
+    if not np.all(np.isfinite(x)):
+        bad = np.nonzero(~np.isfinite(x).all(axis=-1))[0]
+        raise ValueError(f"non-finite {what} for environment(s) {bad.tolist()}")
+    return x
+
+
+def _pose(tree, q, root_pose):
+    """Joint frames ``(rot, pos)``, base rotation and base position.
 
     ``root_pose`` is the floating base's pose or a fixed tree's mount,
-    identity by default; ``root_twist`` is the free root's world twist
-    ``[lin, ang]``, at rest by default.
+    identity by default.
     """
     E = q.shape[0]
     if root_pose is None:
@@ -142,49 +164,58 @@ def _motion(tree, q, root_pose=None, qd=None, root_twist=None):
         base_rot = quat_to_matrix(np.broadcast_to(root_pose.quat, (E, 4)))
         base_pos = np.broadcast_to(np.asarray(root_pose.pos, dtype=np.float64),
                                    (E, 3))
-    frames = k.joint_xforms(tree, q)
+    return k.joint_xforms(tree, q), base_rot, base_pos
+
+
+def _jacobians(tree, frames, base_rot):
+    """Motion transforms ``X`` and body Jacobians ``J``."""
     xf = k.motion_xforms(*frames)
-    v_body = None
-    if qd is not None:
-        twist = np.zeros((E, 6)) if root_twist is None else np.broadcast_to(
-            np.asarray(root_twist, dtype=np.float64), (E, 6))
-        v_body = k.vel_kernel(tree, xf, qd, base_rot, twist)
-    return frames, xf, v_body, base_rot, base_pos
+    return xf, k.body_jacobians(tree, xf, base_rot)
+
+
+def _velocity(tree, J, qd, base_rot, root_twist):
+    """Public generalized velocity ``u`` and body velocities ``v = J u``.
+
+    ``root_twist`` is the free root's world twist ``[lin, ang]``, or
+    ``None`` at rest; ``u`` takes its angular part in the base frame.
+    """
+    E = qd.shape[0]
+    twist = np.zeros((E, 6)) if root_twist is None else np.broadcast_to(
+        np.asarray(root_twist, dtype=np.float64), (E, 6))
+    u = qd
+    if tree.floating:
+        w_b = np.einsum("eba,eb->ea", base_rot, twist[:, 3:])
+        u = np.concatenate([w_b, twist[:, :3], qd], axis=1)
+    return u, (J @ u[:, None, :, None])[..., 0]
 
 
 def _state_motion(tree, state: ArticulationState):
+    """:func:`_pose`, :func:`_jacobians` and :func:`_velocity` of a state."""
+    frames, base_rot, base_pos = _pose(tree, state.q, state.root_pose)
+    xf, J = _jacobians(tree, frames, base_rot)
     twist = np.concatenate([state.root_lin_vel, state.root_ang_vel], axis=1)
-    return _motion(tree, state.q, state.root_pose, state.qd, twist)
+    u, v_body = _velocity(tree, J, state.qd, base_rot, twist)
+    return frames, base_rot, base_pos, xf, J, u, v_body
 
 
-def _mass(tree, xf, inertia, base_rot, armature):
-    """CRBA, then the mixed-coordinate congruence, then the armature."""
+def _mass(tree, J, inertia, armature):
+    """``sum_i J_i^T I_i J_i`` plus the armature on the joint diagonal."""
     if np.any(armature < 0):
         raise ValueError("armature must be >= 0")
-    m = k.crba_kernel(tree, xf, inertia)
-    off = 0
-    if tree.floating:
-        # root linear block into world coordinates: diag(1, R, 1) M diag(1, R^T, 1)
-        m[:, 3:6, :] = base_rot @ m[:, 3:6, :]
-        m[:, :, 3:6] = m[:, :, 3:6] @ np.swapaxes(base_rot, 1, 2)
-        off = 6
-    idx = off + np.arange(tree.num_joints)
+    m = k.mass_kernel(J, inertia)
+    idx = tree.nv - tree.num_joints + np.arange(tree.num_joints)
     m[:, idx, idx] += armature
     return m
 
 
-def _bias(tree, xf, v_body, qd, inertia, base_rot, gravity, f_ext):
+def _bias(tree, xf, J, v_body, qd, inertia, base_rot, gravity, f_ext):
     """RNEA bias less the applied body-frame link forces ``f_ext``, in the
     public coordinates (mixed for a floating root)."""
     g = np.broadcast_to(np.asarray(gravity, dtype=np.float64), (qd.shape[0], 3))
     a_base = -np.einsum("eba,eb->ea", base_rot, g)
     if tree.floating:
         a_base -= cross(v_body[:, 0, :3], v_body[:, 0, 3:])
-    bias = k.rnea_kernel(tree, xf, v_body, qd, inertia, a_base, f_ext)
-    if tree.floating:
-        # root linear rows into world coordinates
-        bias[:, 3:6] = np.einsum("eab,eb->ea", base_rot, bias[:, 3:6])
-    return bias
+    return k.rnea_kernel(tree, xf, J, v_body, qd, inertia, a_base, f_ext)
 
 
 def forward_kinematics(tree: KinematicTree, q: np.ndarray,
@@ -195,7 +226,7 @@ def forward_kinematics(tree: KinematicTree, q: np.ndarray,
     tree it is the mount pose (identity by default).
     """
     q, squeeze = _batched(q)
-    frames, _, _, base_rot, base_pos = _motion(tree, q, root_pose)
+    frames, base_rot, base_pos = _pose(tree, q, root_pose)
     link_rot, link_pos = k.fk_kernel(tree, *frames, base_rot, base_pos)
     quat = matrix_to_quat(link_rot)
     if squeeze:
@@ -210,17 +241,19 @@ def jacobian(tree: KinematicTree, q: np.ndarray, link: int,
     if not 0 <= link < tree.num_links:
         raise IndexError(f"link index {link} out of range")
     q, squeeze = _batched(q)
-    frames, _, _, base_rot, base_pos = _motion(tree, q, root_pose)
-    link_rot, link_pos = k.fk_kernel(tree, *frames, base_rot, base_pos)
-    out = k.jacobian_kernel(tree, link_rot, link_pos, link,
-                            np.asarray(point_offset, dtype=np.float64))
+    frames, base_rot, base_pos = _pose(tree, q, root_pose)
+    _, J = _jacobians(tree, frames, base_rot)
+    link_rot, _ = k.fk_kernel(tree, *frames, base_rot, base_pos)
+    out = k.point_jacobian(J[:, link], link_rot[:, link],
+                           np.asarray(point_offset, dtype=np.float64))
     return out[0] if squeeze else out
 
 
 def mass_matrix(tree: KinematicTree, q: np.ndarray,
                 root_pose: Transform | None = None,
                 params: DynParams | None = None) -> np.ndarray:
-    """Symmetric positive-definite generalized mass matrix (CRBA).
+    """Generalized mass matrix ``sum_i J_i^T I_i J_i``, positive-definite
+    and exactly symmetric.
 
     ``params`` (the tree's own values by default) supplies the inertias and
     the armature, which adds to the joint diagonal; this is the matrix
@@ -233,9 +266,10 @@ def mass_matrix(tree: KinematicTree, q: np.ndarray,
     q, squeeze = _batched(q)
     if params is None:
         params = DynParams.from_tree(tree, q.shape[0])
-    _, xf, _, base_rot, _ = _motion(tree, q, root_pose)
+    frames, base_rot, _ = _pose(tree, q, root_pose)
+    _, J = _jacobians(tree, frames, base_rot)
     inertia = k.spatial_inertia(params.mass, params.com, params.inertia)
-    m = _mass(tree, xf, inertia, base_rot, params.armature)
+    m = _mass(tree, J, inertia, params.armature)
     return m[0] if squeeze else m
 
 
@@ -251,9 +285,11 @@ def bias_forces(tree: KinematicTree, q: np.ndarray, qd: np.ndarray,
     qd, _ = _batched(qd)
     if params is None:
         params = DynParams.from_tree(tree, q.shape[0])
-    _, xf, v_body, base_rot, _ = _motion(tree, q, root_pose, qd, root_twist)
+    frames, base_rot, _ = _pose(tree, q, root_pose)
+    xf, J = _jacobians(tree, frames, base_rot)
+    _, v_body = _velocity(tree, J, qd, base_rot, root_twist)
     inertia = k.spatial_inertia(params.mass, params.com, params.inertia)
-    bias = _bias(tree, xf, v_body, qd, inertia, base_rot, gravity, 0.0)
+    bias = _bias(tree, xf, J, v_body, qd, inertia, base_rot, gravity, 0.0)
     return bias[0] if squeeze else bias
 
 
@@ -263,7 +299,7 @@ def contact_forces(tree: KinematicTree, state: ArticulationState,
 
     Stiffness, damping and friction are the probes' own.
     """
-    frames, _, v_body, base_rot, base_pos = _state_motion(tree, state)
+    frames, base_rot, base_pos, _, _, _, v_body = _state_motion(tree, state)
     link_rot, link_pos = k.fk_kernel(tree, *frames, base_rot, base_pos)
     normal, tangent, active, _ = k.contact_kernel(probes, link_rot, link_pos,
                                                   v_body, terrain)
@@ -303,8 +339,8 @@ def step(tree: KinematicTree, state: ArticulationState,
 
     Raises:
         ValueError: if ``dt <= 0``, only one of ``probes`` and ``terrain`` is
-            given, an effort is non-finite or ``params.armature`` is
-            negative.
+            given, an effort or an implicit PD target is non-finite or
+            ``params.armature`` is negative.
         SimulationDivergenceError: if any environment's state leaves the
             finite range, naming the offending environment indices.
     """
@@ -316,16 +352,18 @@ def step(tree: KinematicTree, state: ArticulationState,
     nj = tree.num_joints
     if joint_efforts is None:
         joint_efforts = np.zeros((E, nj))
-    joint_efforts = np.asarray(joint_efforts, dtype=np.float64)
-    if not np.all(np.isfinite(joint_efforts)):
-        bad = np.nonzero(~np.isfinite(joint_efforts).all(axis=-1))[0]
-        raise ValueError(f"non-finite joint efforts for environment(s) {bad.tolist()}")
+    joint_efforts = _finite(joint_efforts, "joint efforts", (E, nj))
+    if implicit_pd is not None:
+        q_target = _finite(implicit_pd.q_target, "implicit PD q_target", (E, nj))
+        qd_target = implicit_pd.qd_target
+        if qd_target is not None:
+            qd_target = _finite(qd_target, "implicit PD qd_target", (E, nj))
     if params is None:
         params = DynParams.from_tree(tree, E)
 
-    frames, xf, v_body, base_rot, base_pos = _state_motion(tree, state)
+    frames, base_rot, base_pos, xf, J, u, v_body = _state_motion(tree, state)
     inertia = k.spatial_inertia(params.mass, params.com, params.inertia)
-    m = _mass(tree, xf, inertia, base_rot, params.armature)
+    m = _mass(tree, J, inertia, params.armature)
     off = 6 if tree.floating else 0
 
     # applied link forces: world wrenches [f, tau] into body-frame [tau, f]
@@ -344,15 +382,10 @@ def step(tree: KinematicTree, state: ArticulationState,
             wrench = wrench + contact_wrench
         # R^T w as the row vector w^T R, for the torque and then the force
         f_ext = (wrench.reshape(E, -1, 2, 3)[:, :, ::-1] @ link_rot).reshape(E, -1, 6)
-    bias = _bias(tree, xf, v_body, state.qd, inertia, base_rot, gravity, f_ext)
+    bias = _bias(tree, xf, J, v_body, state.qd, inertia, base_rot, gravity, f_ext)
 
     tau = np.zeros((E, tree.nv))
     tau[:, off:] = joint_efforts
-
-    # current generalized velocity (mixed coordinates)
-    u = state.qd
-    if tree.floating:
-        u = np.concatenate([v_body[:, 0, :3], state.root_lin_vel, state.qd], axis=1)
 
     a_sys = m
     rhs = np.einsum("eij,ej->ei", m, u) + dt * (tau - bias)
@@ -362,9 +395,9 @@ def step(tree: KinematicTree, state: ArticulationState,
         a_sys = m.copy()
         idx = off + np.arange(nj)
         a_sys[:, idx, idx] += dt * kd + dt * dt * kp
-        pd_rhs = kp * (implicit_pd.q_target - state.q)
-        if implicit_pd.qd_target is not None:
-            pd_rhs = pd_rhs + kd * implicit_pd.qd_target
+        pd_rhs = kp * (q_target - state.q)
+        if qd_target is not None:
+            pd_rhs = pd_rhs + kd * qd_target
         rhs[:, off:] += dt * pd_rhs
 
     u_new = np.linalg.solve(a_sys, rhs[..., None])[..., 0]

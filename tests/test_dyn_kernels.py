@@ -4,6 +4,12 @@
 and then links with scalar 3x3 arithmetic. Each batched kernel must match
 it within ``1e-12 * (1 + max|ref|)`` on random trees with every joint kind,
 on a floating quadruped-like tree, for several batch sizes.
+
+The reference mass matrix and generalized forces keep a floating root's
+rows and columns in body coordinates; the batched kernels work in the mixed
+coordinates of the body Jacobians (root linear velocity in the world frame),
+so the reference values are first mapped by the closed form
+``diag(1, R, 1)`` (:func:`mixed`).
 """
 
 import numpy as np
@@ -23,6 +29,20 @@ ENV_COUNTS = (1, 3, 64)
 def assert_matches(new, expected):
     tol = 1e-12 * (1.0 + np.max(np.abs(expected), initial=0.0))
     np.testing.assert_allclose(new, expected, rtol=0.0, atol=tol)
+
+
+def mixed(tree, base_rot, x):
+    """Reference generalized forces ``(E, nv)`` or mass matrices
+    ``(E, nv, nv)`` with a floating root's linear rows (and columns) rotated
+    into the world frame: ``diag(1, R, 1) x (diag(1, R^T, 1))``."""
+    x = x.copy()
+    if tree.floating:
+        if x.ndim == 2:
+            x[:, 3:6] = np.einsum("eab,eb->ea", base_rot, x[:, 3:6])
+        else:
+            x[:, 3:6] = base_rot @ x[:, 3:6]
+            x[:, :, 3:6] = x[:, :, 3:6] @ np.swapaxes(base_rot, 1, 2)
+    return x
 
 
 def random_tree(rng, n, floating):
@@ -115,7 +135,13 @@ class Case:
         self.X = k.motion_xforms(*self.frames)
         self.rot, self.pos = k.fk_kernel(tree, *self.frames, self.base_rot,
                                          self.base_pos)
-        self.v = k.vel_kernel(tree, self.X, self.qd, self.base_rot, self.twist)
+        self.J = k.body_jacobians(tree, self.X, self.base_rot)
+        # public velocity: a free root's angular part in the base frame
+        self.u = self.qd
+        if tree.floating:
+            w_b = np.einsum("eba,eb->ea", self.base_rot, self.twist[:, 3:])
+            self.u = np.concatenate([w_b, self.twist[:, :3], self.qd], axis=1)
+        self.v = np.einsum("elrn,en->elr", self.J, self.u)
         self.spatial = k.spatial_inertia(self.mass, self.com, self.inertia)
 
     def ref_args(self):
@@ -146,8 +172,9 @@ def test_rnea_matches_reference(case):
                     case.base_rot, case.base_pos, case.ref_v, case.mass,
                     case.com, case.inertia, case.gravity, t.floating, expected)
     base_acc = -np.einsum("eba,eb->ea", case.base_rot, case.gravity)
-    bias = k.rnea_kernel(t, case.X, case.v, case.qd, case.spatial, base_acc, 0.0)
-    assert_matches(bias, expected)
+    bias = k.rnea_kernel(t, case.X, case.J, case.v, case.qd, case.spatial,
+                         base_acc, 0.0)
+    assert_matches(bias, mixed(t, case.base_rot, expected))
 
 
 def test_crba_matches_reference(case):
@@ -156,8 +183,8 @@ def test_crba_matches_reference(case):
     ref.crba_kernel(*case.ref_args(), case.q, case.ref_rot, case.ref_pos,
                     case.base_rot, case.base_pos, case.mass, case.com,
                     case.inertia, t.floating, expected)
-    m = k.crba_kernel(t, case.X, case.spatial)
-    assert_matches(m, expected)
+    m = k.mass_kernel(case.J, case.spatial)
+    assert_matches(m, mixed(t, case.base_rot, expected))
     np.testing.assert_array_equal(m, np.swapaxes(m, -1, -2))
 
 
@@ -174,9 +201,10 @@ def test_wrench_mapping_matches_reference(case):
                              np.einsum("elab,elb->ela", rt, case.wrench[..., :3])],
                             axis=-1)
     E, L = case.wrench.shape[:2]
-    got = -k.rnea_kernel(t, case.X, np.zeros((E, L, 6)), np.zeros_like(case.qd),
-                         case.spatial, np.zeros((E, 3)), f_body)
-    assert_matches(got, expected)
+    got = -k.rnea_kernel(t, case.X, case.J, np.zeros((E, L, 6)),
+                         np.zeros_like(case.qd), case.spatial, np.zeros((E, 3)),
+                         f_body)
+    assert_matches(got, mixed(t, case.base_rot, expected))
 
 
 def test_jacobian_matches_reference(case):
@@ -187,7 +215,7 @@ def test_jacobian_matches_reference(case):
         ref.jacobian_kernel(*case.ref_args(), case.ref_rot, case.ref_pos,
                             case.base_rot, case.base_pos, link, offset,
                             t.floating, expected)
-        assert_matches(k.jacobian_kernel(t, case.rot, case.pos, link, offset),
+        assert_matches(k.point_jacobian(case.J[:, link], case.rot[:, link], offset),
                        expected)
 
 

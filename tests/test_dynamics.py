@@ -156,8 +156,9 @@ def test_jacobian_times_qd_matches_fd_velocity():
 
 
 def test_floating_jacobian_consistent_with_velocities():
-    # J @ u must reproduce the world point velocity for a floating base
-    from vecsim import _dyn_kernels as kk
+    # J @ u must reproduce the world point velocity for a floating base; the
+    # body velocities come from the scalar reference, not from J
+    import reference_dyn_kernels as ref
     from vecsim.maths import quat_normalize
 
     rng = np.random.default_rng(4)
@@ -181,12 +182,15 @@ def test_floating_jacobian_consistent_with_velocities():
     u = np.concatenate([r0.T @ state.root_ang_vel[0], state.root_lin_vel[0],
                         state.qd[0]])
 
+    t = tree
     base_rot = quat_to_matrix(state.root_quat)
-    rot, pos = kk.joint_xforms(tree, state.q)
-    link_rot, link_pos = kk.fk_kernel(tree, rot, pos, base_rot, state.root_pos)
+    link_rot, link_pos = np.empty((1, 2, 3, 3)), np.empty((1, 2, 3))
+    ref.fk_kernel(t.jtype, t.parent, t.axis, t.x_rot, t.x_pos, state.q, t.qidx,
+                  base_rot, state.root_pos, link_rot, link_pos)
     tw = np.concatenate([state.root_lin_vel, state.root_ang_vel], axis=1)
-    v_body = kk.vel_kernel(tree, kk.motion_xforms(rot, pos), state.qd,
-                           base_rot, tw)
+    v_body = np.empty((1, 2, 6))
+    ref.vel_kernel(t.jtype, t.parent, t.axis, t.qidx, state.qd, link_rot,
+                   link_pos, base_rot, state.root_pos, tw, v_body)
     rl = link_rot[0, 1]
     v_pt = rl @ (v_body[0, 1, 3:] + np.cross(v_body[0, 1, :3], offset))
     w_w = rl @ v_body[0, 1, :3]
@@ -254,6 +258,17 @@ def test_mass_matrix_symmetric_positive_definite():
         m = mass_matrix(tree, q)
         assert np.abs(m - m.T).max() < 1e-10
         assert np.linalg.eigvalsh(m).min() > 0
+
+
+def test_floating_mass_matrix_exactly_symmetric():
+    # the lower triangle is the upper one, bit for bit, at a posed base
+    rng = np.random.default_rng(5)
+    tree, E = quadruped(), 64
+    q = rng.uniform(-np.pi, np.pi, (E, tree.num_joints))
+    pose = Transform(rng.standard_normal((E, 3)),
+                     quat_normalize(rng.standard_normal((E, 4))))
+    m = mass_matrix(tree, q, root_pose=pose)
+    np.testing.assert_array_equal(m, np.swapaxes(m, -1, -2))
 
 
 # --------------------------------------------------------------- bias forces
@@ -325,10 +340,10 @@ def test_bias_forces_runs_no_crba(monkeypatch):
     twist = rng.standard_normal((2, 6))
     expected = bias_forces(tree, q, qd, root_pose=pose, root_twist=twist)
 
-    def no_crba(*args, **kwargs):
-        raise AssertionError("bias_forces ran CRBA")
+    def no_mass(*args, **kwargs):
+        raise AssertionError("bias_forces built the mass matrix")
 
-    monkeypatch.setattr(_dyn_kernels, "crba_kernel", no_crba)
+    monkeypatch.setattr(_dyn_kernels, "mass_kernel", no_mass)
     got = bias_forces(tree, q, qd, root_pose=pose, root_twist=twist)
     np.testing.assert_array_equal(got, expected)
 
@@ -447,6 +462,30 @@ def test_step_rejects_non_finite_efforts_naming_envs():
     tau[3, 1] = np.inf
     with pytest.raises(ValueError, match=r"environment\(s\) \[1, 3\]"):
         step(tree, state, tau, dt=1e-3)
+    np.testing.assert_array_equal(state.q, 0.0)
+
+
+@pytest.mark.parametrize("gains", [
+    {"kp": -1.0, "kd": 1.0}, {"kp": 1.0, "kd": np.nan},
+    {"kp": np.array([10.0, np.inf]), "kd": 0.0},
+    {"kp": 10.0, "kd": np.array([[1.0, -0.5]])}],
+    ids=["negative_kp", "nan_kd", "inf_kp", "negative_kd_row"])
+def test_implicit_pd_rejects_negative_or_non_finite_gains(gains):
+    with pytest.raises(ValueError, match="implicit PD k[pd]"):
+        ImplicitPD(q_target=np.zeros((1, 2)), **gains)
+
+
+@pytest.mark.parametrize("target", ["q_target", "qd_target"])
+def test_step_rejects_non_finite_pd_targets_naming_envs(target):
+    tree = double_pendulum_tree()
+    state = ArticulationState.zeros(tree, 4)
+    pd = ImplicitPD(kp=10.0, kd=1.0, q_target=np.zeros((4, 2)),
+                    qd_target=np.zeros((4, 2)))
+    bad = getattr(pd, target)
+    bad[0, 1] = np.nan
+    bad[2, 0] = -np.inf
+    with pytest.raises(ValueError, match=target + r" for environment\(s\) \[0, 2\]"):
+        step(tree, state, None, dt=1e-3, implicit_pd=pd)
     np.testing.assert_array_equal(state.q, 0.0)
 
 
