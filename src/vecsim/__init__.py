@@ -4,9 +4,11 @@ Every call works on a batch of E environments at once. The modules are:
 
 * ``maths``: quaternions and rigid transforms;
 * ``articulation``: kinematic trees, batched state, contact probes;
-* ``dynamics``: forward kinematics, point Jacobians, CRBA mass matrix, RNEA
-  bias forces, penalty contacts on flat or heightfield ground, and a
-  semi-implicit Euler step with optional implicit PD;
+* ``dynamics``: forward kinematics, each link's body Jacobian ``J_i`` and
+  the products of it (point Jacobians, the mass matrix
+  ``sum J_i^T I_i J_i`` and RNEA bias forces projected by ``J^T``), penalty
+  contacts on flat or heightfield ground, and a semi-implicit Euler step
+  with optional implicit PD;
 * ``actuators``: explicit joint actuator models;
 * ``controllers``: differential IK, joint impedance and operational-space
   control;

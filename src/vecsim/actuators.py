@@ -121,11 +121,6 @@ def apply_friction(friction: FrictionConfig, tau: np.ndarray,
     return np.where(np.abs(qd) < friction.slip_threshold, held, coulomb)
 
 
-def clip_velocity(config: ActuatorConfig, qd_target: np.ndarray) -> np.ndarray:
-    """Clamp a velocity target into the actuator's velocity limits."""
-    return np.clip(qd_target, -config.velocity_limit, config.velocity_limit)
-
-
 def rotor_wrench(k_f: float, k_m: float, direction, omega):
     """Thrust and yaw moment of a rotor spinning at ``omega`` (rad/s).
 
@@ -143,14 +138,14 @@ class ActuatorGroup:
     """One actuator config bound to per-environment mutable state.
 
     Gain/limit arrays are per-env copies of the config values so events can
-    randomize them.
+    randomize them. Delayed PD and the neural kind keep a history, oldest
+    entry first: ``(E, delay_steps + 1, 3, m)`` commands and
+    ``(E, history_length, 2, m)`` (position error, velocity) observations.
     """
 
     def __init__(self, config: ActuatorConfig, env_count: int):
         self.config = config
-        self.env_count = env_count
         m = len(config.joint_ids)
-        self.width = m
         self.joint_ids = np.asarray(config.joint_ids, dtype=np.int64)
 
         def expand(value):
@@ -161,19 +156,27 @@ class ActuatorGroup:
         self.kd = expand(config.damping)
         self.effort_limit = expand(config.effort_limit)
 
-        self._delay_buf = None
         self._fresh = np.ones(env_count, dtype=bool)
-        if config.kind == "delayed_pd":
-            self._delay_buf = np.zeros((env_count, config.delay_steps + 1, 3, m))
-            self._ptr = 0
         self._hist = None
+        if config.kind == "delayed_pd":
+            self._hist = np.zeros((env_count, config.delay_steps + 1, 3, m))
         if config.kind == "neural":
             self._hist = np.zeros((env_count, config.history_length, 2, m))
 
     def reset(self, env_ids=None) -> None:
-        """Clear delay/history buffers so the next command pre-fills them."""
-        ids = slice(None) if env_ids is None else env_ids
-        self._fresh[ids] = True
+        """Mark envs fresh: their next entry fills their whole history."""
+        self._fresh[slice(None) if env_ids is None else env_ids] = True
+
+    def _push(self, row: np.ndarray) -> np.ndarray:
+        """Shift the history one slot toward the oldest, append ``row``
+        ``(E, ...)`` and fill fresh envs with it; returns the history."""
+        hist = self._hist
+        hist[:, :-1] = hist[:, 1:]
+        hist[:, -1] = row
+        # a fresh env starts without a zero-entry transient
+        hist[self._fresh] = row[self._fresh, None]
+        self._fresh[:] = False
+        return hist
 
     def compute_effort(self, command: JointCommand, q: np.ndarray,
                        qd: np.ndarray) -> np.ndarray:
@@ -188,31 +191,14 @@ class ActuatorGroup:
             names = [int(self.joint_ids[b]) for b in bad]
             raise ValueError(f"non-finite command for joint(s) {names}")
 
-        if cfg.kind == "delayed_pd" and cfg.delay_steps > 0:
-            nslot = cfg.delay_steps + 1
-            if self._fresh.any():
-                # startup produces no zero-command transient
-                self._delay_buf[self._fresh] = stacked[self._fresh, None]
-            self._delay_buf[:, self._ptr] = stacked
-            applied = self._delay_buf[:, (self._ptr - cfg.delay_steps) % nslot]
-            self._ptr = (self._ptr + 1) % nslot
-            q_t, qd_t, tau_ff = applied[:, 0], applied[:, 1], applied[:, 2]
-        else:
-            q_t, qd_t, tau_ff = command.q_target, command.qd_target, command.effort
-
         if cfg.kind == "neural":
-            hist = self._hist
-            hist[:, :-1] = hist[:, 1:]
-            hist[:, -1, 0] = q_t - q
-            hist[:, -1, 1] = qd
-            if self._fresh.any():
-                # fresh envs see a window filled with the first observation
-                hist[self._fresh] = hist[self._fresh][:, -1:]
-            self._fresh[:] = False
+            hist = self._push(np.stack([command.q_target - q, qd], axis=1))
             tau = np.asarray(cfg.model_fn(hist[:, :, 0], hist[:, :, 1]),
                              dtype=np.float64)
             return np.clip(tau, -self.effort_limit, self.effort_limit)
-        self._fresh[:] = False
+        if cfg.kind == "delayed_pd":
+            stacked = self._push(stacked)[:, 0]
+        q_t, qd_t, tau_ff = stacked[:, 0], stacked[:, 1], stacked[:, 2]
 
         tau = self.kp * (q_t - q) + self.kd * (qd_t - qd) + tau_ff
         tau = apply_friction(cfg.friction, tau, qd)

@@ -97,22 +97,13 @@ class DynParams:
 
 @dataclass
 class ImplicitPD:
-    """PD gains folded into the integrator's linear solve.
-
-    Raises:
-        ValueError: if a gain is negative or non-finite.
-    """
+    """PD gains folded into the integrator's linear solve; :func:`step`
+    checks the gains and targets it reads."""
 
     kp: np.ndarray          # (nj,) or (E, nj)
     kd: np.ndarray
     q_target: np.ndarray    # (E, nj)
     qd_target: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name in ("kp", "kd"):
-            gain = np.asarray(getattr(self, name), dtype=np.float64)
-            if not np.all(np.isfinite(gain) & (gain >= 0)):
-                raise ValueError(f"implicit PD {name} must be finite and >= 0")
 
 
 @dataclass
@@ -339,8 +330,9 @@ def step(tree: KinematicTree, state: ArticulationState,
 
     Raises:
         ValueError: if ``dt <= 0``, only one of ``probes`` and ``terrain`` is
-            given, an effort or an implicit PD target is non-finite or
-            ``params.armature`` is negative.
+            given, an effort or an implicit PD target is non-finite, an
+            implicit PD gain is negative or non-finite or ``params.armature``
+            is negative.
         SimulationDivergenceError: if any environment's state leaves the
             finite range, naming the offending environment indices.
     """
@@ -354,6 +346,11 @@ def step(tree: KinematicTree, state: ArticulationState,
         joint_efforts = np.zeros((E, nj))
     joint_efforts = _finite(joint_efforts, "joint efforts", (E, nj))
     if implicit_pd is not None:
+        kp, kd = (np.broadcast_to(np.asarray(g, dtype=np.float64), (E, nj))
+                  for g in (implicit_pd.kp, implicit_pd.kd))
+        for name, gain in (("kp", kp), ("kd", kd)):
+            if not np.all(np.isfinite(gain) & (gain >= 0)):
+                raise ValueError(f"implicit PD {name} must be finite and >= 0")
         q_target = _finite(implicit_pd.q_target, "implicit PD q_target", (E, nj))
         qd_target = implicit_pd.qd_target
         if qd_target is not None:
@@ -387,20 +384,16 @@ def step(tree: KinematicTree, state: ArticulationState,
     tau = np.zeros((E, tree.nv))
     tau[:, off:] = joint_efforts
 
-    a_sys = m
     rhs = np.einsum("eij,ej->ei", m, u) + dt * (tau - bias)
     if implicit_pd is not None:
-        kp = np.broadcast_to(np.asarray(implicit_pd.kp, dtype=np.float64), (E, nj))
-        kd = np.broadcast_to(np.asarray(implicit_pd.kd, dtype=np.float64), (E, nj))
-        a_sys = m.copy()
         idx = off + np.arange(nj)
-        a_sys[:, idx, idx] += dt * kd + dt * dt * kp
+        m[:, idx, idx] += dt * kd + dt * dt * kp
         pd_rhs = kp * (q_target - state.q)
         if qd_target is not None:
             pd_rhs = pd_rhs + kd * qd_target
         rhs[:, off:] += dt * pd_rhs
 
-    u_new = np.linalg.solve(a_sys, rhs[..., None])[..., 0]
+    u_new = np.linalg.solve(m, rhs[..., None])[..., 0]
 
     state.qd[:] = u_new[:, off:]
     state.q += dt * state.qd

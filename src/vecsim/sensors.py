@@ -240,7 +240,8 @@ class ContactSensor:
     """Net contact forces plus contact/air time bookkeeping per body.
 
     Keeps the current contact and air timers (never simultaneously
-    positive) and a short history ring of completed episodes, newest last.
+    positive) and the durations of the last few completed contact and air
+    phases per body, oldest first.
     ``in_contact`` and the last completed durations are read from them.
 
     Raises:
@@ -251,9 +252,6 @@ class ContactSensor:
                  force_threshold: float = 1e-6):
         if history_length < 1:
             raise ValueError("history_length must be >= 1")
-        self.env_count = env_count
-        self.body_count = body_count
-        self.history_length = history_length
         self.force_threshold = force_threshold
         shape = (env_count, body_count)
         self.net_force = np.zeros(shape + (3,))
@@ -287,14 +285,11 @@ class ContactSensor:
         contact = np.linalg.norm(net_forces, axis=-1) > self.force_threshold
         touchdown = contact & (self.air_time > 0)
         liftoff = ~contact & (self.contact_time > 0)
-        if touchdown.any():
-            self.air_history[touchdown] = np.roll(
-                self.air_history[touchdown], -1, axis=-1)
-            self.air_history[touchdown, -1] = self.air_time[touchdown]
-        if liftoff.any():
-            self.contact_history[liftoff] = np.roll(
-                self.contact_history[liftoff], -1, axis=-1)
-            self.contact_history[liftoff, -1] = self.contact_time[liftoff]
+        # the ring of each phase that just ended shifts one slot, newest last
+        self.air_history[touchdown, :-1] = self.air_history[touchdown, 1:]
+        self.air_history[touchdown, -1] = self.air_time[touchdown]
+        self.contact_history[liftoff, :-1] = self.contact_history[liftoff, 1:]
+        self.contact_history[liftoff, -1] = self.contact_time[liftoff]
         self.air_time[contact] = 0.0
         self.contact_time[~contact] = 0.0
         self.contact_time[contact] += dt
@@ -335,7 +330,6 @@ class ImuSensor:
     def __init__(self, env_count: int, offset: Transform | None = None,
                  gravity=(0.0, 0.0, -9.81), modifiers: ImuModifiers | None = None,
                  rng: np.random.Generator | None = None):
-        self.env_count = env_count
         self.offset = offset if offset is not None else Transform.identity()
         self.gravity = np.asarray(gravity, dtype=np.float64)
         self.modifiers = modifiers

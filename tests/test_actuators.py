@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from vecsim.actuators import (
     FrictionConfig,
     JointCommand,
     apply_friction,
-    clip_velocity,
     dc_motor_envelope,
     rotor_wrench,
 )
@@ -227,13 +228,6 @@ def test_friction_never_injects_power(seed):
 # ---------------------------------------------------------- limits, thruster
 
 
-def test_clip_velocity():
-    cfg = ActuatorConfig(joint_ids=[0], velocity_limit=2.0)
-    np.testing.assert_allclose(clip_velocity(cfg, np.array([0.0])), [0.0])
-    np.testing.assert_allclose(clip_velocity(cfg, np.array([4.0])), [2.0])
-    np.testing.assert_allclose(clip_velocity(cfg, np.array([-6.0])), [-2.0])
-
-
 def test_rotor_wrench_formula():
     thrust, moment = rotor_wrench(1e-5, 1e-6, +1, 1000.0)
     np.testing.assert_allclose(thrust, 10.0)
@@ -282,3 +276,37 @@ def test_effort_always_within_limits(seed):
         tau = grp.compute_effort(cmd, rng.standard_normal((3, 1)),
                                  rng.standard_normal((3, 1)))
         assert np.all(np.abs(tau) <= lim + 1e-12)
+
+
+# ---------------------------------------------------------------- validation
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: FrictionConfig(mode="viscous"),
+                 "unknown friction mode 'viscous'", id="friction_mode"),
+    pytest.param(lambda: FrictionConfig(mode="coulomb", coulomb=-1.0),
+                 "friction coulomb must be >= 0", id="negative_coulomb"),
+    pytest.param(lambda: FrictionConfig(mode="stiction", static_limit=1.0),
+                 "stiction mode requires slip_threshold > 0", id="stiction_threshold"),
+    pytest.param(lambda: ActuatorConfig([0], damping=-1.0),
+                 "damping must be >= 0", id="negative_damping"),
+    pytest.param(lambda: ActuatorConfig([0], effort_limit=-1.0),
+                 "limits must be >= 0", id="negative_limit"),
+    pytest.param(lambda: ActuatorConfig([0], kind="delayed_pd", delay_steps=1.5),
+                 "delay_steps must be a non-negative integer", id="fractional_delay"),
+    pytest.param(lambda: ActuatorConfig([0], kind="dc_motor", velocity_limit=1.0),
+                 "dc_motor requires saturation_effort >= 0", id="dc_saturation"),
+    pytest.param(lambda: ActuatorConfig([0], kind="dc_motor", saturation_effort=1.0),
+                 "dc_motor requires a finite velocity_limit", id="dc_velocity"),
+    pytest.param(lambda: ActuatorConfig([0], kind="remotized_pd",
+                                        effort_limit_table=[1.0, 2.0]),
+                 "effort_limit_table must be (K, 2)", id="table_shape"),
+    pytest.param(lambda: ActuatorConfig([0], kind="remotized_pd",
+                                        effort_limit_table=[(1.0, 5.0), (0.0, 4.0)]),
+                 "effort_limit_table keys must be strictly increasing", id="table_order"),
+    pytest.param(lambda: ActuatorConfig([0], kind="neural"),
+                 "neural actuator requires model_fn", id="neural_model"),
+])
+def test_actuator_settings_rejected(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -1,0 +1,43 @@
+import re
+
+import numpy as np
+import pytest
+
+from vecsim.articulation import ContactPointSet, KinematicTree, LinkSpec
+
+
+def body(name="a", parent=-1, joint="revolute", **kw):
+    kw.setdefault("mass", 1.0)
+    kw.setdefault("inertia", (0.1, 0.1, 0.1))
+    return LinkSpec(name, parent, joint, **kw)
+
+
+def probes(**kw):
+    fields = dict(link=[0], offset=np.zeros((1, 3)), radius=0.02,
+                  stiffness=1e4, damping=10.0, friction=0.8)
+    return ContactPointSet(**{**fields, **kw})
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: KinematicTree([]), "tree needs at least one link", id="empty"),
+    pytest.param(lambda: KinematicTree([body("a"), body("a", 0)]),
+                 "link names must be unique", id="duplicate_name"),
+    pytest.param(lambda: KinematicTree([body(joint="ball")]),
+                 "unknown joint kind 'ball'", id="joint_kind"),
+    pytest.param(lambda: KinematicTree([body("a"), body("b", 0, "free")]),
+                 "free joint only allowed at link 0", id="free_not_root"),
+    pytest.param(lambda: KinematicTree([body(parent=0)]),
+                 "link 0 parent 0 breaks topological order", id="parent_order"),
+    pytest.param(lambda: KinematicTree([body(axis=(0.0, 0.0, 0.0))]),
+                 "link 0 joint axis is zero", id="zero_axis"),
+    pytest.param(lambda: KinematicTree([body(mass=0.0)]),
+                 "link 0 ('a') is dynamic but has mass <= 0", id="massless"),
+    pytest.param(lambda: KinematicTree([body(inertia=(0.1, 0.1, 0.0))]),
+                 "link 0 inertia not positive-definite", id="inertia"),
+    pytest.param(lambda: probes(radius=0.0), "probe radius must be > 0", id="radius"),
+    pytest.param(lambda: probes(damping=-1.0),
+                 "contact stiffness/damping must be >= 0", id="damping"),
+])
+def test_articulation_descriptions_rejected(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -260,4 +262,40 @@ def test_osc_rejects_non_pd_mass():
 ], ids=["command_mode", "command_frame", "reg", "qd_des"])
 def test_removed_settings_are_rejected(call):
     with pytest.raises(TypeError):
+        call()
+
+
+# ---------------------------------------------------------------- validation
+
+
+_J = np.eye(2, 3)
+_M = np.eye(3)
+_Z2 = np.zeros(2)
+_Z3 = np.zeros(3)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: IkConfig(method="newton"),
+                 "unknown IK method 'newton'", id="ik_method"),
+    pytest.param(lambda: IkConfig(damping=-1.0),
+                 "damping must be >= 0 and transpose_gain > 0", id="ik_damping"),
+    pytest.param(lambda: IkConfig(singular_value_cutoff=-1.0),
+                 "singular_value_cutoff must be >= 0", id="ik_cutoff"),
+    pytest.param(lambda: pose_error(Transform.identity(), Transform.identity(),
+                                    mode="twist"),
+                 "mode must be 'pose' or 'position'", id="pose_error_mode"),
+    pytest.param(lambda: joint_impedance(_Z3, _Z3, _Z3, 1.0, 1.0, inertia_scaling=True),
+                 "inertia scaling requires the kinematic tree", id="impedance_inertia"),
+    pytest.param(lambda: joint_impedance(_Z3, _Z3, _Z3, 1.0, 1.0, gravity_comp=True),
+                 "gravity compensation requires the kinematic tree", id="impedance_gravity"),
+    pytest.param(lambda: TaskSpaceGains(stiffness=-np.ones(6), damping=np.ones(6)),
+                 "task-space gains must be >= 0", id="gains_negative"),
+    pytest.param(lambda: TaskSpaceGains(np.ones(6), np.ones(6), selection=np.full(6, 0.5)),
+                 "selection matrix entries must be 0 or 1", id="gains_selection"),
+    pytest.param(lambda: osc(_J, _M, _Z2, _Z2, TaskSpaceGains(np.ones(6), np.ones(6)),
+                             null_posture=(_Z3, 1.0, 1.0)),
+                 "null-space posture requires q and qd", id="osc_posture"),
+])
+def test_controller_settings_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()

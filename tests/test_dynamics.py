@@ -471,8 +471,30 @@ def test_step_rejects_non_finite_efforts_naming_envs():
     {"kp": 10.0, "kd": np.array([[1.0, -0.5]])}],
     ids=["negative_kp", "nan_kd", "inf_kp", "negative_kd_row"])
 def test_implicit_pd_rejects_negative_or_non_finite_gains(gains):
-    with pytest.raises(ValueError, match="implicit PD k[pd]"):
-        ImplicitPD(q_target=np.zeros((1, 2)), **gains)
+    tree = double_pendulum_tree()
+    state = ArticulationState.zeros(tree, 1)
+    state.q[:] = [[0.3, -0.2]]
+    state.qd[:] = [[1.0, 2.0]]
+    state.ext_wrench[0, 1, 2] = 5.0
+    before = [a.copy() for a in (state.q, state.qd, state.ext_wrench)]
+    pd = ImplicitPD(q_target=np.zeros((1, 2)), **gains)
+    with pytest.raises(ValueError, match="implicit PD k[pd] must be finite and >= 0"):
+        step(tree, state, None, dt=1e-3, implicit_pd=pd)
+    for a, b in zip((state.q, state.qd, state.ext_wrench), before):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_implicit_pd_gain_assigned_after_construction_is_checked():
+    # a gain set on the record later is checked where step reads it, and
+    # does not reach the solve as a divergence of every env
+    tree = double_pendulum_tree()
+    state = ArticulationState.zeros(tree, 2)
+    pd = ImplicitPD(kp=10.0, kd=1.0, q_target=np.zeros((2, 2)))
+    pd.kd = np.nan
+    with pytest.raises(ValueError, match="implicit PD kd must be finite and >= 0"):
+        step(tree, state, None, 1e-3, implicit_pd=pd)
+    np.testing.assert_array_equal(state.q, 0.0)
+    np.testing.assert_array_equal(state.qd, 0.0)
 
 
 @pytest.mark.parametrize("target", ["q_target", "qd_target"])

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -309,3 +310,22 @@ def test_raycast_rejects_bvh_of_another_mesh():
     with pytest.raises(ValueError, match="BVH 0 covers"):
         raycast([plane], [build_bvh(sphere)], np.array([[0.0, 0, 1]]),
                 np.array([[0.0, 0, -1]]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: TriMesh(np.zeros((3, 2)), [[0, 1, 2]]),
+                 ValueError, "vertices must be (V, 3)", id="vertices"),
+    pytest.param(lambda: TriMesh(np.zeros((3, 3)), [[0, 1]]),
+                 ValueError, "triangles must be (T, 3)", id="triangles"),
+    pytest.param(lambda: TriMesh(np.zeros((3, 3)), [[0, 1, 3]]),
+                 ValueError, "triangle indices out of range", id="indices"),
+    pytest.param(lambda: load_obj(io.StringIO("v 0 0 0\nv 1 2\n")),
+                 MeshFormatError, "line 2: vertex line must be 'v x y z'", id="vertex_arity"),
+    pytest.param(lambda: load_obj(io.StringIO("v 0 x 0\n")),
+                 MeshFormatError, "line 1: non-numeric vertex coordinate", id="vertex_value"),
+    pytest.param(lambda: load_obj(io.StringIO("v 0 0 0\nv 1 0 0\nf 1 2 3\n")),
+                 MeshFormatError, "line 3: face index out of range", id="face_index"),
+])
+def test_mesh_input_rejected(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,8 @@ def test_view_order_deterministic():
     orders = [reg.create_view("/World/envs/*/Robot").env_indices for _ in range(3)]
     assert orders[0] == [0, 1, 2, 3, 4]
     assert orders[0] == orders[1] == orders[2]
+    assert reg.create_view("/World/envs/*/Robot").paths == [
+        f"/World/envs/env_{e}/Robot" for e in range(5)]
 
 
 def test_lazy_cache_recomputes_once_per_step():
@@ -90,3 +94,13 @@ def test_lazy_cache_invalidate():
     assert cache.get("x", lambda: 2) == 2
     cache.invalidate()
     assert cache.get("x", lambda: 3) == 3
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: EntityRegistry(0), "env_count must be positive", id="env_count"),
+    pytest.param(lambda: EntityRegistry(1).register("World/a", "rigid", 0),
+                 "entity path must be absolute: 'World/a'", id="relative_path"),
+])
+def test_registry_input_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

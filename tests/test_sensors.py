@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -231,6 +233,25 @@ def test_sensor_clock_period_tolerance():
     assert not clock.due(0.05)
 
 
+def test_sensor_clock_late_mark_does_not_burst():
+    clock = SensorClock(0.1)
+    clock.mark(0.0)
+    clock.mark(0.35)  # three periods late: restart from now, no catch-up
+    assert clock.last_update == 0.35
+    assert not clock.due(0.4)
+    assert clock.due(0.45)
+
+
+def test_sensor_clock_reset_makes_next_step_due():
+    clock = SensorClock(0.1)
+    clock.mark(1.0)
+    assert not clock.due(1.05)
+    clock.reset()
+    assert clock.due(1.05)
+    clock.mark(1.05)
+    assert clock.last_update == 1.05
+
+
 # ----------------------------------------------------------- contact sensor
 
 
@@ -442,3 +463,16 @@ def test_frame_transform_matches_unbatched_oracle():
             np.testing.assert_allclose(out.pos[e], rel_p, atol=1e-9)
             dot = abs(np.roll(out.quat[e], -1) @ rel_r)
             np.testing.assert_allclose(dot, 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: pattern_lidar(1.0, 0, [0.0]),
+                 "horizontal_count must be >= 1", id="lidar_count"),
+    pytest.param(lambda: depth_image(None, pattern_pinhole(2, 2, 1.0), mode="range"),
+                 "unknown depth mode 'range'", id="depth_mode"),
+    pytest.param(lambda: tile_pack(np.zeros((2, 3))),
+                 "images must be (E, H, W) or (E, H, W, C)", id="tile_rank"),
+])
+def test_sensor_input_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

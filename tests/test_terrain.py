@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -349,3 +351,27 @@ def test_curriculum_levels_stay_in_range(seed, rows):
         curriculum_update(state, scores, 0.8, -0.8, rows, 3, ids, rng)
         assert np.all((state.levels >= 0) & (state.levels < rows))
         assert np.all((state.columns >= 0) & (state.columns < 3))
+
+
+# ---------------------------------------------------------------- validation
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: hf_random_uniform((1.0, 1.0), 0.5, -0.1, 0.05,
+                                           np.random.default_rng(0)),
+                 "height must be >= 0 and quantum > 0", id="rough_height"),
+    pytest.param(lambda: hf_pyramid_stairs((2.0, 2.0), 0.1, 0.0, 0.2, 1),
+                 "step_height must be > 0", id="stairs_height"),
+    pytest.param(lambda: hf_pyramid_stairs((2.0, 2.0), 0.1, 0.1, 0.0, 1),
+                 "step_width must be > 0", id="stairs_width"),
+    pytest.param(lambda: hf_pyramid_stairs((2.0, 2.0), 0.1, 0.1, 0.2, 1,
+                                           direction="sideways"),
+                 "direction must be 'up' or 'down'", id="stairs_direction"),
+    pytest.param(lambda: compose_grid([], 1), "need at least one terrain type", id="no_specs"),
+    pytest.param(lambda: compose_grid([flat_spec()], 0), "rows must be >= 1", id="no_rows"),
+    pytest.param(lambda: compose_grid([flat_spec((2.0, 2.0)), flat_spec((3.0, 3.0))], 1),
+                 "all sub-terrains must share size and cell", id="mixed_sizes"),
+])
+def test_terrain_settings_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
