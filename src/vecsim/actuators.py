@@ -66,7 +66,7 @@ class ActuatorConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.effort_limit < 0 or self.velocity_limit < 0:
             raise ValueError("limits must be >= 0")
-        if self.delay_steps < 0 or int(self.delay_steps) != self.delay_steps:
+        if not _is_count(self.delay_steps, 0):
             raise ValueError("delay_steps must be a non-negative integer")
         if self.kind == "dc_motor":
             if not np.isfinite(self.saturation_effort) or self.saturation_effort < 0:
@@ -82,6 +82,14 @@ class ActuatorConfig:
             self.effort_limit_table = table
         if self.kind == "neural" and self.model_fn is None:
             raise ValueError("neural actuator requires model_fn")
+        if self.kind == "neural" and not _is_count(self.history_length, 1):
+            raise ValueError("history_length must be a positive integer")
+
+
+def _is_count(value, least: int) -> bool:
+    """Whether ``value`` is an integer by type, Python or NumPy, and at
+    least ``least``; ``1.0`` is not."""
+    return isinstance(value, (int, np.integer)) and value >= least
 
 
 @dataclass

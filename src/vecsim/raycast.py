@@ -7,8 +7,10 @@ of a level together.
 
 A ray whose mesh-local direction is non-finite or zero misses and is
 dropped before anything else. Every other ray takes its candidate triangles
-from one of three sources, and one Moller-Trumbore routine intersects them
-all:
+from one of three sources. Each source hands one routine, ``_closest``, a
+``(K, n)`` block of triangle ids with one column per ray (or ``(K, 1)`` ids
+that all rays share), and ``_closest`` intersects the block with one
+Moller-Trumbore pass and keeps each column's closest candidate:
 
 * the mesh's :class:`GridCells` table, for a ray whose mesh-local direction
   has zero x and y components on a mesh that has one (``hf_to_mesh``
@@ -16,12 +18,15 @@ all:
   with no traversal;
 * every triangle, for the other rays on a mesh of at most ``_DENSE_MAX``
   triangles: the rays that enter the mesh's bounding box meet all its
-  triangles in broadcast ``(triangles, rays)`` blocks, with no traversal;
+  triangles, with no traversal;
 * the BVH, for the other rays on a larger mesh: all rays move through the
   tree together, one level per pass. A frontier of ``(ray, node)`` pairs
-  is slab-tested as flat arrays, the leaves it reached are intersected in
-  fixed-size blocks, and the children of the inner nodes it reached form
-  the next frontier.
+  is slab-tested as flat arrays, each (ray, leaf) pair it reached is one
+  column of ``LEAF_SIZE`` triangles, and the children of the inner nodes
+  it reached form the next frontier.
+
+Blocks hold at most ``_LANES`` (triangle, ray) lanes, which bounds every
+temporary of a cast.
 
 Each ray keeps the closest hit over all meshes: lowest distance, then
 lowest mesh id, then lowest triangle id. Misses carry distance ``+inf``.
@@ -174,9 +179,9 @@ def save_obj(mesh: TriMesh, path) -> None:
 
 
 LEAF_SIZE = 4
-_LEAF_BLOCK = 1024  # (ray, leaf) pairs, or grid rays, intersected per block
 _DENSE_MAX = 48  # meshes with at most this many triangles skip the BVH
-_DENSE_LANES = 8192  # (triangle, ray) lanes per dense block
+_LANES = 8192  # (triangle, ray) lanes per intersection block
+_NO_TRI = np.iinfo(np.int64).max  # loses every lowest-id tie break
 
 
 @dataclass
@@ -323,7 +328,7 @@ def _cast_mesh(mesh: TriMesh, bvh: Bvh, rot, pos, origins, dirs,
     if not ray.size:
         return
     if mesh.num_triangles <= _DENSE_MAX:
-        _cast_dense(mesh, bvh, o, d, ray, max_range, mesh_id, hits)
+        _cast_dense(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits)
     else:
         _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits)
 
@@ -350,37 +355,33 @@ def _cast_grid(mesh, vt, o, d, ray, max_range, mesh_id, hits) -> None:
     cell = first[0] * cj + first[1]
     quad = np.array([0, step_i, step_j, step_i + step_j])
     table = g.tris.reshape(-1, k)
-    for b in range(0, ray.size, _LEAF_BLOCK):
-        blk = slice(b, b + _LEAF_BLOCK)
-        tri = table[cell[blk, None] + quad].ravel()
-        _intersect(mesh, vt, o, d, np.repeat(ray[blk], 4 * k), tri,
-                   max_range, mesh_id, hits)
+    step = max(1, _LANES // (4 * k))
+    for b in range(0, ray.size, step):
+        blk = ray[b:b + step]
+        # (4k, n): one column of candidates per ray
+        ids = table[cell[b:b + step, None] + quad].reshape(blk.size, -1).T
+        _keep_closer(hits, mesh_id, blk,
+                     *_closest(mesh, vt, o, d, blk, ids, max_range))
 
 
-def _cast_dense(mesh, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
+def _cast_dense(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
     """The given rays against every triangle of a small mesh, with no
     traversal.
 
     The rays that enter the mesh's root box within
-    ``[0, min(best_t, max_range)]`` meet all ``T`` triangles in ``(T, n)``
-    blocks of at most ``_DENSE_LANES`` lanes: triangle data broadcasts as
-    ``(T, 1)`` columns against ``(n,)`` ray rows. This is the walk over a
-    single leaf that holds every triangle in id order, an exhaustive scan.
+    ``[0, min(best_t, max_range)]`` meet all ``T`` triangles, one ``(T, 1)``
+    id column shared by blocks of ``_LANES // T`` rays. This is the walk
+    over a single leaf that holds every triangle in id order, an exhaustive
+    scan.
     """
     ray = ray[_enters(bvh.bounds_min.T, bvh.bounds_max.T, 0, o, _inverse(d),
                       ray, np.fmin(hits.t[ray], max_range))]
-    # (corner, axis, T, 1)
-    corner = mesh.vertices[mesh.triangles].transpose(1, 2, 0)[..., None]
-    v0 = corner[0]
-    e1 = corner[1] - v0
-    e2 = corner[2] - v0
-    step = max(1, _DENSE_LANES // mesh.num_triangles)
+    ids = np.arange(mesh.num_triangles)[:, None]
+    step = max(1, _LANES // mesh.num_triangles)
     for b in range(0, ray.size, step):
         blk = ray[b:b + step]
-        th = _distances(v0, e1, e2, _rows(o, blk), _rows(d, blk), max_range)
-        # lowest t, then lowest triangle id: the first row at the minimum
-        best = np.fmin.reduce(th, axis=0)
-        _keep_closer(hits, mesh_id, blk, best, np.argmax(th == best, axis=0))
+        _keep_closer(hits, mesh_id, blk,
+                     *_closest(mesh, vt, o, d, blk, ids, max_range))
 
 
 def _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
@@ -393,36 +394,39 @@ def _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
     only later passes, so all leaves of one level are tested before their
     hits prune anything; a depth-first walk can instead skip a tied
     triangle whose box entry distance rounds above its hit distance.
+
+    Each reached (ray, leaf) pair is one column of ``LEAF_SIZE`` triangle
+    ids; a shorter leaf repeats its last triangle, which changes neither
+    the lowest distance nor the lowest id.
     """
     inv = _inverse(d)
     bmin, bmax = bvh.bounds_min.T, bvh.bounds_max.T
+    slot = np.arange(LEAF_SIZE)[:, None]
+    step = _LANES // LEAF_SIZE
     node = np.zeros(ray.size, dtype=np.int64)
     while ray.size:
         keep = _enters(bmin, bmax, node, o, inv, ray,
                        np.fmin(hits.t[ray], max_range))
         ray, node = ray[keep], node[keep]
-        count = bvh.count[node]
-        leaf = count > 0
-        # leaves in fixed-size blocks bound the per-call temporaries
-        ray_l, node_l, count_l = ray[leaf], node[leaf], count[leaf]
-        for b in range(0, ray_l.size, _LEAF_BLOCK):
-            blk = slice(b, b + _LEAF_BLOCK)
-            lane_ray, tri = _leaf_lanes(bvh, ray_l[blk], node_l[blk],
-                                        count_l[blk])
-            _intersect(mesh, vt, o, d, lane_ray, tri, max_range, mesh_id,
-                       hits)
+        leaf = bvh.count[node] > 0
+        ray_l, node_l = ray[leaf], node[leaf]
+        for b in range(0, ray_l.size, step):
+            r, nd = ray_l[b:b + step], node_l[b:b + step]
+            ids = bvh.tri_order[bvh.start[nd]
+                                + np.minimum(slot, bvh.count[nd] - 1)]
+            t, tri = _closest(mesh, vt, o, d, r, ids, max_range)
+            # one ray can reach several leaves: reduce its run of columns
+            head = np.ones(r.size, dtype=np.bool_)
+            head[1:] = r[1:] != r[:-1]
+            start = np.flatnonzero(head)
+            best = np.fmin.reduceat(t, start)
+            tri = np.where(t == best[np.cumsum(head) - 1], tri, _NO_TRI)
+            _keep_closer(hits, mesh_id, r[start], best,
+                         np.minimum.reduceat(tri, start))
         # children stay next to each other, so the frontier stays sorted by ray
         inner = node[~leaf]
         ray = np.repeat(ray[~leaf], 2)
         node = np.column_stack((bvh.left[inner], bvh.right[inner])).ravel()
-
-
-def _leaf_lanes(bvh, ray, node, count):
-    """One ``(ray, triangle)`` lane per triangle of each (ray, leaf) pair."""
-    pair = np.repeat(np.arange(ray.size), count)
-    slot = bvh.start[node][pair] + (np.arange(pair.size)
-                                    - (np.cumsum(count) - count)[pair])
-    return ray[pair], bvh.tri_order[slot]
 
 
 def _inverse(d):
@@ -481,12 +485,12 @@ def _dot(a, b):
 
 
 def _distances(v0, e1, e2, o, d, max_range):
-    """Moller-Trumbore distance of every ``(ray, triangle)`` lane, ``+inf``
+    """Moller-Trumbore distance of every ``(triangle, ray)`` lane, ``+inf``
     where the ray misses (NaN for a non-finite origin, which never wins).
 
     Each argument is a component triple whose rows broadcast together:
-    ``(n,)`` lanes for the BVH and the cell table, or ``(T, 1)`` triangle
-    columns against ``(n,)`` rays for a dense block. The arithmetic is the
+    ``(K, n)`` or ``(K, 1)`` triangle rows against ``(n,)`` ray rows, one
+    entry per ray, giving ``(K, n)`` distances. The arithmetic is the
     per-ray walk's, component by component and in the same order, so every
     distance is bitwise the scalar one. Spent temporaries are freed at once.
     """
@@ -514,32 +518,25 @@ def _distances(v0, e1, e2, o, d, max_range):
     return th
 
 
-def _intersect(mesh, vt, o, d, ray, tri, max_range, mesh_id, hits) -> None:
-    """Moller-Trumbore for every ``(ray, triangle)`` lane, lanes of one ray
-    adjacent, then keep each ray's closest candidate if it beats the
-    current best under the tie rule.
+def _closest(mesh, vt, o, d, ray, ids, max_range):
+    """Each ray's closest candidate: lowest distance, then lowest triangle
+    id, ``(+inf, id)`` when all miss.
 
-    ``vt`` is ``mesh.vertices.T``, C-contiguous.
+    ``ids`` is ``(K, n)`` triangle ids, column ``j`` the candidates of
+    ``ray[j]``, or ``(K, 1)`` ids that every ray shares; a repeated id in a
+    column changes nothing. ``vt`` is ``mesh.vertices.T``, C-contiguous.
     """
-    corners = np.take(mesh.triangles, tri, axis=0)
-    v0 = _rows(vt, corners[:, 0])
-    e1 = _rows(vt, corners[:, 1])
-    e2 = _rows(vt, corners[:, 2])
+    # gathers through flat index arrays are about twice as fast as 2-D ones
+    corners = np.take(mesh.triangles, ids.ravel(), axis=0)
+    v0, e1, e2 = ([r.reshape(ids.shape) for r in _rows(vt, corners[:, c])]
+                  for c in range(3))
     del corners
     for a in range(3):
         e1[a] -= v0[a]
         e2[a] -= v0[a]
     th = _distances(v0, e1, e2, _rows(o, ray), _rows(d, ray), max_range)
-    # reduce each ray's run of lanes to its closest candidate: lowest t,
-    # then lowest triangle id
-    head = np.ones(ray.size, dtype=np.bool_)
-    head[1:] = ray[1:] != ray[:-1]
-    start = np.flatnonzero(head)
-    best = np.fmin.reduceat(th, start)
-    tri = np.where(th == best[np.cumsum(head) - 1], tri,
-                   np.iinfo(np.int64).max)
-    _keep_closer(hits, mesh_id, ray[start], best,
-                 np.minimum.reduceat(tri, start))
+    best = np.fmin.reduce(th, axis=0)
+    return best, np.where(th == best, ids, _NO_TRI).min(axis=0)
 
 
 def _keep_closer(hits, mesh_id, ray, t, tri) -> None:

@@ -294,6 +294,8 @@ def test_effort_always_within_limits(seed):
                  "limits must be >= 0", id="negative_limit"),
     pytest.param(lambda: ActuatorConfig([0], kind="delayed_pd", delay_steps=1.5),
                  "delay_steps must be a non-negative integer", id="fractional_delay"),
+    pytest.param(lambda: ActuatorConfig([0], kind="delayed_pd", delay_steps=1.0),
+                 "delay_steps must be a non-negative integer", id="float_delay"),
     pytest.param(lambda: ActuatorConfig([0], kind="dc_motor", velocity_limit=1.0),
                  "dc_motor requires saturation_effort >= 0", id="dc_saturation"),
     pytest.param(lambda: ActuatorConfig([0], kind="dc_motor", saturation_effort=1.0),
@@ -306,6 +308,12 @@ def test_effort_always_within_limits(seed):
                  "effort_limit_table keys must be strictly increasing", id="table_order"),
     pytest.param(lambda: ActuatorConfig([0], kind="neural"),
                  "neural actuator requires model_fn", id="neural_model"),
+    pytest.param(lambda: ActuatorConfig([0], kind="neural", model_fn=np.sum,
+                                        history_length=0),
+                 "history_length must be a positive integer", id="empty_history"),
+    pytest.param(lambda: ActuatorConfig([0], kind="neural", model_fn=np.sum,
+                                        history_length=1.0),
+                 "history_length must be a positive integer", id="float_history"),
 ])
 def test_actuator_settings_rejected(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -4,7 +4,8 @@ A mesh of at most ``_DENSE_MAX`` triangles slab-tests each ray once against
 its bounding box and intersects the rays that enter with all its triangles.
 The oracle is the exhaustive scan: the scalar reference walk over a single
 leaf that holds every triangle. Hits must match it bitwise wherever the
-local-frame transform is exact.
+local-frame transform is exact. The ``lanes`` fixture also pins the block
+form that the dense scan shares with the cell table and the BVH.
 """
 
 import numpy as np
@@ -39,15 +40,25 @@ def camera_rays(n, rng):
     return origins, dirs
 
 
+class Calls(list):
+    """Lane counts, one per call, and ``shapes``: each call's distance
+    block shape and ray row shape."""
+
+    def __init__(self):
+        super().__init__()
+        self.shapes = []
+
+
 @pytest.fixture
 def lanes(monkeypatch):
     """The lane count of every Moller-Trumbore call, one entry per call."""
-    seen = []
+    seen = Calls()
     distances = rc._distances
 
-    def record(*args):
-        th = distances(*args)
+    def record(v0, e1, e2, o, d, max_range):
+        th = distances(v0, e1, e2, o, d, max_range)
         seen.append(th.size)
+        seen.shapes.append((th.shape, o[0].shape))
         return th
 
     monkeypatch.setattr(rc, "_distances", record)
@@ -139,16 +150,45 @@ def test_origins_inside_a_box_match_exhaustive(max_range):
 def test_rays_beyond_one_block_match_exhaustive(monkeypatch, lanes, bound):
     # a bound below the triangle count still takes one ray per block
     if bound is not None:
-        monkeypatch.setattr(rc, "_DENSE_LANES", bound)
+        monkeypatch.setattr(rc, "_LANES", bound)
     n = 2000 if bound is None else 200
     origins, dirs = camera_rays(n, np.random.default_rng(46))
     meshes = table_scene()
-    assert n > rc._DENSE_LANES // 12
+    assert n > rc._LANES // 12
     got = assert_matches_exhaustive(meshes, origins, dirs)
     assert got.hit.mean() > 0.9
     # at least one mesh takes more than one block
     assert len(lanes) > len(meshes)
-    assert max(lanes) <= max(rc._DENSE_LANES, 12)
+    assert max(lanes) <= max(rc._LANES, 12)
+
+
+@pytest.mark.parametrize("source", ["cell_table", "dense", "bvh"])
+def test_every_source_intersects_one_column_per_ray(lanes, source):
+    # each source hands _distances (K, n) triangle rows against (n,) ray
+    # rows, K fixed per source
+    rng = np.random.default_rng(50)
+    table = hf_to_mesh(HeightField(rng.uniform(0.0, 0.3, (41, 41)), 0.1))
+    n = 3000
+    origins = np.column_stack([rng.uniform(0.2, 3.8, (n, 2)), np.ones(n)])
+    dirs = unit(rng.uniform([-0.4, -0.4, -1.0], [0.4, 0.4, -1.0], (n, 3)))
+    if source == "cell_table":
+        mesh, k = table, 4 * table.grid.tris.shape[2]
+        dirs = np.tile([0.0, 0.0, -1.0], (n, 1))
+    elif source == "dense":
+        mesh = box_mesh((0.5, 0.5, 0.0), (3.5, 3.5, 0.3))
+        k = mesh.num_triangles
+    else:
+        mesh, k = TriMesh(table.vertices, table.triangles), rc.LEAF_SIZE
+    got = raycast([mesh], [build_bvh(mesh)], origins, dirs)
+    assert got.hit.mean() > 0.5
+    assert len(lanes) > 1
+    assert max(lanes) <= rc._LANES
+    for th_shape, row_shape in lanes.shapes:
+        assert len(row_shape) == 1
+        assert th_shape == (k,) + row_shape
+    if source == "cell_table":
+        # every vertical ray exactly once
+        assert sum(row[0] for _, row in lanes.shapes) == n
 
 
 def test_corner_rays_match_exhaustive():

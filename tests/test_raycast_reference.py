@@ -322,6 +322,32 @@ def test_posed_spheres_match_reference():
     assert hit.mean() > 0.1
 
 
+def short_leaf_meshes():
+    """An 80-triangle terrain without its cell table (leaves of 2 and 3
+    triangles) and a 108-triangle box (leaves of 3 and 4)."""
+    rng = np.random.default_rng(30)
+    terrain = hf_to_mesh(HeightField(rng.uniform(0.0, 0.3, (6, 9)), 0.25))
+    return [(TriMesh(terrain.vertices, terrain.triangles), {2, 3}),
+            (box_mesh((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5), split=3), {3, 4})]
+
+
+@pytest.mark.parametrize("mesh, sizes", short_leaf_meshes(),
+                         ids=["80_tris", "108_tris"])
+def test_leaves_below_leaf_size_match_reference(mesh, sizes):
+    # the cast pads a short leaf to LEAF_SIZE by repeating its last triangle
+    bvh = build_bvh(mesh)
+    assert set(bvh.count[bvh.count > 0].tolist()) == sizes
+    rng = np.random.default_rng(31)
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    # from above, aimed at random points inside the mesh's box
+    n = 500
+    origins = rng.uniform(lo - 0.5, hi + 0.5, (n, 3))
+    origins[:, 2] = hi[2] + 1.0
+    targets = rng.uniform(lo, hi, (n, 3))
+    got = assert_bitwise([mesh], origins, unit(targets - origins))
+    assert got.hit.mean() > 0.8
+
+
 def leaf_triangles(bvh, node):
     if bvh.count[node] > 0:
         return list(bvh.tri_order[bvh.start[node]:bvh.start[node] + bvh.count[node]])
