@@ -7,17 +7,17 @@ paid once per link, not once per link and environment.
 
 Spatial vectors are body-frame ``[angular, linear]`` about link-frame
 origins. The parent->child motion transforms ``X`` (``(E, L, 6, 6)``, from
-:func:`motion_xforms`) and the spatial inertias (``(E, L, 6, 6)``, from
-:func:`spatial_inertia`) depend only on ``q`` and the physical parameters,
-so the integrator computes them once per substep. One root-to-leaf pass
-over ``X`` gives every link's body Jacobian ``J_i`` (:func:`body_jacobians`),
-and the other quantities follow from it (Lynch & Park, *Modern Robotics*,
-2017; Featherstone, *Rigid Body Dynamics Algorithms*, 2008): the link
-velocities ``v_i = J_i u``, the mass matrix ``sum_i J_i^T I_i J_i``, the
-generalized forces ``sum_i J_i^T f_i`` of RNEA's link forces and the point
-Jacobians. A free root's block of ``J`` holds the mixed coordinates of
-``u`` (base-frame angular, world linear velocity), so every product of
-``J`` is in the public coordinates.
+:func:`motion_xforms`) depend only on ``q``, so the integrator computes
+them once per substep. The spatial inertias (``(E, L, 6, 6)``, from
+:func:`spatial_inertia`) are parameters, built once when they are set.
+One root-to-leaf pass over ``X`` gives every link's body Jacobian ``J_i``
+(:func:`body_jacobians`), and the other quantities follow from it (Lynch
+& Park, *Modern Robotics*, 2017; Featherstone, *Rigid Body Dynamics
+Algorithms*, 2008): the link velocities ``v_i = J_i u``, the mass matrix
+``sum_i J_i^T I_i J_i``, the generalized forces ``sum_i J_i^T f_i`` of
+RNEA's link forces and the point Jacobians. A free root's block of ``J``
+holds the mixed coordinates of ``u`` (base-frame angular, world linear
+velocity), so every product of ``J`` is in the public coordinates.
 """
 
 from __future__ import annotations
@@ -97,13 +97,13 @@ def motion_xforms(rot, pos):
 def spatial_inertia(mass, com, inertia):
     """6x6 spatial inertias about the link origins, ``[ang, lin]`` blocks.
 
-    ``mass`` ``(E, L)``, ``com`` ``(E, L, 3)``, ``inertia`` about the COM
-    ``(E, L, 3, 3)``.
+    ``mass`` ``(...)``, ``com`` ``(..., 3)``, ``inertia`` about the COM
+    ``(..., 3, 3)``, for any leading shape, a single link's scalar mass too.
     """
-    m = mass[..., None, None]
-    sk = _skew(com)
+    m = np.asarray(mass, dtype=np.float64)[..., None, None]
+    sk = _skew(np.asarray(com, dtype=np.float64))
     msk = m * sk
-    out = np.empty(mass.shape + (6, 6))
+    out = np.empty(msk.shape[:-2] + (6, 6))
     # parallel-axis term m (|c|^2 1 - c c^T) == -m skew(c)^2
     out[..., :3, :3] = inertia - msk @ sk
     out[..., :3, 3:] = msk
@@ -215,6 +215,8 @@ def contact_kernel(probes, link_rot, link_pos, v_body, ground):
     the summed world wrenches ``[f, tau]`` on each link ``(E, L, 6)``.
     """
     li = probes.link
+    if np.any(li >= link_pos.shape[1]):
+        raise IndexError(f"probe link index out of range (0..{link_pos.shape[1] - 1})")
     rot = link_rot[:, li]
     pw = link_pos[:, li] + _mv(rot, probes.offset)
     depth = ground.surface_height(pw[..., 0], pw[..., 1]) - (pw[..., 2] - probes.radius)

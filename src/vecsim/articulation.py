@@ -190,10 +190,15 @@ class ContactPointSet:
         for name in ("radius", "stiffness", "damping", "friction"):
             setattr(self, name, np.broadcast_to(
                 np.asarray(getattr(self, name), dtype=np.float64), (p,)).copy())
-        if np.any(self.radius <= 0):
-            raise ValueError("probe radius must be > 0")
-        if np.any(self.stiffness < 0) or np.any(self.damping < 0):
-            raise ValueError("contact stiffness/damping must be >= 0")
+        if np.any(self.link < 0):
+            raise ValueError("probe link index must be >= 0")
+        if not np.all(np.isfinite(self.radius) & (self.radius > 0)):
+            raise ValueError("probe radius must be > 0 and finite")
+        spring = np.stack([self.stiffness, self.damping])
+        if not np.all(np.isfinite(spring) & (spring >= 0)):
+            raise ValueError("contact stiffness/damping must be >= 0 and finite")
+        if not np.all(np.isfinite(self.friction) & (self.friction >= 0)):
+            raise ValueError("contact friction must be >= 0 and finite")
 
     @property
     def count(self) -> int:

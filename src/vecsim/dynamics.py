@@ -22,8 +22,9 @@ applied link forces: ``step`` turns the external and contact wrenches into
 body-frame forces once and subtracts them in the same pass, so the bias it
 solves with is ``c(q, u) - J^T f``.
 
-Reflected motor inertia (armature) comes from :attr:`DynParams.armature`
-only; the mass matrix that ``mass_matrix`` returns is the one ``step``
+Link inertias and reflected motor inertia (armature) come from
+:class:`DynParams` only, which stores the spatial inertias as the kernels
+read them; the mass matrix that ``mass_matrix`` returns is the one ``step``
 solves with. Implicit PD gains come from :class:`ImplicitPD` only.
 
 Contacts query any ground with ``surface_height(x, y)``: :class:`FlatGround`
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _dyn_kernels as k
+from ._dyn_kernels import spatial_inertia  # noqa: F401  (randomises DynParams)
 from .articulation import ArticulationState, ContactPointSet, KinematicTree
 from .maths import (
     Transform,
@@ -78,21 +80,24 @@ class FlatGround:
 
 @dataclass
 class DynParams:
-    """Per-environment physical parameters (domain-randomization surface)."""
+    """Per-environment physical parameters (domain-randomization surface).
 
-    mass: np.ndarray       # (E, L)
-    com: np.ndarray        # (E, L, 3)
-    inertia: np.ndarray    # (E, L, 3, 3)
-    armature: np.ndarray   # (E, nj)
+    ``spatial_inertia`` holds each link's 6x6 rigid-body inertia about its
+    origin, ``[angular, linear]`` blocks, as the dynamics reads it. To
+    randomise a link's mass, COM and inertia about the COM, write
+    ``params.spatial_inertia[e, l] = spatial_inertia(m, c, I)``.
+    ``armature`` adds to the joint diagonal of the mass matrix.
+    """
+
+    spatial_inertia: np.ndarray  # (E, L, 6, 6)
+    armature: np.ndarray         # (E, nj)
 
     @staticmethod
     def from_tree(tree: KinematicTree, env_count: int) -> "DynParams":
-        return DynParams(
-            mass=np.tile(tree.mass, (env_count, 1)),
-            com=np.tile(tree.com, (env_count, 1, 1)),
-            inertia=np.tile(tree.inertia, (env_count, 1, 1, 1)),
-            armature=np.zeros((env_count, tree.num_joints)),
-        )
+        """Every env with the tree's nominal links and no armature."""
+        inertia = k.spatial_inertia(tree.mass, tree.com, tree.inertia)
+        return DynParams(np.tile(inertia, (env_count, 1, 1, 1)),
+                         np.zeros((env_count, tree.num_joints)))
 
 
 @dataclass
@@ -189,24 +194,24 @@ def _state_motion(tree, state: ArticulationState):
     return frames, base_rot, base_pos, xf, J, u, v_body
 
 
-def _mass(tree, J, inertia, armature):
+def _mass(tree, J, params):
     """``sum_i J_i^T I_i J_i`` plus the armature on the joint diagonal."""
-    if np.any(armature < 0):
-        raise ValueError("armature must be >= 0")
-    m = k.mass_kernel(J, inertia)
+    if not np.all(np.isfinite(params.armature) & (params.armature >= 0)):
+        raise ValueError("armature must be finite and >= 0")
+    m = k.mass_kernel(J, params.spatial_inertia)
     idx = tree.nv - tree.num_joints + np.arange(tree.num_joints)
-    m[:, idx, idx] += armature
+    m[:, idx, idx] += params.armature
     return m
 
 
-def _bias(tree, xf, J, v_body, qd, inertia, base_rot, gravity, f_ext):
+def _bias(tree, xf, J, v_body, qd, params, base_rot, gravity, f_ext):
     """RNEA bias less the applied body-frame link forces ``f_ext``, in the
     public coordinates (mixed for a floating root)."""
     g = np.broadcast_to(np.asarray(gravity, dtype=np.float64), (qd.shape[0], 3))
     a_base = -np.einsum("eba,eb->ea", base_rot, g)
     if tree.floating:
         a_base -= cross(v_body[:, 0, :3], v_body[:, 0, 3:])
-    return k.rnea_kernel(tree, xf, J, v_body, qd, inertia, a_base, f_ext)
+    return k.rnea_kernel(tree, xf, J, v_body, qd, params.spatial_inertia, a_base, f_ext)
 
 
 def forward_kinematics(tree: KinematicTree, q: np.ndarray,
@@ -246,21 +251,20 @@ def mass_matrix(tree: KinematicTree, q: np.ndarray,
     """Generalized mass matrix ``sum_i J_i^T I_i J_i``, positive-definite
     and exactly symmetric.
 
-    ``params`` (the tree's own values by default) supplies the inertias and
-    the armature, which adds to the joint diagonal; this is the matrix
-    ``step`` solves with. For floating trees the root block is in mixed
-    coordinates, for the base orientation of ``root_pose``.
+    ``params`` (the tree's own values by default) supplies the spatial
+    inertias and the armature, which adds to the joint diagonal; this is the
+    matrix ``step`` solves with. For floating trees the root block is in
+    mixed coordinates, for the base orientation of ``root_pose``.
 
     Raises:
-        ValueError: if ``params.armature`` is negative.
+        ValueError: if ``params.armature`` is negative or non-finite.
     """
     q, squeeze = _batched(q)
     if params is None:
         params = DynParams.from_tree(tree, q.shape[0])
     frames, base_rot, _ = _pose(tree, q, root_pose)
     _, J = _jacobians(tree, frames, base_rot)
-    inertia = k.spatial_inertia(params.mass, params.com, params.inertia)
-    m = _mass(tree, J, inertia, params.armature)
+    m = _mass(tree, J, params)
     return m[0] if squeeze else m
 
 
@@ -279,8 +283,7 @@ def bias_forces(tree: KinematicTree, q: np.ndarray, qd: np.ndarray,
     frames, base_rot, _ = _pose(tree, q, root_pose)
     xf, J = _jacobians(tree, frames, base_rot)
     _, v_body = _velocity(tree, J, qd, base_rot, root_twist)
-    inertia = k.spatial_inertia(params.mass, params.com, params.inertia)
-    bias = _bias(tree, xf, J, v_body, qd, inertia, base_rot, gravity, 0.0)
+    bias = _bias(tree, xf, J, v_body, qd, params, base_rot, gravity, 0.0)
     return bias[0] if squeeze else bias
 
 
@@ -289,6 +292,9 @@ def contact_forces(tree: KinematicTree, state: ArticulationState,
     """Evaluate probe-terrain penalty contacts for the current state.
 
     Stiffness, damping and friction are the probes' own.
+
+    Raises:
+        IndexError: if a probe's link is not in ``tree``.
     """
     frames, base_rot, base_pos, _, _, _, v_body = _state_motion(tree, state)
     link_rot, link_pos = k.fk_kernel(tree, *frames, base_rot, base_pos)
@@ -324,19 +330,20 @@ def step(tree: KinematicTree, state: ArticulationState,
     root integrates its quaternion with renormalization.
 
     ``gravity`` is the world gravity vector. ``params`` (the tree's own
-    values by default) supplies the inertias and armature. Contacts run
+    values by default) supplies the link inertias and armature. Contacts run
     between ``probes`` and ``terrain``, which are given together or not at
     all; their forces are copied into ``contacts_out`` when one is given.
 
     Raises:
-        ValueError: if ``dt <= 0``, only one of ``probes`` and ``terrain`` is
-            given, an effort or an implicit PD target is non-finite, an
-            implicit PD gain is negative or non-finite or ``params.armature``
-            is negative.
+        ValueError: if ``dt`` is not finite and > 0, only one of ``probes``
+            and ``terrain`` is given, an effort or an implicit PD target is
+            non-finite, or an implicit PD gain or ``params.armature`` is
+            negative or non-finite.
+        IndexError: if a probe's link is not in ``tree``.
         SimulationDivergenceError: if any environment's state leaves the
             finite range, naming the offending environment indices.
     """
-    if dt <= 0:
+    if not 0 < dt < np.inf:
         raise ValueError("dt must be > 0")
     if (probes is None) != (terrain is None):
         raise ValueError("contacts need both probes and terrain")
@@ -359,8 +366,7 @@ def step(tree: KinematicTree, state: ArticulationState,
         params = DynParams.from_tree(tree, E)
 
     frames, base_rot, base_pos, xf, J, u, v_body = _state_motion(tree, state)
-    inertia = k.spatial_inertia(params.mass, params.com, params.inertia)
-    m = _mass(tree, J, inertia, params.armature)
+    m = _mass(tree, J, params)
     off = 6 if tree.floating else 0
 
     # applied link forces: world wrenches [f, tau] into body-frame [tau, f]
@@ -379,7 +385,7 @@ def step(tree: KinematicTree, state: ArticulationState,
             wrench = wrench + contact_wrench
         # R^T w as the row vector w^T R, for the torque and then the force
         f_ext = (wrench.reshape(E, -1, 2, 3)[:, :, ::-1] @ link_rot).reshape(E, -1, 6)
-    bias = _bias(tree, xf, J, v_body, state.qd, inertia, base_rot, gravity, f_ext)
+    bias = _bias(tree, xf, J, v_body, state.qd, params, base_rot, gravity, f_ext)
 
     tau = np.zeros((E, tree.nv))
     tau[:, off:] = joint_efforts

@@ -85,11 +85,16 @@ def pattern_pinhole(width: int, height: int, focal_px: float,
 
 def pattern_lidar(horizontal_fov: float, horizontal_count: int,
                   vertical_angles) -> RayPattern:
-    """Multi-channel lidar rays fanned around the sensor x-axis."""
+    """Multi-channel lidar rays fanned around the sensor x-axis.
+
+    A fan of ``2 pi`` or more spaces its rays ``horizontal_fov / n`` apart
+    and leaves out the end angle, which would repeat the start.
+    """
     if horizontal_count < 1:
         raise ValueError("horizontal_count must be >= 1")
     va = np.asarray(vertical_angles, dtype=np.float64)
-    ha = np.linspace(-horizontal_fov / 2, horizontal_fov / 2, horizontal_count)
+    ha = np.linspace(-horizontal_fov / 2, horizontal_fov / 2, horizontal_count,
+                     endpoint=horizontal_fov < 2 * np.pi)
     vv, hh = np.meshgrid(va, ha, indexing="ij")
     dirs = np.stack([np.cos(vv) * np.cos(hh), np.cos(vv) * np.sin(hh),
                      np.sin(vv)], axis=-1).reshape(-1, 3)
@@ -279,7 +284,7 @@ class ContactSensor:
             arr[ids] = 0.0
 
     def update(self, net_forces: np.ndarray, dt: float) -> None:
-        if not dt > 0:
+        if not 0 < dt < np.inf:
             raise ValueError("dt must be > 0")
         self.net_force[:] = net_forces
         contact = np.linalg.norm(net_forces, axis=-1) > self.force_threshold
@@ -347,7 +352,7 @@ class ImuSensor:
 
     def update(self, body_pose: Transform, body_lin_vel: np.ndarray,
                body_ang_vel: np.ndarray, dt: float) -> ImuSample:
-        if dt <= 0:
+        if not 0 < dt < np.inf:
             raise ValueError("dt must be > 0")
         quat = np.atleast_2d(body_pose.quat)
         pos_offset_w = quat_rotate(quat, self.offset.pos)

@@ -37,6 +37,20 @@ def probes(**kw):
     pytest.param(lambda: probes(radius=0.0), "probe radius must be > 0", id="radius"),
     pytest.param(lambda: probes(damping=-1.0),
                  "contact stiffness/damping must be >= 0", id="damping"),
+    pytest.param(lambda: probes(link=[-1]), "probe link index must be >= 0",
+                 id="negative_link"),
+    pytest.param(lambda: probes(radius=np.nan), "probe radius must be > 0",
+                 id="nan_radius"),
+    pytest.param(lambda: probes(stiffness=np.nan),
+                 "contact stiffness/damping must be >= 0", id="nan_stiffness"),
+    pytest.param(lambda: probes(damping=np.inf),
+                 "contact stiffness/damping must be >= 0", id="inf_damping"),
+    pytest.param(lambda: probes(friction=-0.5), "contact friction must be >= 0",
+                 id="negative_friction"),
+    pytest.param(lambda: probes(friction=np.nan), "contact friction must be >= 0",
+                 id="nan_friction"),
+    pytest.param(lambda: probes(friction=np.inf), "contact friction must be >= 0",
+                 id="inf_friction"),
 ])
 def test_articulation_descriptions_rejected(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):

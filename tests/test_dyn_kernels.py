@@ -69,8 +69,8 @@ def random_tree(rng, n, floating):
     return KinematicTree(links)
 
 
-def quadruped():
-    """Floating trunk with four 3-joint legs (13 links, 12 joints)."""
+def quadruped_links():
+    """Link specs of :func:`quadruped`."""
     links = [LinkSpec("trunk", -1, "free", mass=6.0, inertia=(0.05, 0.2, 0.22))]
     for x in (0.2, -0.2):
         for y in (0.1, -0.1):
@@ -86,7 +86,12 @@ def quadruped():
                          origin_pos=(0, 0, -0.2), mass=0.2, com=(0, 0, -0.1),
                          inertia=(1.5e-3, 1.5e-3, 5e-5)),
             ]
-    return KinematicTree(links)
+    return links
+
+
+def quadruped():
+    """Floating trunk with four 3-joint legs (13 links, 12 joints)."""
+    return KinematicTree(quadruped_links())
 
 
 def trees():

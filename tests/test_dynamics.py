@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -11,6 +13,7 @@ from conftest import (
     free_body_tree,
     pendulum_links,
     random_chain_tree,
+    random_spd,
 )
 from vecsim.articulation import ArticulationState, ContactPointSet, KinematicTree, LinkSpec
 from vecsim.dynamics import (
@@ -26,12 +29,13 @@ from vecsim.dynamics import (
     forward_kinematics,
     jacobian,
     mass_matrix,
+    spatial_inertia,
     step,
 )
 from vecsim import _dyn_kernels, terrain
 from vecsim.maths import (Transform, quat_from_rotvec, quat_mul, quat_normalize,
                           quat_to_matrix)
-from test_dyn_kernels import quadruped, random_tree
+from test_dyn_kernels import quadruped, quadruped_links, random_tree
 
 
 # ---------------------------------------------------------------- kinematics
@@ -233,12 +237,14 @@ def test_step_solves_with_the_armature_of_mass_matrix():
 def test_negative_armature_rejected():
     tree = random_chain_tree(np.random.default_rng(9), n=3)
     params = DynParams.from_tree(tree, 2)
-    params.armature[1, 2] = -0.1
     state = ArticulationState.zeros(tree, 2)
-    with pytest.raises(ValueError, match="armature"):
-        mass_matrix(tree, state.q, params=params)
-    with pytest.raises(ValueError, match="armature"):
-        step(tree, state, None, 1e-3, params=params)
+    for bad in (-0.1, np.nan, np.inf):
+        params.armature[1, 2] = bad
+        with pytest.raises(ValueError, match="armature"):
+            mass_matrix(tree, state.q, params=params)
+        with pytest.raises(ValueError, match="armature"):
+            step(tree, state, None, 1e-3, params=params)
+        np.testing.assert_array_equal(state.qd, 0.0)
 
 
 def test_mass_matrix_double_pendulum_closed_form():
@@ -348,6 +354,108 @@ def test_bias_forces_runs_no_crba(monkeypatch):
     np.testing.assert_array_equal(got, expected)
 
 
+# ----------------------------------------------------- randomised parameters
+
+
+def _feet(tree):
+    return ContactPointSet(
+        link=[tree.link_index(f"calf{h}") for h in (1, 4, 7, 10)],
+        offset=[(0.0, 0.0, -0.2)] * 4, radius=0.02, stiffness=2e4,
+        damping=50.0, friction=0.8)
+
+
+def _quadruped_state(tree, E, rng):
+    state = ArticulationState.zeros(tree, E)
+    state.q[:] = rng.uniform(-0.4, 0.4, (E, tree.num_joints))
+    state.qd[:] = rng.standard_normal((E, tree.num_joints))
+    state.root_pos[:] = rng.uniform(-0.1, 0.1, (E, 3)) + [0.0, 0.0, 0.38]
+    state.root_quat[:] = quat_from_rotvec(rng.uniform(-0.2, 0.2, (E, 3)))
+    state.root_lin_vel[:] = rng.standard_normal((E, 3))
+    state.root_ang_vel[:] = rng.standard_normal((E, 3))
+    return state
+
+
+@pytest.mark.parametrize("floating", [True, False], ids=["floating", "fixed"])
+def test_per_env_inertias_match_one_env_trees(floating):
+    # Oracle: each env of a batch whose link masses, COMs and full 3x3
+    # inertias are randomised through spatial_inertia gives bitwise the
+    # result of the same call on a one-env tree built from its values.
+    rng = np.random.default_rng(31)
+    links = quadruped_links()
+    if not floating:
+        links[0] = dataclasses.replace(links[0], joint="fixed")
+    E = 3
+    env_links = [[dataclasses.replace(
+        link, mass=link.mass * rng.uniform(0.7, 1.3),
+        com=tuple(np.add(link.com, rng.uniform(-0.03, 0.03, 3))),
+        inertia=random_spd(rng, 0.03)) for link in links] for _ in range(E)]
+    tree = KinematicTree(links)
+    params = DynParams.from_tree(tree, E)
+    for e, specs in enumerate(env_links):
+        for i, link in enumerate(specs):
+            params.spatial_inertia[e, i] = spatial_inertia(link.mass, link.com,
+                                                           link.inertia)
+    params.armature[:] = rng.uniform(0.0, 0.05, (E, tree.num_joints))
+    state = _quadruped_state(tree, E, rng)
+    twist = np.concatenate([state.root_lin_vel, state.root_ang_vel], axis=1)
+    tau = rng.standard_normal((E, tree.num_joints))
+    m = mass_matrix(tree, state.q, root_pose=state.root_pose, params=params)
+    bias = bias_forces(tree, state.q, state.qd, root_pose=state.root_pose,
+                       root_twist=twist, params=params)
+    after = state.copy()
+    contacts = ContactForces.zeros(E, 4)
+    step(tree, after, tau, 5e-3, probes=_feet(tree), terrain=FlatGround(),
+         params=params, contacts_out=contacts)
+    assert contacts.in_contact.any() and not contacts.in_contact.all()
+    assert not np.array_equal(m[0], m[1])
+    fields = dataclasses.fields(ArticulationState)
+    for e in range(E):
+        one = KinematicTree(env_links[e])
+        one_params = DynParams.from_tree(one, 1)
+        one_params.armature[:] = params.armature[e]
+        one_state = ArticulationState(*(getattr(state, f.name)[e:e + 1].copy()
+                                        for f in fields))
+        np.testing.assert_array_equal(
+            mass_matrix(one, one_state.q, root_pose=one_state.root_pose,
+                        params=one_params)[0], m[e])
+        np.testing.assert_array_equal(
+            bias_forces(one, one_state.q, one_state.qd,
+                        root_pose=one_state.root_pose, root_twist=twist[e:e + 1],
+                        params=one_params)[0], bias[e])
+        step(one, one_state, tau[e:e + 1], 5e-3, probes=_feet(one),
+             terrain=FlatGround(), params=one_params)
+        for f in fields:
+            np.testing.assert_array_equal(getattr(one_state, f.name)[0],
+                                          getattr(after, f.name)[e])
+
+
+def test_dynamics_given_params_never_rebuild_spatial_inertia(monkeypatch):
+    tree = quadruped()
+    rng = np.random.default_rng(12)
+    params = DynParams.from_tree(tree, 2)
+    state = _quadruped_state(tree, 2, rng)
+    twist = np.concatenate([state.root_lin_vel, state.root_ang_vel], axis=1)
+
+    def run():
+        after = state.copy()
+        step(tree, after, None, 5e-3, probes=_feet(tree), terrain=FlatGround(),
+             params=params)
+        return (mass_matrix(tree, state.q, root_pose=state.root_pose,
+                            params=params),
+                bias_forces(tree, state.q, state.qd, root_pose=state.root_pose,
+                            root_twist=twist, params=params),
+                after.qd)
+
+    expected = run()
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("the spatial inertias were rebuilt")
+
+    monkeypatch.setattr(_dyn_kernels, "spatial_inertia", no_rebuild)
+    for got, want in zip(run(), expected):
+        np.testing.assert_array_equal(got, want)
+
+
 # ---------------------------------------------------------------------- step
 
 
@@ -449,9 +557,13 @@ def test_step_determinism_bitwise():
 def test_step_rejects_nonpositive_dt():
     tree = double_pendulum_tree()
     state = ArticulationState.zeros(tree, 1)
-    for dt in (0.0, -1e-3):
+    state.q[:] = [0.3, -0.2]
+    before = state.copy()
+    for dt in (0.0, -1e-3, np.nan, np.inf):
         with pytest.raises(ValueError, match="dt"):
             step(tree, state, None, dt=dt)
+        for name in ("q", "qd", "root_pos", "root_quat"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(before, name))
 
 
 def test_step_rejects_non_finite_efforts_naming_envs():
@@ -723,6 +835,23 @@ def test_ball_settles_on_ground():
     z_expected = 0.1 - 9.81 / 5000.0
     assert abs(state.root_pos[0, 2] - z_expected) < 1e-3
     assert abs(state.root_lin_vel[0, 2]) < 1e-3
+
+
+def test_probe_link_beyond_tree_rejected():
+    tree, _ = _probe_body()
+    state = ArticulationState.zeros(tree, 2)
+    state.root_pos[:, 2] = 0.05
+    before = state.copy()
+    for link in (1, 99):
+        probes = ContactPointSet(link=[0, link], offset=np.zeros((2, 3)),
+                                 radius=0.1, stiffness=1e3, damping=0.0,
+                                 friction=0.5)
+        with pytest.raises(IndexError, match="probe link index out of range"):
+            step(tree, state, None, 1e-3, probes=probes, terrain=FlatGround())
+        with pytest.raises(IndexError, match="probe link index out of range"):
+            contact_forces(tree, state, probes, FlatGround())
+        for name in ("root_pos", "root_quat", "root_lin_vel", "root_ang_vel"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(before, name))
 
 
 def test_heightfield_ground_is_the_terrain_heightfield():

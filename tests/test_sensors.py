@@ -78,6 +78,16 @@ def test_lidar_pattern():
     np.testing.assert_allclose(np.linalg.norm(p.dirs, axis=1), 1.0, atol=1e-12)
 
 
+def test_full_circle_lidar_has_no_repeated_seam_ray():
+    n = 12
+    p = pattern_lidar(2 * np.pi, n, [0.0])
+    yaw = np.arctan2(p.dirs[:, 1], p.dirs[:, 0])
+    # consecutive rays, and the last back round to the first, 2 pi / n apart
+    gaps = np.diff(np.unwrap(np.append(yaw, yaw[0])))
+    np.testing.assert_allclose(gaps, 2 * np.pi / n, atol=1e-12)
+    assert len(np.unique(np.round(p.dirs, 9), axis=0)) == n
+
+
 def test_camera_convention_matrices_are_rotations():
     for name, rot in CAMERA_CONVENTIONS.items():
         np.testing.assert_allclose(rot @ rot.T, np.eye(3), atol=1e-12)
@@ -316,7 +326,7 @@ def test_contact_sensor_rejects_empty_history():
         ContactSensor(1, 1, history_length=0)
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.1, np.nan])
+@pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
 def test_contact_sensor_rejects_bad_dt(dt):
     with pytest.raises(ValueError, match="dt"):
         ContactSensor(1, 1).update(np.zeros((1, 1, 3)), dt)
@@ -416,8 +426,9 @@ def test_imu_deterministic_without_modifiers():
 
 def test_imu_rejects_bad_dt():
     imu = ImuSensor(1)
-    with pytest.raises(ValueError):
-        imu.update(identity_pose(), np.zeros((1, 3)), np.zeros((1, 3)), dt=0.0)
+    for dt in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            imu.update(identity_pose(), np.zeros((1, 3)), np.zeros((1, 3)), dt=dt)
 
 
 # ----------------------------------------------------------- frame transform
