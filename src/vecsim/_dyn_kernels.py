@@ -49,10 +49,12 @@ def _skew(v):
     return (v @ _SKEW).reshape(v.shape[:-1] + (3, 3))
 
 
-def _crm(v):
+def _crm(v, out=None):
     """Spatial cross-product matrices: ``crm(v) @ m == v x m`` and
-    ``-crm(v)^T @ f == v x* f``."""
-    return (v @ _CRM).reshape(v.shape[:-1] + (6, 6))
+    ``-crm(v)^T @ f == v x* f``, written into ``out`` when it is given."""
+    crm = np.empty(v.shape[:-1] + (6, 6)) if out is None else out
+    np.matmul(v, _CRM, out=crm.reshape(v.shape[:-1] + (36,)))
+    return crm
 
 
 def _rodrigues(axis, angle):
@@ -83,11 +85,13 @@ def joint_xforms(tree, q):
     return rot, pos
 
 
-def motion_xforms(rot, pos):
-    """Parent->child motion maps ``[[E, 0], [-E skew(r), E]]``, ``E = rot^T``."""
+def motion_xforms(rot, pos, out=None):
+    """Parent->child motion maps ``[[E, 0], [-E skew(r), E]]``, ``E = rot^T``,
+    written into ``out`` when it is given."""
     e = np.swapaxes(rot, -1, -2)
-    X = np.zeros(rot.shape[:-2] + (6, 6))
+    X = np.empty(rot.shape[:-2] + (6, 6)) if out is None else out
     X[..., :3, :3] = e
+    X[..., :3, 3:] = 0.0
     X[..., 3:, 3:] = e
     # -E skew(r) == (skew(r) rot)^T
     X[..., 3:, :3] = np.swapaxes(_skew(pos) @ rot, -1, -2)
@@ -132,7 +136,7 @@ def _joint_motion(tree, qd):
     return tree.subspace * padded[:, tree.qidx, None]
 
 
-def body_jacobians(tree, X, base_rot):
+def body_jacobians(tree, X, base_rot, out=None):
     """Body Jacobians ``J`` ``(E, L, 6, nv)``: link ``i``'s body-frame
     velocity ``[w, v]`` is ``J[:, i] @ u`` for the public generalized
     velocity ``u``.
@@ -140,11 +144,13 @@ def body_jacobians(tree, X, base_rot):
     One root-to-leaf pass, ``J_i = X_i J_parent + S_i e_i``. A free root's
     block is ``[[1, 0], [0, R^T]]``: ``u`` holds its angular velocity in the
     base frame and its linear velocity in the world frame (mixed
-    coordinates), and this block is the one place that says so.
+    coordinates), and this block is the one place that says so. ``J`` is
+    written into ``out`` when it is given.
     """
     E, L = X.shape[:2]
     off = tree.nv - tree.num_joints
-    J = np.zeros((E, L, 6, tree.nv))
+    J = np.empty((E, L, 6, tree.nv)) if out is None else out
+    J[:, tree.parent < 0] = 0.0
     if tree.floating:
         J[:, 0, :3, :3] = np.eye(3)
         J[:, 0, 3:, 3:6] = np.swapaxes(base_rot, -1, -2)
@@ -157,18 +163,22 @@ def body_jacobians(tree, X, base_rot):
     return J
 
 
-def mass_kernel(J, inertia):
+def mass_kernel(J, inertia, out=None, ij=None):
     """Generalized mass matrix ``sum_i J_i^T I_i J_i``, ``(E, nv, nv)``.
 
-    The lower triangle mirrors the upper one exactly.
+    The lower triangle mirrors the upper one exactly. The matrix is written
+    into ``out`` and the products ``I_i J_i`` into ``ij`` (shaped like
+    ``J``) when they are given.
     """
     E, L, _, nv = J.shape
-    flat = J.reshape(E, 6 * L, nv)
-    m = np.swapaxes(flat, 1, 2) @ (inertia @ J).reshape(E, 6 * L, nv)
-    return np.where(np.tri(nv, k=-1, dtype=bool), np.swapaxes(m, 1, 2), m)
+    ij = np.matmul(inertia, J, out=ij)
+    m = np.matmul(np.swapaxes(J.reshape(E, 6 * L, nv), 1, 2),
+                  ij.reshape(E, 6 * L, nv), out=out)
+    np.copyto(m, np.swapaxes(m, 1, 2), where=np.tri(nv, k=-1, dtype=bool))
+    return m
 
 
-def rnea_kernel(tree, X, J, v, qd, inertia, base_acc, f_ext):
+def rnea_kernel(tree, X, J, v, qd, inertia, base_acc, f_ext, crm=None):
     """Generalized forces that give zero joint acceleration: Coriolis,
     centrifugal and gravity, less the applied link forces.
 
@@ -178,10 +188,12 @@ def rnea_kernel(tree, X, J, v, qd, inertia, base_acc, f_ext):
     the applied body-frame forces ``[torque, force]`` on each link,
     ``(E, L, 6)`` or ``0.0``. The forward pass gives each link's force
     ``f_i`` (Featherstone 2008, Table 5.1); the result is
-    ``sum_i J_i^T f_i``, ``(E, nv)`` in the coordinates of ``J``.
+    ``sum_i J_i^T f_i``, ``(E, nv)`` in the coordinates of ``J``. The link
+    velocities' cross-product matrices are written into ``crm``
+    ``(E, L, 6, 6)`` when it is given.
     """
     E, L = v.shape[:2]
-    crm = _crm(v)
+    crm = _crm(v, crm)
     c = _mv(crm, _joint_motion(tree, qd))
     a_base = np.zeros((E, 6))
     a_base[:, 3:] = base_acc

@@ -134,6 +134,12 @@ class ArticulationState:
     per-link world-frame wrenches ``[force, torque]`` (torque about the link
     origin) that accumulate until the next :func:`vecsim.dynamics.step`
     consumes and clears them.
+
+    ``step`` also keeps its five largest intermediates here (motion
+    transforms, body Jacobians, ``I_i J_i``, ``crm(v)``, the mass matrix)
+    and rewrites them every substep, so a substep allocates no
+    Jacobian-scale block. They are not fields: :meth:`copy` and ``==``
+    leave them out.
     """
 
     q: np.ndarray
@@ -143,6 +149,9 @@ class ArticulationState:
     root_lin_vel: np.ndarray
     root_ang_vel: np.ndarray
     ext_wrench: np.ndarray
+
+    def __post_init__(self):
+        self._work = None  # dynamics.step's substep arrays
 
     @staticmethod
     def zeros(tree: KinematicTree, env_count: int) -> "ArticulationState":
@@ -192,6 +201,8 @@ class ContactPointSet:
                 np.asarray(getattr(self, name), dtype=np.float64), (p,)).copy())
         if np.any(self.link < 0):
             raise ValueError("probe link index must be >= 0")
+        if not np.all(np.isfinite(self.offset)):
+            raise ValueError("probe offset must be finite")
         if not np.all(np.isfinite(self.radius) & (self.radius > 0)):
             raise ValueError("probe radius must be > 0 and finite")
         spring = np.stack([self.stiffness, self.damping])

@@ -22,6 +22,14 @@ applied link forces: ``step`` turns the external and contact wrenches into
 body-frame forces once and subtracts them in the same pass, so the bias it
 solves with is ``c(q, u) - J^T f``.
 
+``step`` keeps its five Jacobian-scale intermediates (``X``, ``J``, the
+products ``I_i J_i``, RNEA's ``crm(v)`` and the mass matrix) in arrays the
+:class:`ArticulationState` owns, :class:`_Work`, and rewrites them on every
+substep, as MuJoCo's ``mjData`` does (Todorov et al., IROS 2012). Freed
+and allocated again each substep, their pages went back to the system and
+faulted in again. The public queries allocate their results, which never
+alias these arrays.
+
 Link inertias and reflected motor inertia (armature) come from
 :class:`DynParams` only, which stores the spatial inertias as the kernels
 read them; the mass matrix that ``mass_matrix`` returns is the one ``step``
@@ -35,6 +43,7 @@ under its older name ``HeightfieldGround``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,6 +137,32 @@ class ContactForces:
         )
 
 
+class _Work(NamedTuple):
+    """The large arrays of one ``step`` substep, or ``None`` each where the
+    kernels allocate their results (the public queries)."""
+
+    X: np.ndarray | None = None    # motion transforms (E, L, 6, 6)
+    J: np.ndarray | None = None    # body Jacobians (E, L, 6, nv)
+    ij: np.ndarray | None = None   # inertia products I_i J_i (E, L, 6, nv)
+    crm: np.ndarray | None = None  # RNEA's crm(v) (E, L, 6, 6)
+    m: np.ndarray | None = None    # mass matrix (E, nv, nv)
+
+
+_ALLOCATE = _Work()
+
+
+def _state_work(tree, state) -> _Work:
+    """The state's substep arrays, built on first use and again only when
+    E, L or nv change."""
+    E, L, nv = state.env_count, tree.num_links, tree.nv
+    work = state._work
+    if work is None or work.J.shape != (E, L, 6, nv):
+        work = state._work = _Work(*(np.empty(shape) for shape in (
+            (E, L, 6, 6), (E, L, 6, nv), (E, L, 6, nv), (E, L, 6, 6),
+            (E, nv, nv))))
+    return work
+
+
 def _batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
     """``x`` as a float ``(E, n)`` batch, and whether it was one row."""
     x = np.asarray(x, dtype=np.float64)
@@ -163,10 +198,10 @@ def _pose(tree, q, root_pose):
     return k.joint_xforms(tree, q), base_rot, base_pos
 
 
-def _jacobians(tree, frames, base_rot):
+def _jacobians(tree, frames, base_rot, work=_ALLOCATE):
     """Motion transforms ``X`` and body Jacobians ``J``."""
-    xf = k.motion_xforms(*frames)
-    return xf, k.body_jacobians(tree, xf, base_rot)
+    xf = k.motion_xforms(*frames, out=work.X)
+    return xf, k.body_jacobians(tree, xf, base_rot, out=work.J)
 
 
 def _velocity(tree, J, qd, base_rot, root_twist):
@@ -185,33 +220,37 @@ def _velocity(tree, J, qd, base_rot, root_twist):
     return u, (J @ u[:, None, :, None])[..., 0]
 
 
-def _state_motion(tree, state: ArticulationState):
+def _state_motion(tree, state: ArticulationState, work=_ALLOCATE):
     """:func:`_pose`, :func:`_jacobians` and :func:`_velocity` of a state."""
     frames, base_rot, base_pos = _pose(tree, state.q, state.root_pose)
-    xf, J = _jacobians(tree, frames, base_rot)
+    xf, J = _jacobians(tree, frames, base_rot, work)
     twist = np.concatenate([state.root_lin_vel, state.root_ang_vel], axis=1)
     u, v_body = _velocity(tree, J, state.qd, base_rot, twist)
     return frames, base_rot, base_pos, xf, J, u, v_body
 
 
-def _mass(tree, J, params):
+def _mass(tree, J, params, work=_ALLOCATE):
     """``sum_i J_i^T I_i J_i`` plus the armature on the joint diagonal."""
     if not np.all(np.isfinite(params.armature) & (params.armature >= 0)):
         raise ValueError("armature must be finite and >= 0")
-    m = k.mass_kernel(J, params.spatial_inertia)
+    if not np.isfinite(params.spatial_inertia).all():
+        raise ValueError("spatial_inertia must be finite")
+    m = k.mass_kernel(J, params.spatial_inertia, out=work.m, ij=work.ij)
     idx = tree.nv - tree.num_joints + np.arange(tree.num_joints)
     m[:, idx, idx] += params.armature
     return m
 
 
-def _bias(tree, xf, J, v_body, qd, params, base_rot, gravity, f_ext):
+def _bias(tree, xf, J, v_body, qd, params, base_rot, gravity, f_ext,
+          work=_ALLOCATE):
     """RNEA bias less the applied body-frame link forces ``f_ext``, in the
     public coordinates (mixed for a floating root)."""
     g = np.broadcast_to(np.asarray(gravity, dtype=np.float64), (qd.shape[0], 3))
     a_base = -np.einsum("eba,eb->ea", base_rot, g)
     if tree.floating:
         a_base -= cross(v_body[:, 0, :3], v_body[:, 0, 3:])
-    return k.rnea_kernel(tree, xf, J, v_body, qd, params.spatial_inertia, a_base, f_ext)
+    return k.rnea_kernel(tree, xf, J, v_body, qd, params.spatial_inertia, a_base,
+                         f_ext, crm=work.crm)
 
 
 def forward_kinematics(tree: KinematicTree, q: np.ndarray,
@@ -257,7 +296,8 @@ def mass_matrix(tree: KinematicTree, q: np.ndarray,
     mixed coordinates, for the base orientation of ``root_pose``.
 
     Raises:
-        ValueError: if ``params.armature`` is negative or non-finite.
+        ValueError: if ``params.armature`` is negative or non-finite, or
+            ``params.spatial_inertia`` is non-finite.
     """
     q, squeeze = _batched(q)
     if params is None:
@@ -334,11 +374,16 @@ def step(tree: KinematicTree, state: ArticulationState,
     between ``probes`` and ``terrain``, which are given together or not at
     all; their forces are copied into ``contacts_out`` when one is given.
 
+    ``X``, ``J``, ``I_i J_i``, RNEA's ``crm(v)`` and the mass matrix go into
+    arrays ``state`` keeps, built on its first step and again when E, L or
+    nv change; every element is rewritten before it is read.
+
     Raises:
         ValueError: if ``dt`` is not finite and > 0, only one of ``probes``
             and ``terrain`` is given, an effort or an implicit PD target is
-            non-finite, or an implicit PD gain or ``params.armature`` is
-            negative or non-finite.
+            non-finite, an implicit PD gain or ``params.armature`` is
+            negative or non-finite, or ``params.spatial_inertia`` is
+            non-finite.
         IndexError: if a probe's link is not in ``tree``.
         SimulationDivergenceError: if any environment's state leaves the
             finite range, naming the offending environment indices.
@@ -365,8 +410,9 @@ def step(tree: KinematicTree, state: ArticulationState,
     if params is None:
         params = DynParams.from_tree(tree, E)
 
-    frames, base_rot, base_pos, xf, J, u, v_body = _state_motion(tree, state)
-    m = _mass(tree, J, params)
+    work = _state_work(tree, state)
+    frames, base_rot, base_pos, xf, J, u, v_body = _state_motion(tree, state, work)
+    m = _mass(tree, J, params, work)
     off = 6 if tree.floating else 0
 
     # applied link forces: world wrenches [f, tau] into body-frame [tau, f]
@@ -385,7 +431,8 @@ def step(tree: KinematicTree, state: ArticulationState,
             wrench = wrench + contact_wrench
         # R^T w as the row vector w^T R, for the torque and then the force
         f_ext = (wrench.reshape(E, -1, 2, 3)[:, :, ::-1] @ link_rot).reshape(E, -1, 6)
-    bias = _bias(tree, xf, J, v_body, state.qd, params, base_rot, gravity, f_ext)
+    bias = _bias(tree, xf, J, v_body, state.qd, params, base_rot, gravity, f_ext,
+                 work)
 
     tau = np.zeros((E, tree.nv))
     tau[:, off:] = joint_efforts

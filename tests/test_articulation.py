@@ -51,6 +51,10 @@ def probes(**kw):
                  id="nan_friction"),
     pytest.param(lambda: probes(friction=np.inf), "contact friction must be >= 0",
                  id="inf_friction"),
+    pytest.param(lambda: probes(offset=[(np.nan, 0.0, 0.0)]),
+                 "probe offset must be finite", id="nan_offset"),
+    pytest.param(lambda: probes(offset=[(0.0, 0.0, -np.inf)]),
+                 "probe offset must be finite", id="inf_offset"),
 ])
 def test_articulation_descriptions_rejected(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -193,6 +193,27 @@ def test_crba_matches_reference(case):
     np.testing.assert_array_equal(m, np.swapaxes(m, -1, -2))
 
 
+def test_kernels_rewrite_every_element_of_given_arrays(case):
+    # arrays filled with NaN come back bitwise the freshly allocated results
+    t = case.tree
+    E, L, nv = case.q.shape[0], t.num_links, t.nv
+    X, J, ij, crm, m = (np.full(shape, np.nan) for shape in (
+        (E, L, 6, 6), (E, L, 6, nv), (E, L, 6, nv), (E, L, 6, 6), (E, nv, nv)))
+    assert k.motion_xforms(*case.frames, out=X) is X
+    assert k.body_jacobians(t, X, case.base_rot, out=J) is J
+    assert k.mass_kernel(J, case.spatial, out=m, ij=ij) is m
+    base_acc = -np.einsum("eba,eb->ea", case.base_rot, case.gravity)
+    bias = k.rnea_kernel(t, X, J, case.v, case.qd, case.spatial, base_acc,
+                         case.wrench, crm=crm)
+    np.testing.assert_array_equal(X, case.X)
+    np.testing.assert_array_equal(J, case.J)
+    np.testing.assert_array_equal(ij, case.spatial @ case.J)
+    np.testing.assert_array_equal(m, k.mass_kernel(case.J, case.spatial))
+    np.testing.assert_array_equal(crm, k._crm(case.v))
+    np.testing.assert_array_equal(bias, k.rnea_kernel(
+        t, case.X, case.J, case.v, case.qd, case.spatial, base_acc, case.wrench))
+
+
 def test_wrench_mapping_matches_reference(case):
     t = case.tree
     expected = np.zeros((case.q.shape[0], t.nv))

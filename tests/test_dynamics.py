@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -454,6 +455,153 @@ def test_dynamics_given_params_never_rebuild_spatial_inertia(monkeypatch):
     monkeypatch.setattr(_dyn_kernels, "spatial_inertia", no_rebuild)
     for got, want in zip(run(), expected):
         np.testing.assert_array_equal(got, want)
+
+
+def test_non_finite_spatial_inertia_rejected_before_any_state_changes():
+    tree = quadruped()
+    rng = np.random.default_rng(13)
+    state = _quadruped_state(tree, 2, rng)
+    before = state.copy()
+    for bad in (np.nan, np.inf):
+        params = DynParams.from_tree(tree, 2)
+        params.spatial_inertia[1, 3, 0, 0] = bad
+        with pytest.raises(ValueError, match="spatial_inertia must be finite"):
+            step(tree, state, None, 5e-3, probes=_feet(tree),
+                 terrain=FlatGround(), params=params)
+        for f in dataclasses.fields(ArticulationState):
+            np.testing.assert_array_equal(getattr(state, f.name),
+                                          getattr(before, f.name))
+        with pytest.raises(ValueError, match="spatial_inertia must be finite"):
+            mass_matrix(tree, state.q, root_pose=state.root_pose, params=params)
+
+
+# ------------------------------------------------------- step's work arrays
+
+
+def _substep(tree, state, rng):
+    """One step of ``state`` with efforts, an applied wrench and, for the
+    quadruped, foot contacts; otherwise implicit PD."""
+    E, nj = state.env_count, tree.num_joints
+    apply_external_wrench(state, rng.standard_normal(3), rng.standard_normal(3),
+                          tree.num_links - 1)
+    if tree.floating:
+        kwargs = dict(probes=_feet(tree), terrain=FlatGround(),
+                      contacts_out=ContactForces.zeros(E, 4))
+    else:
+        kwargs = dict(implicit_pd=ImplicitPD(kp=20.0, kd=0.5,
+                                             q_target=rng.uniform(-1, 1, (E, nj))))
+    params = DynParams.from_tree(tree, E)
+    params.armature[:] = 0.01
+    step(tree, state, rng.standard_normal((E, nj)), 5e-3, params=params, **kwargs)
+    return kwargs.get("contacts_out")
+
+
+def _fixed_tree():
+    tree = random_tree(np.random.default_rng(5), 9, floating=False)
+    assert np.count_nonzero(tree.parent < 0) > 1
+    return tree
+
+
+def _state(tree, E, rng):
+    if tree.floating:
+        return _quadruped_state(tree, E, rng)
+    state = ArticulationState.zeros(tree, E)
+    state.q[:] = rng.uniform(-0.4, 0.4, state.q.shape)
+    state.qd[:] = rng.standard_normal(state.qd.shape)
+    return state
+
+
+def test_step_keeps_its_work_arrays_on_the_state():
+    tree = quadruped()
+    rng = np.random.default_rng(21)
+    state = _quadruped_state(tree, 3, rng)
+    assert state._work is None
+    _substep(tree, state, rng)
+    work = state._work
+    assert [a.shape for a in work] == [(3, 13, 6, 6), (3, 13, 6, 18),
+                                       (3, 13, 6, 18), (3, 13, 6, 6), (3, 18, 18)]
+    _substep(tree, state, rng)
+    assert all(a is b for a, b in zip(state._work, work))
+
+    copy = state.copy()
+    assert copy._work is None
+    _substep(tree, copy, rng)
+    other = _quadruped_state(tree, 5, rng)
+    _substep(tree, other, rng)
+    assert other._work.J.shape[0] == 5
+    for owner in (copy, other):
+        assert not any(np.shares_memory(a, b)
+                       for a in owner._work for b in work)
+
+    # a state whose arrays change size gets arrays of the new size
+    for f in dataclasses.fields(ArticulationState):
+        setattr(state, f.name, getattr(state, f.name)[:2].copy())
+    _substep(tree, state, rng)
+    assert state._work.m.shape == (2, 18, 18)
+
+
+@pytest.mark.parametrize("make_tree", [quadruped, _fixed_tree],
+                         ids=["floating_contacts", "fixed_implicit_pd"])
+def test_step_rewrites_its_work_arrays_before_reading_them(make_tree):
+    # NaN left in the arrays between two steps must not reach the next one:
+    # it is bitwise the same step on a copy, which builds fresh arrays
+    tree = make_tree()
+    E = 4
+    state = _state(tree, E, np.random.default_rng(22))
+    _substep(tree, state, np.random.default_rng(0))
+    fresh = state.copy()
+    for a in state._work:
+        a.fill(np.nan)
+    contacts = [_substep(tree, s, np.random.default_rng(1))
+                for s in (state, fresh)]
+    for f in dataclasses.fields(ArticulationState):
+        np.testing.assert_array_equal(getattr(state, f.name),
+                                      getattr(fresh, f.name))
+    if tree.floating:
+        assert contacts[0].in_contact.any()
+        for name in ("normal", "tangent", "in_contact"):
+            np.testing.assert_array_equal(getattr(contacts[0], name),
+                                          getattr(contacts[1], name))
+
+
+def test_query_results_held_across_a_step_do_not_change():
+    tree = quadruped()
+    rng = np.random.default_rng(23)
+    state = _quadruped_state(tree, 3, rng)
+    _substep(tree, state, rng)
+    twist = np.concatenate([state.root_lin_vel, state.root_ang_vel], axis=1)
+    held = [mass_matrix(tree, state.q, root_pose=state.root_pose),
+            bias_forces(tree, state.q, state.qd, root_pose=state.root_pose,
+                        root_twist=twist),
+            jacobian(tree, state.q, 4, root_pose=state.root_pose)]
+    kept = [h.copy() for h in held]
+    _substep(tree, state, rng)
+    _substep(tree, state, rng)
+    for h, k in zip(held, kept):
+        np.testing.assert_array_equal(h, k)
+        assert not any(np.shares_memory(h, a) for a in state._work)
+
+
+def test_steady_state_step_allocates_less_than_one_jacobian_block():
+    # tracemalloc sees NumPy's own allocations, whatever the allocator does
+    tree = quadruped()
+    E = 64
+    rng = np.random.default_rng(24)
+    state = _quadruped_state(tree, E, rng)
+    efforts = rng.standard_normal((E, tree.num_joints))
+    params = DynParams.from_tree(tree, E)
+    kwargs = dict(probes=_feet(tree), terrain=FlatGround(), params=params,
+                  contacts_out=ContactForces.zeros(E, 4))
+    for _ in range(2):
+        step(tree, state, efforts, 5e-3, **kwargs)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        step(tree, state, efforts, 5e-3, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < E * tree.num_links * 6 * tree.nv * 8
 
 
 # ---------------------------------------------------------------------- step
