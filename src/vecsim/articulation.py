@@ -48,6 +48,7 @@ class KinematicTree:
 
     Link 0 may carry a ``free`` joint (floating base); all other joints are
     fixed, revolute, or prismatic. Closed kinematic loops are unsupported.
+    Every number of every link must be finite.
     """
 
     def __init__(self, links: list[LinkSpec]):
@@ -71,6 +72,9 @@ class KinematicTree:
 
         nq = 0
         for i, link in enumerate(links):
+            for name in ("axis", "origin_pos", "origin_quat", "mass", "com", "inertia"):
+                if not np.isfinite(getattr(link, name)).all():
+                    raise ValueError(f"link {i} ({link.name!r}) {name} must be finite")
             if link.joint not in _JOINT_CODES:
                 raise ValueError(f"unknown joint kind {link.joint!r}")
             code = _JOINT_CODES[link.joint]

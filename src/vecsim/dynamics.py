@@ -229,12 +229,21 @@ def _state_motion(tree, state: ArticulationState, work=_ALLOCATE):
     return frames, base_rot, base_pos, xf, J, u, v_body
 
 
+def _params(tree, params, env_count):
+    """``params``, or the tree's own values when it is ``None``; raises if
+    a given ``params.spatial_inertia`` is non-finite. Each public call that
+    reads the inertias passes them through here once."""
+    if params is None:
+        return DynParams.from_tree(tree, env_count)
+    if not np.isfinite(params.spatial_inertia).all():
+        raise ValueError("spatial_inertia must be finite")
+    return params
+
+
 def _mass(tree, J, params, work=_ALLOCATE):
     """``sum_i J_i^T I_i J_i`` plus the armature on the joint diagonal."""
     if not np.all(np.isfinite(params.armature) & (params.armature >= 0)):
         raise ValueError("armature must be finite and >= 0")
-    if not np.isfinite(params.spatial_inertia).all():
-        raise ValueError("spatial_inertia must be finite")
     m = k.mass_kernel(J, params.spatial_inertia, out=work.m, ij=work.ij)
     idx = tree.nv - tree.num_joints + np.arange(tree.num_joints)
     m[:, idx, idx] += params.armature
@@ -300,8 +309,7 @@ def mass_matrix(tree: KinematicTree, q: np.ndarray,
             ``params.spatial_inertia`` is non-finite.
     """
     q, squeeze = _batched(q)
-    if params is None:
-        params = DynParams.from_tree(tree, q.shape[0])
+    params = _params(tree, params, q.shape[0])
     frames, base_rot, _ = _pose(tree, q, root_pose)
     _, J = _jacobians(tree, frames, base_rot)
     m = _mass(tree, J, params)
@@ -315,11 +323,15 @@ def bias_forces(tree: KinematicTree, q: np.ndarray, qd: np.ndarray,
     """Coriolis, centrifugal, and gravity forces in generalized coordinates.
 
     ``root_twist`` is a floating root's world twist ``[lin, ang]``.
+    ``params`` (the tree's own values by default) supplies the spatial
+    inertias.
+
+    Raises:
+        ValueError: if ``params.spatial_inertia`` is non-finite.
     """
     q, squeeze = _batched(q)
     qd, _ = _batched(qd)
-    if params is None:
-        params = DynParams.from_tree(tree, q.shape[0])
+    params = _params(tree, params, q.shape[0])
     frames, base_rot, _ = _pose(tree, q, root_pose)
     xf, J = _jacobians(tree, frames, base_rot)
     _, v_body = _velocity(tree, J, qd, base_rot, root_twist)
@@ -407,8 +419,7 @@ def step(tree: KinematicTree, state: ArticulationState,
         qd_target = implicit_pd.qd_target
         if qd_target is not None:
             qd_target = _finite(qd_target, "implicit PD qd_target", (E, nj))
-    if params is None:
-        params = DynParams.from_tree(tree, E)
+    params = _params(tree, params, E)
 
     work = _state_work(tree, state)
     frames, base_rot, base_pos, xf, J, u, v_body = _state_motion(tree, state, work)

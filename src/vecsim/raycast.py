@@ -3,7 +3,9 @@
 Scene geometry is given as triangle meshes with rigid poses. Each mesh gets
 an axis-aligned-bounding-box BVH (median split, leaves of at most
 ``LEAF_SIZE`` triangles) that is built one tree level at a time, all nodes
-of a level together.
+of a level together. Each node stores its box and one index, ``first``:
+the first of its two adjacent children, or the start of its leaf's range
+of triangles.
 
 A ray whose mesh-local direction is non-finite or zero misses and is
 dropped before anything else. Every other ray takes its candidate triangles
@@ -23,7 +25,9 @@ Moller-Trumbore pass and keeps each column's closest candidate:
   tree together, one level per pass. A frontier of ``(ray, node)`` pairs
   is slab-tested as flat arrays, each (ray, leaf) pair it reached is one
   column of ``LEAF_SIZE`` triangles, and the children of the inner nodes
-  it reached form the next frontier.
+  it reached form the next frontier. The slab test scales its far bound
+  by the rounding bound of the slab distances, so rounding does not reject
+  the box of a hit on its face.
 
 Blocks hold at most ``_LANES`` (triangle, ray) lanes, which bounds every
 temporary of a cast.
@@ -68,9 +72,10 @@ class GridCells:
 class TriMesh:
     """Indexed triangle mesh with a rigid world pose.
 
-    ``grid``, when given, must list every triangle exactly once, each in a
-    cell that holds all three of its vertices; vertical rays then take
-    their candidates from it instead of the BVH.
+    Every vertex must be finite. ``grid``, when given, must list every
+    triangle exactly once, each in a cell that holds all three of its
+    vertices; vertical rays then take their candidates from it instead of
+    the BVH.
     """
 
     vertices: np.ndarray
@@ -83,6 +88,9 @@ class TriMesh:
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise ValueError("vertices must be (V, 3)")
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if bad.size:
+            raise ValueError(f"vertex {int(bad[0])} is not finite")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must be (T, 3)")
         if self.triangles.size and (self.triangles.min() < 0
@@ -182,28 +190,30 @@ LEAF_SIZE = 4
 _DENSE_MAX = 48  # meshes with at most this many triangles skip the BVH
 _LANES = 8192  # (triangle, ray) lanes per intersection block
 _NO_TRI = np.iinfo(np.int64).max  # loses every lowest-id tie break
+# 1 + 2 gamma_3, gamma_n = n eps / (1 - n eps), eps = 2**-53 (Ize, JCGT 2013)
+_SLAB_PAD = 1.0 + 2.0 * (3 * 2.0**-53 / (1 - 3 * 2.0**-53))
 
 
 @dataclass
 class Bvh:
-    """Flattened AABB tree over one mesh's triangles.
+    """Flattened AABB tree over one mesh's triangles, one index per node.
 
-    Node 0 is the root. ``build_bvh`` numbers nodes level by level, so the
-    children of an inner node are adjacent, and stores the bounds
-    component-major (``bounds_min.T`` is C-contiguous).
+    Node 0 is the root. An inner node (``count == 0``) has the children
+    ``first`` and ``first + 1``; a leaf holds the triangles
+    ``tri_order[first:first + count]``. ``build_bvh`` numbers nodes level
+    by level and stores the bounds component-major (``bounds_min.T`` is
+    C-contiguous).
     """
 
     bounds_min: np.ndarray   # (N, 3)
     bounds_max: np.ndarray   # (N, 3)
-    left: np.ndarray         # (N,) child index or -1 at leaves
-    right: np.ndarray        # (N,)
-    start: np.ndarray        # (N,) leaf range into tri_order
+    first: np.ndarray        # (N,) first child, or leaf range start
     count: np.ndarray        # (N,) 0 for inner nodes
     tri_order: np.ndarray    # (T,) permutation of triangle ids
 
     @property
     def num_nodes(self) -> int:
-        return len(self.left)
+        return len(self.count)
 
 
 def build_bvh(mesh: TriMesh) -> Bvh:
@@ -235,7 +245,7 @@ def build_bvh(mesh: TriMesh) -> Bvh:
     high = np.hstack([np.maximum(np.maximum(a, b), c), centroid])
 
     order = np.arange(t)
-    bounds_min, bounds_max, left, start, count = [], [], [], [], []
+    bounds_min, bounds_max, first, count = [], [], [], []
     # ranges [lo, lo + n) of order held by the nodes of the current level
     lo = np.zeros(1, dtype=np.int64)
     n = np.array([t], dtype=np.int64)
@@ -256,23 +266,18 @@ def build_bvh(mesh: TriMesh) -> Bvh:
         key = low_ids[np.arange(ids.size), 3 + axis[seg]]
         order[pos] = ids[np.lexsort((key, seg))]
         split = n > LEAF_SIZE
-        n_split = int(split.sum())
-        child = np.full(k, -1, dtype=np.int64)
-        child[split] = level_first + k + 2 * np.arange(n_split)
-        left.append(child)
-        start.append(np.where(split, 0, lo))
+        # the inner nodes' children follow in order on the next level
+        first.append(np.where(split, level_first + k + 2 * np.cumsum(split) - 2, lo))
         count.append(np.where(split, 0, n))
         level_first += k
         half = n[split] // 2
         lo = np.column_stack([lo[split], lo[split] + half]).ravel()
         n = np.column_stack([half, n[split] - half]).ravel()
 
-    left = np.concatenate(left)
     return Bvh(
         np.ascontiguousarray(np.concatenate(bounds_min).T).T,
         np.ascontiguousarray(np.concatenate(bounds_max).T).T,
-        left, np.where(left >= 0, left + 1, -1),
-        np.concatenate(start), np.concatenate(count), order,
+        np.concatenate(first), np.concatenate(count), order,
     )
 
 
@@ -389,11 +394,10 @@ def _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
 
     The frontier holds one ``(ray, node)`` pair per box still to test,
     sorted by ray. Each pass slab-tests the whole frontier against
-    ``[0, min(best_t, max_range)]``, intersects the triangles of the leaves
-    it reached and replaces the inner nodes by their children. Hits prune
-    only later passes, so all leaves of one level are tested before their
-    hits prune anything; a depth-first walk can instead skip a tied
-    triangle whose box entry distance rounds above its hit distance.
+    ``[0, min(best_t, max_range)]`` (padded, see ``_enters``), intersects
+    the triangles of the leaves it reached and replaces each inner node by
+    its children ``first`` and ``first + 1``. Hits prune only later passes,
+    so all leaves of one level are tested before their hits prune anything.
 
     Each reached (ray, leaf) pair is one column of ``LEAF_SIZE`` triangle
     ids; a shorter leaf repeats its last triangle, which changes neither
@@ -412,7 +416,7 @@ def _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
         ray_l, node_l = ray[leaf], node[leaf]
         for b in range(0, ray_l.size, step):
             r, nd = ray_l[b:b + step], node_l[b:b + step]
-            ids = bvh.tri_order[bvh.start[nd]
+            ids = bvh.tri_order[bvh.first[nd]
                                 + np.minimum(slot, bvh.count[nd] - 1)]
             t, tri = _closest(mesh, vt, o, d, r, ids, max_range)
             # one ray can reach several leaves: reduce its run of columns
@@ -424,9 +428,8 @@ def _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
             _keep_closer(hits, mesh_id, r[start], best,
                          np.minimum.reduceat(tri, start))
         # children stay next to each other, so the frontier stays sorted by ray
-        inner = node[~leaf]
         ray = np.repeat(ray[~leaf], 2)
-        node = np.column_stack((bvh.left[inner], bvh.right[inner])).ravel()
+        node = (bvh.first[node[~leaf], None] + (0, 1)).ravel()
 
 
 def _inverse(d):
@@ -437,15 +440,24 @@ def _inverse(d):
 
 
 def _enters(bmin, bmax, node, o, inv, ray, tf):
-    """Whether each ray meets its box within ``[0, tf]``; overwrites ``tf``.
+    """Whether each ray meets its box within ``[0, tf]``, padded; overwrites
+    ``tf``.
 
     ``bmin`` and ``bmax`` hold the boxes one row per axis, and ``node``
     picks each ray's box: an index array, or one box for every ray. The
     slab test (Williams et al., *J. Graphics Tools* 2005) needs no case for
     a ray parallel to an axis: its inverse is +inf, so outside the slab
     both distances have one sign and reject the box, inside they are -inf
-    and +inf, and on a face one is NaN, which ``fmax``/``fmin`` skip. The
-    arithmetic is the per-ray walk's, so the decisions are bitwise its own.
+    and +inf, and on a face one is NaN, which ``fmax``/``fmin`` skip.
+
+    The entry distance is compared with the whole far bound, the starting
+    ``tf`` included, scaled by ``_SLAB_PAD`` = 1 + 2 gamma_3 (Ize, *JCGT*
+    2013). A ray through a vertex on a box face can compute its entry an
+    ulp past its exit, and a box that holds a tie at the best distance can
+    compute its entry an ulp past that distance; the padding enters both.
+    A box the padding admits that the ray misses costs only its triangle
+    tests. The arithmetic is the per-ray walk's, so the decisions are
+    bitwise its own.
     """
     tn = np.zeros(ray.size)
     with np.errstate(invalid="ignore"):
@@ -457,7 +469,7 @@ def _enters(bmin, bmax, node, o, inv, ray, tf):
             swap = t1 > t2
             np.fmax(tn, np.where(swap, t2, t1), out=tn)
             np.fmin(tf, np.where(swap, t1, t2), out=tf)
-    return ~(tn > tf)
+    return ~(tn > tf * _SLAB_PAD)
 
 
 def _rows(a, idx):

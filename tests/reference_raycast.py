@@ -2,8 +2,12 @@
 
 These are the recursive median-split build and the per-ray stack walk that
 ``vecsim.raycast`` replaced with level-by-level NumPy code. They are kept
-verbatim (one node, or one ray, at a time) as the oracle in
+(one node, or one ray, at a time) as the oracle in
 ``tests/test_raycast_reference.py``; nothing in the package imports them.
+They read and write the package's ``Bvh`` layout (an inner node's children
+are ``first`` and ``first + 1``, a leaf's triangles
+``tri_order[first:first + count]``), and the walk pads its slab test's far
+bound as the package does.
 """
 
 from __future__ import annotations
@@ -12,6 +16,11 @@ import numpy as np
 
 from vecsim.maths import quat_to_matrix
 from vecsim.raycast import LEAF_SIZE, Bvh, RayHits, TriMesh
+
+# the slab test's far bound is scaled by 1 + 2 gamma_3, with
+# gamma_n = n eps / (1 - n eps) and eps = 2**-53 (Ize, JCGT 2013)
+EPS = 2.0 ** -53
+SLAB_PAD = 1.0 + 2.0 * (3 * EPS / (1 - 3 * EPS))
 
 
 def build_bvh(mesh: TriMesh) -> Bvh:
@@ -35,17 +44,14 @@ def build_bvh(mesh: TriMesh) -> Bvh:
     centroid = tri.mean(axis=1)
 
     order = np.arange(t)
-    bounds_min, bounds_max = [], []
-    left, right, start, count = [], [], [], []
+    bounds_min, bounds_max, first, count = [], [], [], []
 
     def new_node():
         bounds_min.append(None)
         bounds_max.append(None)
-        left.append(-1)
-        right.append(-1)
-        start.append(0)
+        first.append(0)
         count.append(0)
-        return len(left) - 1
+        return len(first) - 1
 
     stack = [(new_node(), 0, t)]
     while stack:
@@ -55,7 +61,7 @@ def build_bvh(mesh: TriMesh) -> Bvh:
         bounds_max[node] = tmax[ids].max(axis=0)
         n = hi - lo
         if n <= LEAF_SIZE:
-            start[node] = lo
+            first[node] = lo
             count[node] = n
             continue
         cent = centroid[ids]
@@ -64,24 +70,23 @@ def build_bvh(mesh: TriMesh) -> Bvh:
         # median split on the centroid along the widest axis
         part = np.argpartition(cent[:, axis], mid)
         order[lo:hi] = ids[part]
-        lc, rc = new_node(), new_node()
-        left[node] = lc
-        right[node] = rc
+        # the two children are adjacent: first[node] and first[node] + 1
+        first[node] = lc = new_node()
+        new_node()
         stack.append((lc, lo, lo + mid))
-        stack.append((rc, lo + mid, hi))
+        stack.append((lc + 1, lo + mid, hi))
 
     return Bvh(
         np.ascontiguousarray(bounds_min), np.ascontiguousarray(bounds_max),
-        np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
-        np.asarray(start, dtype=np.int64), np.asarray(count, dtype=np.int64),
+        np.asarray(first, dtype=np.int64), np.asarray(count, dtype=np.int64),
         order,
     )
 
 
 
-def _raycast_mesh(verts, tris, bmin, bmax, left, right, start, count,
-                  tri_order, rot, pos, origins, dirs, max_range, mesh_id,
-                  best_t, best_mesh, best_tri, best_normal):
+def _raycast_mesh(verts, tris, bmin, bmax, first, count, tri_order, rot,
+                  pos, origins, dirs, max_range, mesh_id, best_t, best_mesh,
+                  best_tri, best_normal):
     """Closest-hit of all rays against one mesh; updates the best arrays."""
     n_rays = origins.shape[0]
     for r in range(n_rays):
@@ -95,7 +100,8 @@ def _raycast_mesh(verts, tris, bmin, bmax, left, right, start, count,
         while top > 0:
             top -= 1
             node = stack[top]
-            # slab test against [0, min(best_t, max_range)]
+            # slab test against [0, min(best_t, max_range)], the whole far
+            # bound padded by SLAB_PAD
             tn = 0.0
             tf = best_t[r]
             if max_range < tf:
@@ -114,7 +120,7 @@ def _raycast_mesh(verts, tris, bmin, bmax, left, right, start, count,
                         tn = t1
                     if t2 < tf:
                         tf = t2
-                    if tn > tf:
+                    if tn > tf * SLAB_PAD:
                         ok = False
                         break
                 elif oa < bmin[node, a] or oa > bmax[node, a]:
@@ -123,7 +129,7 @@ def _raycast_mesh(verts, tris, bmin, bmax, left, right, start, count,
             if not ok:
                 continue
             if count[node] > 0:
-                for s in range(start[node], start[node] + count[node]):
+                for s in range(first[node], first[node] + count[node]):
                     ti = tri_order[s]
                     v0 = verts[tris[ti, 0]]
                     e1 = verts[tris[ti, 1]] - v0
@@ -167,9 +173,9 @@ def _raycast_mesh(verts, tris, bmin, bmax, left, right, start, count,
                         for a in range(3):
                             best_normal[r, a] = wn[a] / nl
             else:
-                stack[top] = left[node]
+                stack[top] = first[node]
                 top += 1
-                stack[top] = right[node]
+                stack[top] = first[node] + 1
                 top += 1
 
 
@@ -188,10 +194,9 @@ def raycast(meshes, bvhs, origins, dirs, max_range=np.inf) -> RayHits:
     for mid, (mesh, bvh) in enumerate(zip(meshes, bvhs)):
         rot, pos = snap[mid]
         _raycast_mesh(mesh.vertices, mesh.triangles, bvh.bounds_min,
-                      bvh.bounds_max, bvh.left, bvh.right, bvh.start,
-                      bvh.count, bvh.tri_order, rot, pos, origins, dirs,
-                      float(max_range), mid, hits.t, hits.mesh_id,
-                      hits.tri_id, hits.normal)
+                      bvh.bounds_max, bvh.first, bvh.count, bvh.tri_order,
+                      rot, pos, origins, dirs, float(max_range), mid, hits.t,
+                      hits.mesh_id, hits.tri_id, hits.normal)
     hits.hit = np.isfinite(hits.t)
     good = hits.hit
     hits.point[good] = origins[good] + hits.t[good, None] * dirs[good]

@@ -34,6 +34,18 @@ def probes(**kw):
                  "link 0 ('a') is dynamic but has mass <= 0", id="massless"),
     pytest.param(lambda: KinematicTree([body(inertia=(0.1, 0.1, 0.0))]),
                  "link 0 inertia not positive-definite", id="inertia"),
+    pytest.param(lambda: KinematicTree([body(mass=np.nan)]),
+                 "link 0 ('a') mass must be finite", id="nan_mass"),
+    pytest.param(lambda: KinematicTree([body(), body("b", 0, com=(0.0, np.inf, 0.0))]),
+                 "link 1 ('b') com must be finite", id="inf_com"),
+    pytest.param(lambda: KinematicTree([body(inertia=(0.1, np.nan, 0.1))]),
+                 "link 0 ('a') inertia must be finite", id="nan_inertia"),
+    pytest.param(lambda: KinematicTree([body(axis=(0.0, np.nan, 1.0))]),
+                 "link 0 ('a') axis must be finite", id="nan_axis"),
+    pytest.param(lambda: KinematicTree([body(origin_pos=(-np.inf, 0.0, 0.0))]),
+                 "link 0 ('a') origin_pos must be finite", id="inf_origin_pos"),
+    pytest.param(lambda: KinematicTree([body(origin_quat=(np.nan, 0.0, 0.0, 0.0))]),
+                 "link 0 ('a') origin_quat must be finite", id="nan_origin_quat"),
     pytest.param(lambda: probes(radius=0.0), "probe radius must be > 0", id="radius"),
     pytest.param(lambda: probes(damping=-1.0),
                  "contact stiffness/damping must be >= 0", id="damping"),

@@ -473,6 +473,10 @@ def test_non_finite_spatial_inertia_rejected_before_any_state_changes():
                                           getattr(before, f.name))
         with pytest.raises(ValueError, match="spatial_inertia must be finite"):
             mass_matrix(tree, state.q, root_pose=state.root_pose, params=params)
+        # the bias reads the same inertias and returned a non-finite row
+        with pytest.raises(ValueError, match="spatial_inertia must be finite"):
+            bias_forces(tree, state.q, state.qd, root_pose=state.root_pose,
+                        params=params)
 
 
 # ------------------------------------------------------- step's work arrays

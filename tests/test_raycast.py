@@ -6,6 +6,7 @@ import pytest
 
 from vecsim.maths import QUAT_IDENTITY, Transform, quat_from_axis_angle, quat_to_matrix
 from vecsim.raycast import (
+    LEAF_SIZE,
     Bvh,
     MeshFormatError,
     RayHits,
@@ -165,33 +166,33 @@ def test_bvh_partitions_all_triangles_and_nests_boxes():
     mesh = uv_sphere(11, 14)
     assert mesh.num_triangles >= 200
     bvh = build_bvh(mesh)
-    # every triangle appears exactly once across the leaves
-    seen = []
-    for node in range(bvh.num_nodes):
-        if bvh.count[node] > 0:
-            seen.extend(bvh.tri_order[bvh.start[node]:bvh.start[node] + bvh.count[node]])
-            assert bvh.count[node] <= 4
-    assert sorted(seen) == list(range(mesh.num_triangles))
-    # children boxes are contained in their parents
-    for node in range(bvh.num_nodes):
-        for child in (bvh.left[node], bvh.right[node]):
-            if child >= 0:
-                assert np.all(bvh.bounds_min[child] >= bvh.bounds_min[node] - 1e-12)
-                assert np.all(bvh.bounds_max[child] <= bvh.bounds_max[node] + 1e-12)
-    # leaf triangle boxes are inside every ancestor box (walk from root)
+    assert set(vars(bvh)) == {"bounds_min", "bounds_max", "first", "count",
+                              "tri_order"}
+    inner = np.flatnonzero(bvh.count == 0)
+    leaves = np.flatnonzero(bvh.count > 0)
+    # node 0 is the root: every other node is the child of exactly one inner
+    # node, and children come after their parent
+    children = np.concatenate([bvh.first[inner], bvh.first[inner] + 1])
+    assert sorted(children) == list(range(1, bvh.num_nodes))
+    assert np.all(bvh.first[inner] > inner)
+    # an inner node's children first and first + 1 nest inside its box
+    for child in (bvh.first[inner], bvh.first[inner] + 1):
+        assert np.all(bvh.bounds_min[child] >= bvh.bounds_min[inner])
+        assert np.all(bvh.bounds_max[child] <= bvh.bounds_max[inner])
+    # the leaves' ranges [first, first + count) partition tri_order, and a
+    # leaf's box holds its triangles
+    assert np.all(bvh.count <= LEAF_SIZE)
+    order = np.argsort(bvh.first[leaves])
+    starts, counts = bvh.first[leaves][order], bvh.count[leaves][order]
+    assert starts[0] == 0
+    np.testing.assert_array_equal(starts[1:], (starts + counts)[:-1])
+    assert starts[-1] + counts[-1] == mesh.num_triangles
+    assert sorted(bvh.tri_order) == list(range(mesh.num_triangles))
     tri = mesh.vertices[mesh.triangles]
-    def walk(node, anc_min, anc_max):
-        nmin = np.maximum(anc_min, -np.inf)
-        assert np.all(bvh.bounds_min[node] >= anc_min - 1e-12)
-        assert np.all(bvh.bounds_max[node] <= anc_max + 1e-12)
-        if bvh.count[node] > 0:
-            ids = bvh.tri_order[bvh.start[node]:bvh.start[node] + bvh.count[node]]
-            assert np.all(tri[ids].min(axis=(1,)) >= bvh.bounds_min[node] - 1e-12)
-            assert np.all(tri[ids].max(axis=(1,)) <= bvh.bounds_max[node] + 1e-12)
-        else:
-            walk(bvh.left[node], bvh.bounds_min[node], bvh.bounds_max[node])
-            walk(bvh.right[node], bvh.bounds_min[node], bvh.bounds_max[node])
-    walk(0, np.full(3, -np.inf), np.full(3, np.inf))
+    for leaf in leaves:
+        ids = bvh.tri_order[bvh.first[leaf]:bvh.first[leaf] + bvh.count[leaf]]
+        assert np.all(tri[ids].min(axis=1) >= bvh.bounds_min[leaf])
+        assert np.all(tri[ids].max(axis=1) <= bvh.bounds_max[leaf])
 
 
 # ------------------------------------------------------------------- casting
@@ -319,6 +320,12 @@ def test_raycast_rejects_bvh_of_another_mesh():
                  ValueError, "triangles must be (T, 3)", id="triangles"),
     pytest.param(lambda: TriMesh(np.zeros((3, 3)), [[0, 1, 3]]),
                  ValueError, "triangle indices out of range", id="indices"),
+    pytest.param(lambda: TriMesh([[0, 0, 0], [1, 0, np.nan], [0, 1, 0]], [[0, 1, 2]]),
+                 ValueError, "vertex 1 is not finite", id="nan_vertex"),
+    pytest.param(lambda: TriMesh([[0, 0, 0], [1, 0, 0], [0, -np.inf, 0]], [[0, 1, 2]]),
+                 ValueError, "vertex 2 is not finite", id="inf_vertex"),
+    pytest.param(lambda: load_obj(io.StringIO("v 0 0 0\nv nan 0 0\n")),
+                 ValueError, "vertex 1 is not finite", id="obj_nan_vertex"),
     pytest.param(lambda: load_obj(io.StringIO("v 0 0 0\nv 1 2\n")),
                  MeshFormatError, "line 2: vertex line must be 'v x y z'", id="vertex_arity"),
     pytest.param(lambda: load_obj(io.StringIO("v 0 x 0\n")),

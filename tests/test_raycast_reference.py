@@ -122,8 +122,8 @@ def single_leaf_bvh(mesh):
     it is an exhaustive scan with the scalar arithmetic."""
     tri = mesh.vertices[mesh.triangles]
     return Bvh(tri.min(axis=(0, 1))[None], tri.max(axis=(0, 1))[None],
-               np.array([-1]), np.array([-1]), np.array([0]),
-               np.array([mesh.num_triangles]), np.arange(mesh.num_triangles))
+               np.array([0]), np.array([mesh.num_triangles]),
+               np.arange(mesh.num_triangles))
 
 
 def test_rays_through_grid_nodes_match_exhaustive_reference():
@@ -173,30 +173,34 @@ def test_tie_across_leaves_of_different_depth_matches_exhaustive():
     assert np.all(got.tri_id == 0)
 
 
+def vertex_rays(mesh, n, rng):
+    """``n`` rays aimed at random vertices of ``mesh`` from 3 units away."""
+    targets = mesh.vertices[rng.integers(0, len(mesh.vertices), n)]
+    origins = targets + unit(rng.standard_normal((n, 3))) * 3.0
+    return origins, unit(targets - origins)
+
+
 def corner_rays(n_tris, rng):
     """A soup of ``n_tris`` random triangles and 400 rays aimed at their
     vertices from 3 units away."""
     verts = rng.uniform(-1.0, 1.0, (3 * n_tris, 3))
     mesh = TriMesh(verts, np.arange(3 * n_tris).reshape(n_tris, 3))
-    targets = verts[rng.integers(0, 3 * n_tris, 400)]
-    origins = targets + unit(rng.standard_normal((400, 3))) * 3.0
-    return mesh, origins, unit(targets - origins)
+    return (mesh, *vertex_rays(mesh, 400, rng))
 
 
 def test_rays_aimed_at_triangle_corners_match_reference():
     # at a corner the barycentric u or v is 0 or 1 up to rounding, so the
     # 1e-12 tolerances decide whether the ray hits. A vertex also lies on
-    # the faces of its BVH leaf's box, and the slab test can reject that
-    # box by an ulp: both BVH walks then lose the hit. 20 triangles take
-    # the dense scan, which is bitwise the exhaustive scan.
+    # the faces of its BVH leaf's box, where the unpadded slab test
+    # rejected the box by an ulp. 20 triangles take the dense scan, 200
+    # traverse the BVH; both are bitwise the exhaustive scan, and the
+    # reference walk over the reference BVH is too.
     rng = np.random.default_rng(18)
-    mesh, origins, dirs = corner_rays(20, rng)
-    got = assert_bitwise([mesh], origins, dirs, oracle=single_leaf_bvh)
-    assert got.hit.mean() > 0.5
-    # 200 triangles traverse the BVH, bitwise the reference walk
-    mesh, origins, dirs = corner_rays(200, rng)
-    got = assert_bitwise([mesh], origins, dirs)
-    assert got.hit.mean() > 0.5
+    for n_tris in (20, 200):
+        mesh, origins, dirs = corner_rays(n_tris, rng)
+        got = assert_bitwise([mesh], origins, dirs, oracle=single_leaf_bvh)
+        assert got.hit.all()
+    assert_bitwise([mesh], origins, dirs)
 
 
 def test_table_scene_matches_reference():
@@ -346,12 +350,19 @@ def test_leaves_below_leaf_size_match_reference(mesh, sizes):
     targets = rng.uniform(lo, hi, (n, 3))
     got = assert_bitwise([mesh], origins, unit(targets - origins))
     assert got.hit.mean() > 0.8
+    # a ray at a vertex shared by up to six triangles hits several of them
+    # at equal or ulp-apart distances; with the padded slab test the BVH,
+    # the reference walk and the exhaustive scan pick the same one
+    origins, dirs = vertex_rays(mesh, 200, rng)
+    for oracle in (ref.build_bvh, single_leaf_bvh):
+        got = assert_bitwise([mesh], origins, dirs, oracle=oracle)
+    assert got.hit.all()
 
 
 def leaf_triangles(bvh, node):
     if bvh.count[node] > 0:
-        return list(bvh.tri_order[bvh.start[node]:bvh.start[node] + bvh.count[node]])
-    return leaf_triangles(bvh, bvh.left[node]) + leaf_triangles(bvh, bvh.right[node])
+        return list(bvh.tri_order[bvh.first[node]:bvh.first[node] + bvh.count[node]])
+    return leaf_triangles(bvh, bvh.first[node]) + leaf_triangles(bvh, bvh.first[node] + 1)
 
 
 @pytest.mark.parametrize("mesh", [small_grid().mesh, uv_sphere(11, 14),
@@ -365,14 +376,14 @@ def test_build_is_a_median_split_like_the_reference(mesh):
     np.testing.assert_array_equal(new.bounds_min[0], old.bounds_min[0])
     np.testing.assert_array_equal(new.bounds_max[0], old.bounds_max[0])
     # every inner node splits its triangles at n // 2 along the widest
-    # centroid axis; the left half holds the smaller centroids
+    # centroid axis; the first child holds the smaller centroids
     centroid = mesh.vertices[mesh.triangles].mean(axis=1)
     for node in range(0, new.num_nodes, max(1, new.num_nodes // 300)):
         if new.count[node] > 0:
             continue
-        left = leaf_triangles(new, new.left[node])
-        right = leaf_triangles(new, new.right[node])
-        cent = centroid[left + right]
+        low = leaf_triangles(new, new.first[node])
+        high = leaf_triangles(new, new.first[node] + 1)
+        cent = centroid[low + high]
         axis = np.argmax(cent.max(axis=0) - cent.min(axis=0))
-        assert len(left) == (len(left) + len(right)) // 2
-        assert centroid[left, axis].max() <= centroid[right, axis].min()
+        assert len(low) == (len(low) + len(high)) // 2
+        assert centroid[low, axis].max() <= centroid[high, axis].min()
