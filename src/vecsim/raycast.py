@@ -16,8 +16,9 @@ Moller-Trumbore pass and keeps each column's closest candidate:
 
 * the mesh's :class:`GridCells` table, for a ray whose mesh-local direction
   has zero x and y components on a mesh that has one (``hf_to_mesh``
-  fills it): the triangles of the 2 x 2 cells nearest the ray's local xy,
-  with no traversal;
+  fills it): the triangles of the one cell the ray's local xy lies inside,
+  or of the 2 x 2 cells nearest it when it lies within ``_MARGIN`` of a
+  cell edge or off the grid, with no traversal;
 * every triangle, for the other rays on a mesh of at most ``_DENSE_MAX``
   triangles: the rays that enter the mesh's bounding box meet all its
   triangles, with no traversal;
@@ -60,7 +61,9 @@ class GridCells:
 
     Cell ``(i, j)`` is the closed square from ``origin_xy + (i, j)*cell_size``
     to ``origin_xy + (i+1, j+1)*cell_size`` in mesh-local coordinates, and
-    ``tris[i, j]`` holds the ids of the ``k`` triangles inside it.
+    ``tris[i, j]`` holds the ids of the ``k`` triangles inside it. A vertical
+    ray well inside one cell can hit only that cell's ``k`` triangles; one
+    near an edge or a node is tested against the 2 x 2 cells around it.
     """
 
     origin_xy: tuple[float, float]
@@ -72,10 +75,13 @@ class GridCells:
 class TriMesh:
     """Indexed triangle mesh with a rigid world pose.
 
-    Every vertex must be finite. ``grid``, when given, must list every
-    triangle exactly once, each in a cell that holds all three of its
-    vertices; vertical rays then take their candidates from it instead of
-    the BVH.
+    Every vertex must be finite. ``vertices`` holds the ``(V, 3)`` values
+    given, stored component-major (``vertices.T`` is C-contiguous, as
+    ``Bvh`` stores its bounds), so a cast gathers each axis from one
+    contiguous row without copying the mesh. ``grid``, when given, must
+    list every triangle exactly once, each in a cell that holds all three
+    of its vertices; vertical rays then take their candidates from it
+    instead of the BVH.
     """
 
     vertices: np.ndarray
@@ -84,7 +90,8 @@ class TriMesh:
     grid: GridCells | None = None
 
     def __post_init__(self):
-        self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
+        # component-major: vertices.T is C-contiguous
+        self.vertices = np.asfortranarray(self.vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise ValueError("vertices must be (V, 3)")
@@ -190,6 +197,7 @@ LEAF_SIZE = 4
 _DENSE_MAX = 48  # meshes with at most this many triangles skip the BVH
 _LANES = 8192  # (triangle, ray) lanes per intersection block
 _NO_TRI = np.iinfo(np.int64).max  # loses every lowest-id tie break
+_MARGIN = 1e-6  # cells: a vertical ray this far inside its cell hits only it
 # 1 + 2 gamma_3, gamma_n = n eps / (1 - n eps), eps = 2**-53 (Ize, JCGT 2013)
 _SLAB_PAD = 1.0 + 2.0 * (3 * 2.0**-53 / (1 - 3 * 2.0**-53))
 
@@ -321,8 +329,8 @@ def _cast_mesh(mesh: TriMesh, bvh: Bvh, rot, pos, origins, dirs,
         o = ((origins - pos) @ rot).T.copy()
         d = (dirs @ rot).T.copy()
     ray = np.flatnonzero(np.isfinite(d).all(axis=0) & d.any(axis=0))
-    # vertices one row per axis too: gathers from contiguous rows are faster
-    vt = np.ascontiguousarray(mesh.vertices.T)
+    # vertices one row per axis too, as TriMesh stores them
+    vt = mesh.vertices.T
     if mesh.grid is not None:
         vertical = (d[0][ray] == 0.0) & (d[1][ray] == 0.0)
         # a non-finite origin misses, as in the BVH, and has no cell
@@ -339,34 +347,46 @@ def _cast_mesh(mesh: TriMesh, bvh: Bvh, rot, pos, origins, dirs,
 
 
 def _cast_grid(mesh, vt, o, d, ray, max_range, mesh_id, hits) -> None:
-    """Vertical rays against the triangles of the 2 x 2 cells nearest each
-    ray's local xy, clamped to the grid.
+    """Vertical rays against the triangles of their own cell, or of the 2 x 2
+    cells nearest them near a cell edge or off the grid.
 
     The cell table puts every triangle in a closed cell that holds all its
-    vertices, and the Moller-Trumbore tolerance (1e-12 in barycentric
-    coordinates) cannot admit a hit half a cell away, so these candidates
-    include every triangle a vertical ray can hit.
+    vertices. For a vertical ray the Moller-Trumbore ``u`` and ``v`` depend
+    only on the ray's local xy, and their tolerance of 1e-12 admits a point
+    at most a few 1e-12 of a triangle's extent (under sqrt(2) cells) outside
+    it; rounding adds a few ulps of the coordinates. Per axis, with
+    ``f = (o - origin) / cell_size``, a ray whose ``floor(f - _MARGIN)`` and
+    ``floor(f + _MARGIN)`` agree on both axes, inside the grid, is more than
+    ``_MARGIN`` = 1e-6 cells inside its own cell and so beyond any other
+    cell's triangles: it takes that cell's ``(k, n)`` block. Every other ray
+    takes the ``(4k, n)`` block of the 2 x 2 cells nearest its xy, clamped to
+    the grid; the tolerance cannot admit a hit half a cell away. Either
+    block holds every triangle the ray can hit.
     """
     g = mesh.grid
     ci, cj, k = g.tris.shape
-    first = []
+    own = np.ones(ray.size, dtype=np.bool_)
+    lo, near = [], []
     for a, cells in ((0, ci), (1, cj)):
         f = (o[a][ray] - g.origin_xy[a]) / g.cell_size
+        lo.append(np.floor(f - _MARGIN))
+        own &= (lo[a] == np.floor(f + _MARGIN)) & (lo[a] >= 0) & (lo[a] < cells)
         # lower of the two nearest cells; clamped as a float, so no cast
         # overflows
-        first.append(np.clip(np.floor(f - 0.5), 0, max(cells - 2, 0))
-                     .astype(np.int64))
+        near.append(np.clip(np.floor(f - 0.5), 0, max(cells - 2, 0)))
+    i, j = (np.where(own, x, y).astype(np.int64) for x, y in zip(lo, near))
+    cell = i * cj + j
     step_i, step_j = min(ci - 1, 1) * cj, min(cj - 1, 1)
-    cell = first[0] * cj + first[1]
-    quad = np.array([0, step_i, step_j, step_i + step_j])
     table = g.tris.reshape(-1, k)
-    step = max(1, _LANES // (4 * k))
-    for b in range(0, ray.size, step):
-        blk = ray[b:b + step]
-        # (4k, n): one column of candidates per ray
-        ids = table[cell[b:b + step, None] + quad].reshape(blk.size, -1).T
-        _keep_closer(hits, mesh_id, blk,
-                     *_closest(mesh, vt, o, d, blk, ids, max_range))
+    for sel, block in ((own, [0]), (~own, [0, step_i, step_j, step_i + step_j])):
+        sub, sub_cells = ray[sel], cell[sel, None] + block
+        step = max(1, _LANES // (len(block) * k))
+        for b in range(0, sub.size, step):
+            blk = sub[b:b + step]
+            # (k or 4k, n): one column of candidates per ray
+            ids = table[sub_cells[b:b + step]].reshape(blk.size, -1).T
+            _keep_closer(hits, mesh_id, blk,
+                         *_closest(mesh, vt, o, d, blk, ids, max_range))
 
 
 def _cast_dense(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
@@ -536,7 +556,7 @@ def _closest(mesh, vt, o, d, ray, ids, max_range):
 
     ``ids`` is ``(K, n)`` triangle ids, column ``j`` the candidates of
     ``ray[j]``, or ``(K, 1)`` ids that every ray shares; a repeated id in a
-    column changes nothing. ``vt`` is ``mesh.vertices.T``, C-contiguous.
+    column changes nothing. ``vt`` is ``mesh.vertices.T``.
     """
     # gathers through flat index arrays are about twice as fast as 2-D ones
     corners = np.take(mesh.triangles, ids.ravel(), axis=0)
@@ -567,8 +587,10 @@ def _keep_closer(hits, mesh_id, ray, t, tri) -> None:
 
 def _hit_normals(mesh: TriMesh, rot, sel, tri, normal) -> None:
     """World-frame unit winding normals of the winning triangles."""
-    p0, p1, p2 = mesh.vertices[mesh.triangles[tri]].transpose(1, 2, 0)
-    nrm = np.stack(_cross(p1 - p0, p2 - p0))
+    corners = np.take(mesh.triangles, tri, axis=0)
+    p0, p1, p2 = (_rows(mesh.vertices.T, corners[:, c]) for c in range(3))
+    nrm = np.stack(_cross([p1[a] - p0[a] for a in range(3)],
+                          [p2[a] - p0[a] for a in range(3)]))
     nl = np.sqrt(nrm[0] ** 2 + nrm[1] ** 2 + nrm[2] ** 2)
     normal[sel] = (rot @ nrm / nl).T
 
@@ -582,10 +604,13 @@ def raycast(meshes, bvhs, origins: np.ndarray, dirs: np.ndarray,
     are reported as misses.
 
     Raises:
-        ValueError: if ``meshes`` and ``bvhs`` differ in length, a BVH does
-            not cover its mesh's triangles, or ``origins`` and ``dirs``
-            differ in shape.
+        ValueError: if ``max_range`` is NaN or negative, ``meshes`` and
+            ``bvhs`` differ in length, a BVH does not cover its mesh's
+            triangles, or ``origins`` and ``dirs`` differ in shape.
     """
+    max_range = float(max_range)
+    if not max_range >= 0.0:
+        raise ValueError(f"max_range must be >= 0, got {max_range}")
     if len(meshes) != len(bvhs):
         raise ValueError(f"{len(meshes)} meshes but {len(bvhs)} BVHs")
     for mid, (mesh, bvh) in enumerate(zip(meshes, bvhs)):
@@ -609,8 +634,7 @@ def raycast(meshes, bvhs, origins: np.ndarray, dirs: np.ndarray,
                      np.ascontiguousarray(pose.pos, dtype=np.float64)))
     for mid, (mesh, bvh) in enumerate(zip(meshes, bvhs)):
         rot, pos = snap[mid]
-        _cast_mesh(mesh, bvh, rot, pos, origins, dirs, float(max_range), mid,
-                   hits)
+        _cast_mesh(mesh, bvh, rot, pos, origins, dirs, max_range, mid, hits)
     for mid, mesh in enumerate(meshes):
         sel = np.nonzero(hits.mesh_id == mid)[0]
         if sel.size:

@@ -137,6 +137,29 @@ def test_obj_roundtrip_through_file(tmp_path):
     assert load_obj(str(path)).num_triangles == mesh.num_triangles
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "list"])
+def test_vertices_are_stored_component_major(layout):
+    # the (V, 3) values are the input's; the storage is one row per axis,
+    # and the OBJ text does not depend on either
+    sphere = uv_sphere(6, 8, rng=np.random.default_rng(3))
+    rows = sphere.vertices.tolist()
+    given = {"C": np.array(rows, order="C"), "F": np.array(rows, order="F"),
+             "list": rows}[layout]
+    mesh = TriMesh(given, sphere.triangles)
+    np.testing.assert_array_equal(mesh.vertices, rows)
+    assert mesh.vertices.shape == (len(rows), 3)
+    assert mesh.vertices.T.flags.c_contiguous
+    buf = io.StringIO()
+    save_obj(mesh, buf)
+    text = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in rows)
+    text += "".join(f"f {a + 1} {b + 1} {c + 1}\n"
+                    for a, b, c in sphere.triangles.tolist())
+    assert buf.getvalue() == text
+    back = load_obj(io.StringIO(text))
+    np.testing.assert_array_equal(back.vertices, rows)
+    assert back.vertices.T.flags.c_contiguous
+
+
 def test_load_obj_missing_file_raises_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_obj(tmp_path / "missing.obj")
@@ -304,6 +327,18 @@ def test_raycast_rejects_ray_arrays_of_different_shapes():
     mesh = ground_plane()
     with pytest.raises(ValueError, match="differ in shape"):
         raycast([mesh], [build_bvh(mesh)], np.zeros((3, 3)), np.zeros((2, 3)))
+
+
+def test_raycast_rejects_nan_or_negative_max_range():
+    # unchecked, NaN would act as an infinite range and a negative range
+    # would miss everything without a word
+    mesh = ground_plane()
+    rays = [build_bvh(mesh)], np.array([[0.0, 0, 1]]), np.array([[0.0, 0, -1]])
+    for bad, shown in ((np.nan, "nan"), (-1.0, "-1.0"), (-np.inf, "-inf")):
+        with pytest.raises(ValueError, match=f"max_range must be >= 0, got {shown}"):
+            raycast([mesh], *rays, bad)
+    for ok in (0.0, 1.0, np.inf):
+        assert raycast([mesh], *rays, ok).hit[0] == (ok >= 1.0)
 
 
 def test_raycast_rejects_bvh_of_another_mesh():

@@ -165,30 +165,38 @@ def test_rays_beyond_one_block_match_exhaustive(monkeypatch, lanes, bound):
 @pytest.mark.parametrize("source", ["cell_table", "dense", "bvh"])
 def test_every_source_intersects_one_column_per_ray(lanes, source):
     # each source hands _distances (K, n) triangle rows against (n,) ray
-    # rows, K fixed per source
+    # rows, K fixed per source; the cell table has two: k rows for a ray
+    # inside one cell, 4k for one on an edge or a node
     rng = np.random.default_rng(50)
     table = hf_to_mesh(HeightField(rng.uniform(0.0, 0.3, (41, 41)), 0.1))
-    n = 3000
+    n, edge = 3000, 300
     origins = np.column_stack([rng.uniform(0.2, 3.8, (n, 2)), np.ones(n)])
     dirs = unit(rng.uniform([-0.4, -0.4, -1.0], [0.4, 0.4, -1.0], (n, 3)))
     if source == "cell_table":
-        mesh, k = table, 4 * table.grid.tris.shape[2]
+        mesh, k = table, table.grid.tris.shape[2]
+        ks = {k, 4 * k}
         dirs = np.tile([0.0, 0.0, -1.0], (n, 1))
+        # on a cell edge along x, along y, or on a node
+        cell = rng.integers(2, 39, (edge, 2)) * 0.1
+        origins[:edge, :2] = np.where(rng.integers(0, 3, (edge, 1)) == [0, 1],
+                                      origins[:edge, :2], cell)
     elif source == "dense":
         mesh = box_mesh((0.5, 0.5, 0.0), (3.5, 3.5, 0.3))
-        k = mesh.num_triangles
+        ks = {mesh.num_triangles}
     else:
-        mesh, k = TriMesh(table.vertices, table.triangles), rc.LEAF_SIZE
+        mesh, ks = TriMesh(table.vertices, table.triangles), {rc.LEAF_SIZE}
     got = raycast([mesh], [build_bvh(mesh)], origins, dirs)
     assert got.hit.mean() > 0.5
     assert len(lanes) > 1
     assert max(lanes) <= rc._LANES
+    rows = {}
     for th_shape, row_shape in lanes.shapes:
         assert len(row_shape) == 1
-        assert th_shape == (k,) + row_shape
+        assert th_shape[0] in ks and th_shape[1:] == row_shape
+        rows[th_shape[0]] = rows.get(th_shape[0], 0) + row_shape[0]
     if source == "cell_table":
-        # every vertical ray exactly once
-        assert sum(row[0] for _, row in lanes.shapes) == n
+        # every vertical ray exactly once: the edge rays in 2 x 2 blocks
+        assert rows == {k: n - edge, 4 * k: edge}
 
 
 def test_corner_rays_match_exhaustive():

@@ -1,11 +1,11 @@
 """Vertical rays on heightfield meshes: candidates from the cell table.
 
 ``hf_to_mesh`` records its grid on the mesh, and ``raycast`` takes the
-candidates of a ray whose mesh-local direction is vertical from the 2 x 2
-cells nearest the ray instead of from the BVH. The oracle is the exhaustive
-scan: the scalar reference walk over a single leaf that holds every
-triangle. Hits must match it bitwise wherever the local-frame transform is
-exact.
+candidates of a ray whose mesh-local direction is vertical from the cell it
+lies in, or from the 2 x 2 cells nearest it near a cell edge or off the
+grid, instead of from the BVH. The oracle is the exhaustive scan: the
+scalar reference walk over a single leaf that holds every triangle. Hits
+must match it bitwise wherever the local-frame transform is exact.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 
 import reference_raycast as ref
 from test_raycast_reference import BITWISE, single_leaf_bvh, unit
+from vecsim import raycast as rc
 from vecsim.maths import Transform, quat_from_axis_angle, quat_rotate
 from vecsim.raycast import GridCells, TriMesh, build_bvh, raycast
 from vecsim.terrain import (
@@ -38,10 +39,10 @@ def small_grid():
                         difficulty_map=lambda r, n: (r + 1) / n)
 
 
-def assert_matches_exhaustive(mesh, origins, dirs, max_range=np.inf):
+def assert_matches_exhaustive(mesh, origins, dirs, max_range=np.inf,
+                              oracle=single_leaf_bvh):
     got = raycast([mesh], [build_bvh(mesh)], origins, dirs, max_range)
-    want = ref.raycast([mesh], [single_leaf_bvh(mesh)], origins, dirs,
-                       max_range)
+    want = ref.raycast([mesh], [oracle(mesh)], origins, dirs, max_range)
     for name in FIELDS:
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
                                       err_msg=name)
@@ -209,6 +210,75 @@ def test_vertical_rays_do_no_bvh_traversal(bvh_rays):
     plain = TriMesh(mesh.vertices, mesh.triangles)
     raycast([plain], [bvh], origins, dirs)
     np.testing.assert_array_equal(bvh_rays[0], np.arange(300))
+
+
+def margin_rays(mesh, rng):
+    """Local xy at offsets of 0, 1 ulp, 1e-12, m/2, m, 2m and half a cell
+    (m the cell table's margin) either side of cell edges, nodes and the
+    split diagonal, and outside the grid's border."""
+    g = mesh.grid
+    ci, cj, _ = g.tris.shape
+    cell = g.cell_size
+    edge = [np.arange(c + 1) * cell + g.origin_xy[a]
+            for a, c in enumerate((ci, cj))]
+    m = rc._MARGIN
+    xy = []
+    for step in (None, 1e-12, m / 2, m, 2 * m, 0.5):
+        for sign in (-1.0, 1.0):
+            def off(v):
+                if step is None:
+                    return np.nextafter(v, sign * np.inf)
+                return v + sign * step * cell
+            i = rng.integers(0, ci + 1, 6)
+            j = rng.integers(0, cj + 1, 6)
+            inside = [rng.uniform(edge[0][0], edge[0][-1], 6),
+                      rng.uniform(edge[1][0], edge[1][-1], 6)]
+            xy += [np.column_stack([off(edge[0][i]), inside[1]]),
+                   np.column_stack([inside[0], off(edge[1][j])]),
+                   np.column_stack([off(edge[0][i]), off(edge[1][j])]),
+                   np.column_stack([edge[0][i], edge[1][j]])]
+            # across the diagonal from node (i, j) to (i + 1, j + 1)
+            t = rng.uniform(0.0, cell, 6)
+            i, j = i % ci, j % cj
+            xy.append(np.column_stack([off(edge[0][i] + t), edge[1][j] + t]))
+            # beyond each side of the border
+            xy += [np.column_stack([off(np.full(6, e)), inside[1]])
+                   for e in (edge[0][0], edge[0][-1])]
+            xy += [np.column_stack([inside[0], off(np.full(6, e))])
+                   for e in (edge[1][0], edge[1][-1])]
+    return np.concatenate(xy)
+
+
+def unbounded_leaf(mesh):
+    """The exhaustive scan without its root-box test: a vertical ray within
+    the Moller-Trumbore tolerance outside the mesh's xy bounds still meets
+    every triangle, as it does in the cell table."""
+    bvh = single_leaf_bvh(mesh)
+    bvh.bounds_min[:] = -np.inf
+    bvh.bounds_max[:] = np.inf
+    return bvh
+
+
+@pytest.mark.parametrize("posed", [False, True], ids=["plain", "yawed"])
+def test_rays_near_cell_edges_match_exhaustive(bvh_rays, posed):
+    # a vertical ray more than the margin inside its cell tests only that
+    # cell; every other one tests the 2 x 2 cells around it, and both must
+    # give the exhaustive scan's hits bit for bit
+    mesh = small_grid().mesh
+    xy = margin_rays(mesh, np.random.default_rng(29))
+    origins, dirs = down_rays(xy)
+    if posed:
+        # a quarter turn about z keeps local directions vertical
+        mesh.pose = Transform(np.array([0.25, -0.5, 0.125]),
+                              quat_from_axis_angle(np.array([0.0, 0.0, 1.0]),
+                                                   np.pi / 2))
+        origins = quat_rotate(mesh.pose.quat, origins) + mesh.pose.pos
+    got = assert_matches_exhaustive(mesh, origins, dirs, oracle=unbounded_leaf)
+    lo, hi = xy_bounds(mesh)
+    on = np.all((xy >= lo) & (xy <= hi), axis=1)
+    np.testing.assert_array_equal(got.hit[on], True)
+    assert got.hit.sum() < len(xy)
+    assert not bvh_rays
 
 
 def test_non_finite_origins_miss():
