@@ -2,8 +2,12 @@
 
 Every kernel works on all E environments at once: arrays carry the
 environment as their leading axis, and the only Python loops run over the
-links of the tree, root to leaf. The interpreter cost is
-paid once per link, not once per link and environment.
+depth levels of the tree, root to leaf. Each step of such a loop handles
+one run of a level from ``KinematicTree.levels``, links whose ids and
+parent ids step evenly, through strided views, so a pass over a quadruped
+numbered leg by leg takes 4 steps, not 13, and its results are bitwise the
+per-link loop's. The interpreter cost is paid once per run, not once per
+link and environment.
 
 Spatial vectors are body-frame ``[angular, linear]`` about link-frame
 origins. The parent->child motion transforms ``X`` (``(E, L, 6, 6)``, from
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .articulation import JOINT_PRISMATIC, JOINT_REVOLUTE
 from .maths import cross
 
 
@@ -37,6 +40,7 @@ _CRM = np.zeros((6, 6, 6))
 _CRM[:3, :3, :3] = _CRM[:3, 3:, 3:] = _CRM[3:, 3:, :3] = _SKEW
 _SKEW = _SKEW.reshape(3, 9)
 _CRM = _CRM.reshape(6, 36)
+_EYE3 = np.eye(3)
 
 
 def _mv(a, x):
@@ -44,7 +48,7 @@ def _mv(a, x):
     return (a @ x[..., None])[..., 0]
 
 
-def _skew(v):
+def skew(v):
     """``skew(v) @ x == v x x`` over leading axes."""
     return (v @ _SKEW).reshape(v.shape[:-1] + (3, 3))
 
@@ -57,28 +61,26 @@ def _crm(v, out=None):
     return crm
 
 
-def _rodrigues(axis, angle):
-    """Rotations ``(E, n, 3, 3)`` about unit axes ``(n, 3)`` by ``(E, n)``."""
-    c = np.cos(angle)[..., None, None]
-    s = np.sin(angle)[..., None, None]
-    outer = axis[:, :, None] * axis[:, None, :]
-    return c * np.eye(3) + s * _skew(axis) + (1.0 - c) * outer
-
-
 def joint_xforms(tree, q):
     """Each link's frame in its parent's frame, for joint positions ``q``.
 
     Returns ``rot`` ``(E, L, 3, 3)`` and ``pos`` ``(E, L, 3)``: the fixed
-    joint origin followed by the joint motion. The free root's entry is
-    its origin, the identity, so the root's world frame is the base pose.
+    joint origin followed by the joint motion, a revolute joint's by
+    Rodrigues' formula ``c 1 + s skew(a) + (1 - c) a a^T`` from the tree's
+    stored ``skew(a)`` and ``a a^T``. The free root's entry is its origin,
+    the identity, so the root's world frame is the base pose.
     """
     E = q.shape[0]
-    rot = np.repeat(tree.x_rot[None], E, axis=0)
-    pos = np.repeat(tree.x_pos[None], E, axis=0)
-    rev = np.flatnonzero(tree.jtype == JOINT_REVOLUTE)
+    rot = tree.x_rot[None].repeat(E, axis=0)
+    pos = tree.x_pos[None].repeat(E, axis=0)
+    rev = tree.revolute
     if rev.size:
-        rot[:, rev] = tree.x_rot[rev] @ _rodrigues(tree.axis[rev], q[:, tree.qidx[rev]])
-    pri = np.flatnonzero(tree.jtype == JOINT_PRISMATIC)
+        angle = q[:, tree.qidx[rev]]
+        c = np.cos(angle)[..., None, None]
+        s = np.sin(angle)[..., None, None]
+        rot[:, rev] = tree.revolute_x_rot @ (
+            c * _EYE3 + s * tree.revolute_skew + (1.0 - c) * tree.revolute_outer)
+    pri = tree.prismatic
     if pri.size:
         slide = tree.axis[pri] * q[:, tree.qidx[pri], None]
         pos[:, pri] += _mv(tree.x_rot[pri], slide)
@@ -88,13 +90,13 @@ def joint_xforms(tree, q):
 def motion_xforms(rot, pos, out=None):
     """Parent->child motion maps ``[[E, 0], [-E skew(r), E]]``, ``E = rot^T``,
     written into ``out`` when it is given."""
-    e = np.swapaxes(rot, -1, -2)
+    e = rot.swapaxes(-1, -2)
     X = np.empty(rot.shape[:-2] + (6, 6)) if out is None else out
     X[..., :3, :3] = e
     X[..., :3, 3:] = 0.0
     X[..., 3:, 3:] = e
     # -E skew(r) == (skew(r) rot)^T
-    X[..., 3:, :3] = np.swapaxes(_skew(pos) @ rot, -1, -2)
+    X[..., 3:, :3] = (skew(pos) @ rot).swapaxes(-1, -2)
     return X
 
 
@@ -105,7 +107,7 @@ def spatial_inertia(mass, com, inertia):
     ``(..., 3, 3)``, for any leading shape, a single link's scalar mass too.
     """
     m = np.asarray(mass, dtype=np.float64)[..., None, None]
-    sk = _skew(np.asarray(com, dtype=np.float64))
+    sk = skew(np.asarray(com, dtype=np.float64))
     msk = m * sk
     out = np.empty(msk.shape[:-2] + (6, 6))
     # parallel-axis term m (|c|^2 1 - c c^T) == -m skew(c)^2
@@ -121,19 +123,15 @@ def fk_kernel(tree, rot, pos, base_rot, base_pos):
     E, L = rot.shape[:2]
     link_rot = np.empty((E, L, 3, 3))
     link_pos = np.empty((E, L, 3))
-    for i in range(L):
-        p = tree.parent[i]
-        rp, pp = (base_rot, base_pos) if p < 0 else (link_rot[:, p], link_pos[:, p])
-        link_rot[:, i] = rp @ rot[:, i]
-        link_pos[:, i] = pp + _mv(rp, pos[:, i])
+    for links, parents, *_ in tree.levels:
+        if parents is None:
+            rp, pp = base_rot[:, None], base_pos[:, None]
+        else:
+            rp, pp = link_rot[:, parents], link_pos[:, parents]
+        np.matmul(rp, rot[:, links], out=link_rot[:, links])
+        np.matmul(rp, pos[:, links, :, None], out=link_pos[:, links, :, None])
+        link_pos[:, links] += pp
     return link_rot, link_pos
-
-
-def _joint_motion(tree, qd):
-    """Joint velocity ``S_i qd_i`` of every link, ``(E, L, 6)``."""
-    # index -1 (links without a joint) picks the padded zero
-    padded = np.concatenate([qd, np.zeros((qd.shape[0], 1))], axis=1)
-    return tree.subspace * padded[:, tree.qidx, None]
 
 
 def body_jacobians(tree, X, base_rot, out=None):
@@ -141,25 +139,23 @@ def body_jacobians(tree, X, base_rot, out=None):
     velocity ``[w, v]`` is ``J[:, i] @ u`` for the public generalized
     velocity ``u``.
 
-    One root-to-leaf pass, ``J_i = X_i J_parent + S_i e_i``. A free root's
+    One root-to-leaf pass over the depth levels,
+    ``J_i = X_i J_parent + S_i e_i``. A free root's
     block is ``[[1, 0], [0, R^T]]``: ``u`` holds its angular velocity in the
     base frame and its linear velocity in the world frame (mixed
     coordinates), and this block is the one place that says so. ``J`` is
     written into ``out`` when it is given.
     """
     E, L = X.shape[:2]
-    off = tree.nv - tree.num_joints
     J = np.empty((E, L, 6, tree.nv)) if out is None else out
     J[:, tree.parent < 0] = 0.0
     if tree.floating:
-        J[:, 0, :3, :3] = np.eye(3)
-        J[:, 0, 3:, 3:6] = np.swapaxes(base_rot, -1, -2)
-    for i in range(L):
-        p = tree.parent[i]
-        if p >= 0:
-            np.matmul(X[:, i], J[:, p], out=J[:, i])
-        if tree.qidx[i] >= 0:
-            J[:, i, :, off + tree.qidx[i]] = tree.subspace[i]
+        J[:, 0, :3, :3] = _EYE3
+        J[:, 0, 3:, 3:6] = base_rot.swapaxes(-1, -2)
+    for links, parents, joint, cols, rows in tree.levels:
+        if parents is not None:
+            np.matmul(X[:, links], J[:, parents], out=J[:, links])
+        J[:, joint, :, cols] = rows
     return J
 
 
@@ -172,9 +168,10 @@ def mass_kernel(J, inertia, out=None, ij=None):
     """
     E, L, _, nv = J.shape
     ij = np.matmul(inertia, J, out=ij)
-    m = np.matmul(np.swapaxes(J.reshape(E, 6 * L, nv), 1, 2),
+    m = np.matmul(J.reshape(E, 6 * L, nv).swapaxes(1, 2),
                   ij.reshape(E, 6 * L, nv), out=out)
-    np.copyto(m, np.swapaxes(m, 1, 2), where=np.tri(nv, k=-1, dtype=bool))
+    col = np.arange(nv)
+    np.copyto(m, m.swapaxes(1, 2), where=col[:, None] > col)
     return m
 
 
@@ -194,13 +191,19 @@ def rnea_kernel(tree, X, J, v, qd, inertia, base_acc, f_ext, crm=None):
     """
     E, L = v.shape[:2]
     crm = _crm(v, crm)
-    c = _mv(crm, _joint_motion(tree, qd))
-    a_base = np.zeros((E, 6))
-    a_base[:, 3:] = base_acc
-    a = np.empty((E, L, 6))
-    for i in range(L):
-        p = tree.parent[i]
-        a[:, i] = _mv(X[:, i], a_base if p < 0 else a[:, p]) + c[:, i]
+    # joint velocities S_i qd_i; index -1 (links without a joint) picks the
+    # padded zero
+    padded = np.zeros((E, qd.shape[1] + 1))
+    padded[:, :-1] = qd
+    c = _mv(crm, tree.subspace * padded[:, tree.qidx, None])
+    a_base = np.zeros((E, 1, 6, 1))
+    a_base[:, 0, 3:, 0] = base_acc
+    a = np.empty((E, L, 6, 1))
+    for links, parents, *_ in tree.levels:
+        ap = a_base if parents is None else a[:, parents]
+        np.matmul(X[:, links], ap, out=a[:, links])
+        a[:, links, :, 0] += c[:, links]
+    a = a[..., 0]
     # v x* h == -crm(v)^T h, computed as the row vector h^T crm(v)
     h = _mv(inertia, v)
     f = _mv(inertia, a) - (h[..., None, :] @ crm)[..., 0, :] - f_ext
@@ -213,7 +216,7 @@ def point_jacobian(J_link, link_rot, offset):
     rotation ``link_rot`` ``(E, 3, 3)``."""
     ang = J_link[:, :3]
     # the point moves at v + w x r == v - skew(r) w in the link frame
-    lin = J_link[:, 3:] - _skew(offset) @ ang
+    lin = J_link[:, 3:] - skew(offset) @ ang
     return np.concatenate([link_rot @ lin, link_rot @ ang], axis=1)
 
 
@@ -227,7 +230,7 @@ def contact_kernel(probes, link_rot, link_pos, v_body, ground):
     the summed world wrenches ``[f, tau]`` on each link ``(E, L, 6)``.
     """
     li = probes.link
-    if np.any(li >= link_pos.shape[1]):
+    if (li >= link_pos.shape[1]).any():
         raise IndexError(f"probe link index out of range (0..{link_pos.shape[1] - 1})")
     rot = link_rot[:, li]
     pw = link_pos[:, li] + _mv(rot, probes.offset)
@@ -244,11 +247,15 @@ def contact_kernel(probes, link_rot, link_pos, v_body, ground):
     fmax = probes.friction * fn
     clamp = (fmag > fmax) & (fmag > 0.0)
     ft = np.where(clamp[..., None], ft * (fmax / np.where(clamp, fmag, 1.0))[..., None], ft)
-    zero = np.zeros_like(fn)
-    normal = np.stack([zero, zero, fn], axis=-1)
-    tangent = np.concatenate([ft, zero[..., None]], axis=-1)
-    force = np.concatenate([ft, fn[..., None]], axis=-1)
+    normal = np.zeros(fn.shape + (3,))
+    normal[..., 2] = fn
+    tangent = np.zeros(fn.shape + (3,))
+    tangent[..., :2] = ft
+    # each probe's world wrench [force, torque about its link's origin]
+    probe_wrench = np.empty(fn.shape + (6,))
+    probe_wrench[..., :2] = ft
+    probe_wrench[..., 2] = fn
+    probe_wrench[..., 3:] = cross(pw - link_pos[:, li], probe_wrench[..., :3])
     wrench = np.zeros(link_pos.shape[:2] + (6,))
-    np.add.at(wrench, (slice(None), li),
-              np.concatenate([force, cross(pw - link_pos[:, li], force)], axis=-1))
+    np.add.at(wrench, (slice(None), li), probe_wrench)
     return normal, tangent, active, wrench

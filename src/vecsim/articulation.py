@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maths import QUAT_IDENTITY, Transform, quat_normalize
+from ._dyn_kernels import skew, spatial_inertia
+from .maths import QUAT_IDENTITY, Transform, quat_normalize, quat_to_matrix
 
 JOINT_FIXED = 0
 JOINT_REVOLUTE = 1
@@ -49,6 +50,23 @@ class KinematicTree:
     Link 0 may carry a ``free`` joint (floating base); all other joints are
     fixed, revolute, or prismatic. Closed kinematic loops are unsupported.
     Every number of every link must be finite.
+
+    ``levels`` is the kernels' root-to-leaf schedule (Featherstone 2008:
+    a pass needs only that parents come before children). It visits the
+    depths in order, and each depth's links in runs whose link ids and
+    parent ids both step evenly, so a run is a strided view of any
+    ``(E, L, ...)`` array. A run is ``(links, parents, joint_links,
+    joint_cols, subspace_rows)``: the links as a slice, their parents as a
+    slice (one link, ``p:p + 1``, when they share it) or ``None`` at the
+    root, and the links of the run that have a joint with their columns of
+    the generalized velocity and their ``S_i`` rows, shaped ``(k, 1, 6)``.
+    On a quadruped whose legs are numbered leg by leg the 13 links make 4
+    runs; a chain makes one run per link.
+
+    The tree also keeps what the kernels would otherwise recompute on every
+    call: the revolute ids with their ``x_rot``, ``skew(axis)`` and
+    ``axis axis^T``, the prismatic ids, and the nominal links' ``(L, 6, 6)``
+    spatial inertias. Every array is read-only.
     """
 
     def __init__(self, links: list[LinkSpec]):
@@ -67,8 +85,6 @@ class KinematicTree:
         self.com = np.zeros((n, 3))
         self.inertia = np.zeros((n, 3, 3))
         self.qidx = np.full(n, -1, dtype=np.int64)
-
-        from .maths import quat_to_matrix
 
         nq = 0
         for i, link in enumerate(links):
@@ -122,9 +138,60 @@ class KinematicTree:
         self.floating = bool(self.jtype[0] == JOINT_FREE)
         # Generalized-velocity size: [root twist (6) if floating] + joints.
         self.nv = 6 * self.floating + nq
+        self.revolute = np.flatnonzero(self.jtype == JOINT_REVOLUTE)
+        self.prismatic = np.flatnonzero(self.jtype == JOINT_PRISMATIC)
+        rev_axis = self.axis[self.revolute]
+        self.revolute_x_rot = self.x_rot[self.revolute]
+        self.revolute_skew = skew(rev_axis)
+        self.revolute_outer = rev_axis[:, :, None] * rev_axis[:, None, :]
+        self.nominal_inertia = spatial_inertia(self.mass, self.com, self.inertia)
+        self.levels = self._levels()
         for arr in (self.jtype, self.parent, self.axis, self.x_rot, self.x_pos,
-                    self.mass, self.com, self.inertia, self.qidx, self.subspace):
+                    self.mass, self.com, self.inertia, self.qidx, self.subspace,
+                    self.revolute, self.prismatic, self.revolute_x_rot,
+                    self.revolute_skew, self.revolute_outer, self.nominal_inertia):
             arr.setflags(write=False)
+
+    def _levels(self) -> tuple:
+        """The depth-level runs of :attr:`levels`."""
+        depth = np.zeros(self.num_links, dtype=np.int64)
+        for i, p in enumerate(self.parent):
+            depth[i] = 0 if p < 0 else depth[p] + 1
+        runs = []
+        for d in range(depth.max() + 1):
+            ids = np.flatnonzero(depth == d).tolist()
+            while ids:
+                n = 1
+                # a slice cannot step backwards to the parents
+                if len(ids) > 1 and self.parent[ids[1]] >= self.parent[ids[0]]:
+                    step = ids[1] - ids[0]
+                    pstep = self.parent[ids[1]] - self.parent[ids[0]]
+                    n = 2
+                    while (n < len(ids) and ids[n] - ids[n - 1] == step
+                           and self.parent[ids[n]] - self.parent[ids[n - 1]] == pstep):
+                        n += 1
+                runs.append(self._run(ids[:n]))
+                del ids[:n]
+        return tuple(runs)
+
+    def _run(self, run: list) -> tuple:
+        """One run of :attr:`levels` over the evenly spaced link ids ``run``."""
+        first, last = run[0], run[-1]
+        step = run[1] - first if len(run) > 1 else 1
+        links = slice(first, last + 1, step)
+        p0, p1 = int(self.parent[first]), int(self.parent[last])
+        if p0 < 0:
+            parents = None
+        elif p0 == p1:
+            parents = slice(p0, p0 + 1)
+        else:
+            parents = slice(p0, p1 + 1, (p1 - p0) // (len(run) - 1))
+        joint = np.array([i for i in run if self.qidx[i] >= 0], dtype=np.int64)
+        cols = self.nv - self.num_joints + self.qidx[joint]
+        rows = self.subspace[joint][:, None, :]
+        for arr in (joint, cols, rows):
+            arr.setflags(write=False)
+        return links, parents, joint, cols, rows
 
     def link_index(self, name: str) -> int:
         return self.names.index(name)

@@ -83,8 +83,7 @@ class FlatGround:
     height: float = 0.0
 
     def surface_height(self, x, y):
-        return np.full(np.broadcast_shapes(np.shape(x), np.shape(y)),
-                       self.height, dtype=np.float64)
+        return np.full(np.broadcast(x, y).shape, self.height, dtype=np.float64)
 
 
 @dataclass
@@ -104,8 +103,7 @@ class DynParams:
     @staticmethod
     def from_tree(tree: KinematicTree, env_count: int) -> "DynParams":
         """Every env with the tree's nominal links and no armature."""
-        inertia = k.spatial_inertia(tree.mass, tree.com, tree.inertia)
-        return DynParams(np.tile(inertia, (env_count, 1, 1, 1)),
+        return DynParams(np.tile(tree.nominal_inertia, (env_count, 1, 1, 1)),
                          np.zeros((env_count, tree.num_joints)))
 
 
@@ -171,11 +169,18 @@ def _batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, False
 
 
+def _broadcast(x, shape):
+    """``x`` as a float array of ``shape``: itself when it has that shape,
+    else a read-only broadcast view."""
+    x = np.asarray(x, dtype=np.float64)
+    return x if x.shape == shape else np.broadcast_to(x, shape)
+
+
 def _finite(x, what, shape):
     """``x`` as a float array of ``shape``; raises naming the environments
     (leading axis) that hold a non-finite value."""
-    x = np.broadcast_to(np.asarray(x, dtype=np.float64), shape)
-    if not np.all(np.isfinite(x)):
+    x = _broadcast(x, shape)
+    if not np.isfinite(x).all():
         bad = np.nonzero(~np.isfinite(x).all(axis=-1))[0]
         raise ValueError(f"non-finite {what} for environment(s) {bad.tolist()}")
     return x
@@ -192,9 +197,8 @@ def _pose(tree, q, root_pose):
         base_rot = np.broadcast_to(np.eye(3), (E, 3, 3))
         base_pos = np.zeros((E, 3))
     else:
-        base_rot = quat_to_matrix(np.broadcast_to(root_pose.quat, (E, 4)))
-        base_pos = np.broadcast_to(np.asarray(root_pose.pos, dtype=np.float64),
-                                   (E, 3))
+        base_rot = quat_to_matrix(_broadcast(root_pose.quat, (E, 4)))
+        base_pos = _broadcast(root_pose.pos, (E, 3))
     return k.joint_xforms(tree, q), base_rot, base_pos
 
 
@@ -211,8 +215,7 @@ def _velocity(tree, J, qd, base_rot, root_twist):
     ``None`` at rest; ``u`` takes its angular part in the base frame.
     """
     E = qd.shape[0]
-    twist = np.zeros((E, 6)) if root_twist is None else np.broadcast_to(
-        np.asarray(root_twist, dtype=np.float64), (E, 6))
+    twist = np.zeros((E, 6)) if root_twist is None else _broadcast(root_twist, (E, 6))
     u = qd
     if tree.floating:
         w_b = np.einsum("eba,eb->ea", base_rot, twist[:, 3:])
@@ -232,9 +235,13 @@ def _state_motion(tree, state: ArticulationState, work=_ALLOCATE):
 def _params(tree, params, env_count):
     """``params``, or the tree's own values when it is ``None``; raises if
     a given ``params.spatial_inertia`` is non-finite. Each public call that
-    reads the inertias passes them through here once."""
+    reads the inertias passes them through here once. The tree's own
+    inertias are its read-only ``nominal_inertia``, broadcast over the
+    envs, not a per-call copy."""
     if params is None:
-        return DynParams.from_tree(tree, env_count)
+        L = tree.num_links
+        return DynParams(np.broadcast_to(tree.nominal_inertia, (env_count, L, 6, 6)),
+                         np.zeros((env_count, tree.num_joints)))
     if not np.isfinite(params.spatial_inertia).all():
         raise ValueError("spatial_inertia must be finite")
     return params
@@ -242,7 +249,7 @@ def _params(tree, params, env_count):
 
 def _mass(tree, J, params, work=_ALLOCATE):
     """``sum_i J_i^T I_i J_i`` plus the armature on the joint diagonal."""
-    if not np.all(np.isfinite(params.armature) & (params.armature >= 0)):
+    if not (np.isfinite(params.armature) & (params.armature >= 0)).all():
         raise ValueError("armature must be finite and >= 0")
     m = k.mass_kernel(J, params.spatial_inertia, out=work.m, ij=work.ij)
     idx = tree.nv - tree.num_joints + np.arange(tree.num_joints)
@@ -254,7 +261,7 @@ def _bias(tree, xf, J, v_body, qd, params, base_rot, gravity, f_ext,
           work=_ALLOCATE):
     """RNEA bias less the applied body-frame link forces ``f_ext``, in the
     public coordinates (mixed for a floating root)."""
-    g = np.broadcast_to(np.asarray(gravity, dtype=np.float64), (qd.shape[0], 3))
+    g = _broadcast(gravity, (qd.shape[0], 3))
     a_base = -np.einsum("eba,eb->ea", base_rot, g)
     if tree.floating:
         a_base -= cross(v_body[:, 0, :3], v_body[:, 0, 3:])
@@ -410,10 +417,11 @@ def step(tree: KinematicTree, state: ArticulationState,
         joint_efforts = np.zeros((E, nj))
     joint_efforts = _finite(joint_efforts, "joint efforts", (E, nj))
     if implicit_pd is not None:
-        kp, kd = (np.broadcast_to(np.asarray(g, dtype=np.float64), (E, nj))
-                  for g in (implicit_pd.kp, implicit_pd.kd))
+        # checked as given; the arithmetic below broadcasts them
+        kp = np.asarray(implicit_pd.kp, dtype=np.float64)
+        kd = np.asarray(implicit_pd.kd, dtype=np.float64)
         for name, gain in (("kp", kp), ("kd", kd)):
-            if not np.all(np.isfinite(gain) & (gain >= 0)):
+            if not (np.isfinite(gain) & (gain >= 0)).all():
                 raise ValueError(f"implicit PD {name} must be finite and >= 0")
         q_target = _finite(implicit_pd.q_target, "implicit PD q_target", (E, nj))
         qd_target = implicit_pd.qd_target
@@ -430,7 +438,7 @@ def step(tree: KinematicTree, state: ArticulationState,
     wrench = state.ext_wrench
     contacts = probes is not None and probes.count
     f_ext = 0.0
-    if contacts or np.any(wrench):
+    if contacts or wrench.any():
         link_rot, link_pos = k.fk_kernel(tree, *frames, base_rot, base_pos)
         if contacts:
             normal, tangent, active, contact_wrench = k.contact_kernel(

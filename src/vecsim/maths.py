@@ -19,22 +19,22 @@ QUAT_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Scale quaternions to unit norm."""
     q = np.asarray(q, dtype=np.float64)
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    # sqrt(sum q^2), the arithmetic of np.linalg.norm
+    return q / np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product ``a * b``."""
-    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
-    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    out = np.empty(np.broadcast(a, b).shape)
+    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
+    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
+    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
+    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    return out
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
@@ -50,8 +50,8 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape),
-                   dtype=np.result_type(a, b))
+    dtype = a.dtype if a.dtype == b.dtype else np.result_type(a, b)
+    out = np.empty(np.broadcast(a, b).shape, dtype=dtype)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(a[..., j], b[..., k], out=out[..., i])
         out[..., i] -= a[..., k] * b[..., j]
@@ -85,7 +85,8 @@ def quat_from_axis_angle(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
 def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
     """Exponential map: rotation-vector (axis * angle) to quaternion."""
     v = np.asarray(v, dtype=np.float64)
-    angle = np.linalg.norm(v, axis=-1, keepdims=True)
+    # sqrt(sum v^2), the arithmetic of np.linalg.norm
+    angle = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     half = 0.5 * angle
     # sin(a/2)/a is smooth through zero; use the series limit 1/2 there.
     small = angle < 1e-12
@@ -118,7 +119,7 @@ def rotvec_from_quat(q: np.ndarray) -> np.ndarray:
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrices of shape ``(..., 3, 3)``."""
     q = np.asarray(q, dtype=np.float64)
-    w, x, y, z = np.moveaxis(q, -1, 0)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     out = np.empty(q.shape[:-1] + (3, 3))
     out[..., 0, 0] = 1 - 2 * (y * y + z * z)
     out[..., 0, 1] = 2 * (x * y - w * z)

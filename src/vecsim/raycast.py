@@ -18,7 +18,8 @@ Moller-Trumbore pass and keeps each column's closest candidate:
   has zero x and y components on a mesh that has one (``hf_to_mesh``
   fills it): the triangles of the one cell the ray's local xy lies inside,
   or of the 2 x 2 cells nearest it when it lies within ``_MARGIN`` of a
-  cell edge or off the grid, with no traversal;
+  cell edge, with no traversal. As in the BVH, such a ray misses unless
+  its local xy lies in the root box's closed xy bounds;
 * every triangle, for the other rays on a mesh of at most ``_DENSE_MAX``
   triangles: the rays that enter the mesh's bounding box meet all its
   triangles, with no traversal;
@@ -318,7 +319,8 @@ def _cast_mesh(mesh: TriMesh, bvh: Bvh, rot, pos, origins, dirs,
 
     Rays whose local direction is non-finite or zero miss and are dropped
     first. On a mesh with a cell table, rays whose local direction has zero
-    x and y components take their candidates from the table. The others
+    x and y components take their candidates from the table if their local
+    xy lies in the root box's closed xy bounds, and miss otherwise. The others
     are scanned against every triangle of a mesh of at most ``_DENSE_MAX``
     triangles and traverse the BVH of a larger one.
     """
@@ -333,10 +335,14 @@ def _cast_mesh(mesh: TriMesh, bvh: Bvh, rot, pos, origins, dirs,
     vt = mesh.vertices.T
     if mesh.grid is not None:
         vertical = (d[0][ray] == 0.0) & (d[1][ray] == 0.0)
-        # a non-finite origin misses, as in the BVH, and has no cell
-        finite = np.isfinite(o[0][ray]) & np.isfinite(o[1][ray])
-        _cast_grid(mesh, vt, o, d, ray[vertical & finite], max_range,
-                   mesh_id, hits)
+        # the BVH's rule: a vertical ray meets the mesh only if its xy lies
+        # in the root box's closed xy bounds, which a NaN or infinite
+        # origin does not
+        inside = vertical.copy()
+        for a in (0, 1):
+            oa = o[a][ray]
+            inside &= (oa >= bvh.bounds_min[0, a]) & (oa <= bvh.bounds_max[0, a])
+        _cast_grid(mesh, vt, o, d, ray[inside], max_range, mesh_id, hits)
         ray = ray[~vertical]
     if not ray.size:
         return
@@ -347,8 +353,8 @@ def _cast_mesh(mesh: TriMesh, bvh: Bvh, rot, pos, origins, dirs,
 
 
 def _cast_grid(mesh, vt, o, d, ray, max_range, mesh_id, hits) -> None:
-    """Vertical rays against the triangles of their own cell, or of the 2 x 2
-    cells nearest them near a cell edge or off the grid.
+    """Vertical rays in the grid's closed xy bounds against the triangles of
+    their own cell, or of the 2 x 2 cells nearest them near a cell edge.
 
     The cell table puts every triangle in a closed cell that holds all its
     vertices. For a vertical ray the Moller-Trumbore ``u`` and ``v`` depend

@@ -33,7 +33,7 @@ class HeightField:
     origin_xy: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        self.heights = np.asarray(self.heights, dtype=np.float64)
+        self.heights = np.ascontiguousarray(self.heights, dtype=np.float64)
         if self.heights.ndim != 2 or min(self.heights.shape) < 2:
             raise ValueError("heightfield needs at least a 2x2 grid")
         if not np.isfinite(self.heights).all():
@@ -47,13 +47,15 @@ class HeightField:
         Points outside the grid clamp to the border; a NaN coordinate gives
         a NaN height.
         """
-        heights, cell = self.heights, self.cell_size
+        cell = self.cell_size
         ox, oy = self.origin_xy
-        n, m = heights.shape
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        fx = np.clip((x - ox) / cell, 0.0, n - 1)
-        fy = np.clip((y - oy) / cell, 0.0, m - 1)
+        n, m = self.heights.shape
+        x = np.array(x, dtype=np.float64, ndmin=1)
+        y = np.array(y, dtype=np.float64, ndmin=1)
+        # np.clip(f, 0, n - 1), bit for bit (NaN and -0.0 included) in this
+        # argument order, without clip's Python wrapper
+        fx = np.minimum(n - 1, np.maximum(0.0, (x - ox) / cell))
+        fy = np.minimum(m - 1, np.maximum(0.0, (y - oy) / cell))
         # a point on the far edge lies in the last cell, at u or w = 1; fmax
         # sends a NaN point to cell 0, and its NaN u or w spreads to the
         # height
@@ -61,10 +63,13 @@ class HeightField:
         j = np.minimum(np.fmax(fy, 0.0).astype(np.int64), m - 2)
         u = fx - i
         w = fy - j
-        h00 = heights[i, j]
-        h10 = heights[i + 1, j]
-        h01 = heights[i, j + 1]
-        h11 = heights[i + 1, j + 1]
+        # node (i, j) of the C-ordered heights is flat entry i m + j
+        flat = self.heights.ravel()
+        k = i * m + j
+        h00 = flat[k]
+        h10 = flat[k + m]
+        h01 = flat[k + 1]
+        h11 = flat[k + m + 1]
         return np.where(u >= w,
                         h00 + u * (h10 - h00) + w * (h11 - h10),
                         h00 + u * (h11 - h01) + w * (h01 - h00))

@@ -12,6 +12,8 @@ so the reference values are first mapped by the closed form
 ``diag(1, R, 1)`` (:func:`mixed`).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,33 @@ def quadruped():
     return KinematicTree(quadruped_links())
 
 
+def breadth_first_quadruped():
+    """:func:`quadruped` numbered depth by depth: trunk, the four hips, the
+    four thighs, the four calves."""
+    links = quadruped_links()
+    order = [0] + [1 + 3 * leg + d for d in range(3) for leg in range(4)]
+    new = {old: i for i, old in enumerate(order)}
+    return KinematicTree([
+        dataclasses.replace(links[old], parent=-1 if links[old].parent < 0
+                            else new[links[old].parent])
+        for old in order])
+
+
+def crossed_tree():
+    """Five revolute links whose deepest level lists its parents in falling
+    order (links 3 and 4 hang from links 2 and 1): no slice steps from the
+    first parent to the second, so each link is its own run."""
+    rng = np.random.default_rng(6)
+    links = []
+    for i, parent in enumerate([-1, 0, 0, 2, 1]):
+        axis = rng.standard_normal(3)
+        links.append(LinkSpec(
+            f"c{i}", parent, "revolute", axis=tuple(axis / np.linalg.norm(axis)),
+            origin_pos=tuple(rng.uniform(-0.3, 0.3, 3)), mass=rng.uniform(0.2, 2.0),
+            com=tuple(rng.uniform(-0.2, 0.2, 3)), inertia=random_spd(rng)))
+    return KinematicTree(links)
+
+
 def trees():
     rng = np.random.default_rng(11)
     return [
@@ -101,6 +130,9 @@ def trees():
         ("fixed_tree", random_tree(rng, 9, floating=False)),
         ("floating_tree", random_tree(rng, 9, floating=True)),
         ("quadruped", quadruped()),
+        ("quadruped_bfs", breadth_first_quadruped()),
+        ("branchy_tree", random_tree(np.random.default_rng(3), 14, floating=False)),
+        ("crossed_tree", crossed_tree()),
     ]
 
 
@@ -162,6 +194,126 @@ def case(request):
     name, E = request.param
     tree = dict(TREES)[name]
     return Case(tree, E, seed=CASES.index(request.param))
+
+
+def schedule_depths(tree):
+    """Each link's depth below the root, counting from 0."""
+    depth = []
+    for p in tree.parent:
+        depth.append(0 if p < 0 else depth[p] + 1)
+    return np.array(depth)
+
+
+@pytest.mark.parametrize("name", [n for n, _ in TREES])
+def test_level_schedule_covers_every_link_once_after_its_parent(name):
+    tree = dict(TREES)[name]
+    ids = np.arange(tree.num_links)
+    depth = schedule_depths(tree)
+    seen, last_depth = [], 0
+    for links, parents, joint, cols, rows in tree.levels:
+        run = ids[links]
+        assert run.size and (depth[run] == depth[run[0]]).all()
+        # depths never go back, and parents come at an earlier depth
+        assert depth[run[0]] >= last_depth
+        last_depth = depth[run[0]]
+        if parents is None:
+            assert (tree.parent[run] < 0).all()
+        else:
+            np.testing.assert_array_equal(
+                np.broadcast_to(ids[parents], run.shape), tree.parent[run])
+            assert (depth[ids[parents]] < depth[run[0]]).all()
+            assert set(ids[parents]) <= set(seen)
+        np.testing.assert_array_equal(joint, run[tree.qidx[run] >= 0])
+        np.testing.assert_array_equal(cols, tree.nv - tree.num_joints + tree.qidx[joint])
+        np.testing.assert_array_equal(rows[:, 0], tree.subspace[joint])
+        seen += run.tolist()
+    assert sorted(seen) == ids.tolist()
+
+
+@pytest.mark.parametrize("name, runs", [
+    ("chain", 6), ("quadruped", 4), ("quadruped_bfs", 4), ("crossed_tree", 4)])
+def test_level_schedule_run_counts(name, runs):
+    tree = dict(TREES)[name]
+    assert len(tree.levels) == runs
+    if name == "quadruped_bfs":
+        # each level is one contiguous slice
+        assert all(links.step == 1 for links, *_ in tree.levels)
+
+
+def test_random_tree_levels_break_into_several_runs():
+    # more runs than depth levels: some level splits
+    tree = dict(TREES)["branchy_tree"]
+    assert len(tree.levels) > schedule_depths(tree).max() + 1
+
+
+def test_level_schedule_is_read_only():
+    tree = quadruped()
+    assert isinstance(tree.levels, tuple)
+    for _, _, joint, cols, rows in tree.levels:
+        for arr in (joint, cols, rows):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+
+def per_link_fk(tree, rot, pos, base_rot, base_pos):
+    """The link-by-link FK pass the level runs replaced."""
+    E, L = rot.shape[:2]
+    link_rot = np.empty((E, L, 3, 3))
+    link_pos = np.empty((E, L, 3))
+    for i in range(L):
+        p = tree.parent[i]
+        rp, pp = (base_rot, base_pos) if p < 0 else (link_rot[:, p], link_pos[:, p])
+        link_rot[:, i] = rp @ rot[:, i]
+        link_pos[:, i] = pp + k._mv(rp, pos[:, i])
+    return link_rot, link_pos
+
+
+def per_link_jacobians(tree, X, base_rot):
+    """The link-by-link Jacobian pass the level runs replaced."""
+    E, L = X.shape[:2]
+    off = tree.nv - tree.num_joints
+    J = np.empty((E, L, 6, tree.nv))
+    J[:, tree.parent < 0] = 0.0
+    if tree.floating:
+        J[:, 0, :3, :3] = np.eye(3)
+        J[:, 0, 3:, 3:6] = np.swapaxes(base_rot, -1, -2)
+    for i in range(L):
+        p = tree.parent[i]
+        if p >= 0:
+            np.matmul(X[:, i], J[:, p], out=J[:, i])
+        if tree.qidx[i] >= 0:
+            J[:, i, :, off + tree.qidx[i]] = tree.subspace[i]
+    return J
+
+
+def per_link_rnea(tree, X, J, v, qd, inertia, base_acc, f_ext):
+    """RNEA with the link-by-link forward pass the level runs replaced."""
+    E, L = v.shape[:2]
+    crm = k._crm(v)
+    padded = np.concatenate([qd, np.zeros((E, 1))], axis=1)
+    c = k._mv(crm, tree.subspace * padded[:, tree.qidx, None])
+    a_base = np.zeros((E, 6))
+    a_base[:, 3:] = base_acc
+    a = np.empty((E, L, 6))
+    for i in range(L):
+        p = tree.parent[i]
+        a[:, i] = k._mv(X[:, i], a_base if p < 0 else a[:, p]) + c[:, i]
+    h = k._mv(inertia, v)
+    f = k._mv(inertia, a) - (h[..., None, :] @ crm)[..., 0, :] - f_ext
+    return (f.reshape(E, 1, 6 * L) @ J.reshape(E, 6 * L, -1))[:, 0]
+
+
+def test_level_passes_equal_the_per_link_loop_bitwise(case):
+    t = case.tree
+    rot, pos = per_link_fk(t, *case.frames, case.base_rot, case.base_pos)
+    J = per_link_jacobians(t, case.X, case.base_rot)
+    base_acc = -np.einsum("eba,eb->ea", case.base_rot, case.gravity)
+    bias = per_link_rnea(t, case.X, J, case.v, case.qd, case.spatial, base_acc,
+                         case.wrench)
+    for got, want in ((case.rot, rot), (case.pos, pos), (case.J, J),
+                      (k.rnea_kernel(t, case.X, case.J, case.v, case.qd,
+                                     case.spatial, base_acc, case.wrench), bias)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_fk_and_velocities_match_reference(case):
@@ -307,3 +459,87 @@ def test_heightfield_sample_bitwise_matches_scalar():
     np.testing.assert_array_equal(
         ground.surface_height(pts[:, 0].reshape(5, -1), pts[:, 1].reshape(5, -1)),
         expected.reshape(5, -1))
+
+
+def test_surface_height_special_points_bitwise_match_scalar():
+    # 0-d coordinates, -0.0 on a grid at the origin over -0.0 heights, the
+    # far edge and points past every side all give the scalar oracle's bits
+    rng = np.random.default_rng(13)
+    heights = rng.uniform(-1.0, 1.0, (6, 4))
+    heights[0, :2] = -0.0
+    heights[1, 0] = -0.0
+    cell = 0.5
+    ground = HeightField(heights, cell)
+    n, m = heights.shape
+    fx, fy = (n - 1) * cell, (m - 1) * cell
+    pts = np.array([
+        [-0.0, 0.3], [0.0, -0.0], [-0.0, -0.0], [0.2, 0.0],
+        [fx, fy], [fx, 0.7], [0.3, fy], [np.nextafter(fx, np.inf), 0.25],
+        [-5.0, 0.2], [9.0, 0.2], [0.2, -7.0], [0.2, 40.0],
+        [-1e300, 1e300], [np.inf, -np.inf]])
+    want = np.array([ref.heightfield_sample(heights, cell, 0.0, 0.0, x, y)
+                     for x, y in pts])
+    for (x, y), h in zip(pts, want):
+        got = ground.surface_height(np.float64(x), np.float64(y))
+        assert got.shape == (1,)
+        assert got.tobytes() == h.tobytes()
+    assert ground.surface_height(pts[:, 0], pts[:, 1]).tobytes() == want.tobytes()
+    assert np.signbit(want).any()
+
+
+def test_surface_height_of_a_nan_coordinate_is_nan():
+    ground = HeightField(np.arange(12.0).reshape(4, 3), 0.5, (-1.0, 2.0))
+    got = ground.surface_height([np.nan, 0.2, np.nan, -0.5], [2.5, np.nan, np.nan, 2.5])
+    np.testing.assert_array_equal(np.isnan(got), [True, True, True, False])
+    assert ground.surface_height(np.nan, 2.5).shape == (1,)
+
+
+@pytest.mark.parametrize("terrain", ["flat", "heightfield"])
+def test_contacts_on_shared_and_inner_links_match_a_per_probe_loop(terrain):
+    # three probes on one calf, two on its thigh and one on the trunk: the
+    # batched kernel gives each probe its own rows and sums the wrenches of
+    # a link in probe order
+    case = Case(quadruped(), 5, seed=101)
+    rng = case.rng
+    link = np.array([3, 3, 3, 2, 2, 0])
+    P = link.size
+    params = dict(radius=rng.uniform(0.02, 0.1, P),
+                  stiffness=rng.uniform(100.0, 5000.0, P),
+                  damping=rng.uniform(0.0, 200.0, P),
+                  friction=rng.uniform(0.1, 1.0, P))
+    probes = ContactPointSet(link=link, offset=rng.uniform(-0.2, 0.2, (P, 3)),
+                             **params)
+    probe_z = (case.pos[:, link]
+               + np.einsum("epab,pb->epa", case.rot[:, link], probes.offset))[..., 2]
+    level = float(np.median(probe_z))
+    if terrain == "flat":
+        ground = FlatGround(level)
+    else:
+        ground = HeightField(level + rng.uniform(-0.3, 0.3, (9, 7)),
+                             cell_size=0.25, origin_xy=(-1.0, -0.8))
+    normal, tangent, active, wrench = k.contact_kernel(probes, case.rot, case.pos,
+                                                       case.v, ground)
+    assert 0 < active.sum() < active.size
+    loop_wrench = np.zeros_like(wrench)
+    for p in range(P):
+        one = ContactPointSet(link=link[p:p + 1], offset=probes.offset[p:p + 1],
+                              **{name: v[p:p + 1] for name, v in params.items()})
+        n1, t1, a1, w1 = k.contact_kernel(one, case.rot, case.pos, case.v, ground)
+        assert normal[:, p:p + 1].tobytes() == n1.tobytes()
+        assert tangent[:, p:p + 1].tobytes() == t1.tobytes()
+        np.testing.assert_array_equal(active[:, p:p + 1], a1)
+        loop_wrench[:, link[p]] += w1[:, link[p]]
+    assert wrench.tobytes() == loop_wrench.tobytes()
+    # and the scalar oracle, to its tolerance
+    E = case.q.shape[0]
+    encoded = ((0, level, np.zeros((2, 2)), 1.0, 0.0, 0.0) if terrain == "flat"
+               else (1, 0.0, ground.heights, ground.cell_size, *ground.origin_xy))
+    exp = [np.zeros((E, P, 3)), np.zeros((E, P, 3)), np.zeros((E, P), bool),
+           np.zeros_like(wrench)]
+    ref.contact_kernel(link, probes.offset, probes.radius,
+                       *(np.broadcast_to(params[n], (E, P))
+                         for n in ("stiffness", "damping", "friction")),
+                       case.ref_rot, case.ref_pos, case.ref_v, *encoded, *exp)
+    np.testing.assert_array_equal(active, exp[2])
+    for new, expected in zip((normal, tangent, wrench), exp[:2] + exp[3:]):
+        assert_matches(new, expected)

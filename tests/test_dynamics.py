@@ -457,6 +457,41 @@ def test_dynamics_given_params_never_rebuild_spatial_inertia(monkeypatch):
         np.testing.assert_array_equal(got, want)
 
 
+def test_default_params_are_the_trees_shared_nominal_inertias(monkeypatch):
+    # without params every call reads the tree's one read-only copy of its
+    # nominal inertias, builds none, and gives bitwise the results of
+    # from_tree's
+    tree = quadruped()
+    rng = np.random.default_rng(13)
+    E = 3
+    state = _quadruped_state(tree, E, rng)
+    twist = np.concatenate([state.root_lin_vel, state.root_ang_vel], axis=1)
+    tau = rng.standard_normal((E, tree.num_joints))
+
+    def run(params):
+        after = state.copy()
+        step(tree, after, tau, 5e-3, probes=_feet(tree), terrain=FlatGround(),
+             params=params)
+        return (mass_matrix(tree, state.q, root_pose=state.root_pose,
+                            params=params),
+                bias_forces(tree, state.q, state.qd, root_pose=state.root_pose,
+                            root_twist=twist, params=params),
+                *(getattr(after, f.name) for f in dataclasses.fields(after)))
+
+    expected = run(DynParams.from_tree(tree, E))
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("the spatial inertias were rebuilt")
+
+    monkeypatch.setattr(_dyn_kernels, "spatial_inertia", no_rebuild)
+    for got, want in zip(run(None), expected):
+        assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(
+        tree.nominal_inertia, spatial_inertia(tree.mass, tree.com, tree.inertia))
+    with pytest.raises(ValueError, match="read-only"):
+        tree.nominal_inertia[0, 0, 0] = 1.0
+
+
 def test_non_finite_spatial_inertia_rejected_before_any_state_changes():
     tree = quadruped()
     rng = np.random.default_rng(13)

@@ -2,8 +2,9 @@
 
 ``hf_to_mesh`` records its grid on the mesh, and ``raycast`` takes the
 candidates of a ray whose mesh-local direction is vertical from the cell it
-lies in, or from the 2 x 2 cells nearest it near a cell edge or off the
-grid, instead of from the BVH. The oracle is the exhaustive scan: the
+lies in, or from the 2 x 2 cells nearest it near a cell edge or the border,
+instead of from the BVH; such a ray outside the grid's closed xy bounds
+misses, as the BVH's root box makes it. The oracle is the exhaustive scan: the
 scalar reference walk over a single leaf that holds every triangle. Hits
 must match it bitwise wherever the local-frame transform is exact.
 """
@@ -249,16 +250,6 @@ def margin_rays(mesh, rng):
     return np.concatenate(xy)
 
 
-def unbounded_leaf(mesh):
-    """The exhaustive scan without its root-box test: a vertical ray within
-    the Moller-Trumbore tolerance outside the mesh's xy bounds still meets
-    every triangle, as it does in the cell table."""
-    bvh = single_leaf_bvh(mesh)
-    bvh.bounds_min[:] = -np.inf
-    bvh.bounds_max[:] = np.inf
-    return bvh
-
-
 @pytest.mark.parametrize("posed", [False, True], ids=["plain", "yawed"])
 def test_rays_near_cell_edges_match_exhaustive(bvh_rays, posed):
     # a vertical ray more than the margin inside its cell tests only that
@@ -273,12 +264,39 @@ def test_rays_near_cell_edges_match_exhaustive(bvh_rays, posed):
                               quat_from_axis_angle(np.array([0.0, 0.0, 1.0]),
                                                    np.pi / 2))
         origins = quat_rotate(mesh.pose.quat, origins) + mesh.pose.pos
-    got = assert_matches_exhaustive(mesh, origins, dirs, oracle=unbounded_leaf)
+    got = assert_matches_exhaustive(mesh, origins, dirs)
     lo, hi = xy_bounds(mesh)
-    on = np.all((xy >= lo) & (xy <= hi), axis=1)
+    # rays in the closed xy bounds hit; the pose's rounding can move a ray
+    # on the border an ulp out of them
+    pad = 1e-12 if posed else 0.0
+    on = np.all((xy >= lo + pad) & (xy <= hi - pad), axis=1)
     np.testing.assert_array_equal(got.hit[on], True)
     assert got.hit.sum() < len(xy)
     assert not bvh_rays
+
+
+@pytest.mark.parametrize("posed", [False, True], ids=["plain", "half_turn"])
+def test_vertical_rays_just_outside_the_grid_miss_as_without_the_table(posed):
+    # within the Moller-Trumbore tolerance of the border the cell table
+    # could admit a hit; the BVH rejects these rays at the root box, and
+    # the table takes only rays inside its closed xy bounds
+    mesh = small_grid().mesh
+    lo, hi = xy_bounds(mesh)
+    local = np.array([[-1e-13, 0.5], [-5e-324, 0.5], [hi[0] + 1e-13, 0.5]])
+    assert lo[0] == 0.0 and (local[:, 0] < lo[0]).sum() == 2
+    origins, dirs = down_rays(local)
+    plain = TriMesh(mesh.vertices, mesh.triangles)
+    if posed:
+        # a half turn about z negates x and y exactly
+        plain.pose = mesh.pose = Transform(np.zeros(3),
+                                           np.array([0.0, 0.0, 0.0, 1.0]))
+        origins = quat_rotate(mesh.pose.quat, origins)
+        np.testing.assert_array_equal(origins[:, :2], -local)
+    got = raycast([mesh], [build_bvh(mesh)], origins, dirs)
+    want = raycast([plain], [build_bvh(plain)], origins, dirs)
+    for name in rc.RayHits.__dataclass_fields__:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert not got.hit.any()
 
 
 def test_non_finite_origins_miss():
