@@ -245,7 +245,8 @@ def contact_kernel(probes, link_rot, link_pos, v_body, ground):
     ft = np.where(active[..., None], -probes.damping[:, None] * vp[..., :2], 0.0)
     fmag = np.sqrt(ft[..., 0] * ft[..., 0] + ft[..., 1] * ft[..., 1])
     fmax = probes.friction * fn
-    clamp = (fmag > fmax) & (fmag > 0.0)
+    # friction >= 0 and fn >= 0, so fmag > fmax implies fmag > 0
+    clamp = fmag > fmax
     ft = np.where(clamp[..., None], ft * (fmax / np.where(clamp, fmag, 1.0))[..., None], ft)
     normal = np.zeros(fn.shape + (3,))
     normal[..., 2] = fn

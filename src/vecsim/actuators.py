@@ -30,8 +30,11 @@ class FrictionConfig:
     def __post_init__(self):
         if self.mode not in ("none", "coulomb", "stiction"):
             raise ValueError(f"unknown friction mode {self.mode!r}")
-        for name in ("coulomb", "static_limit", "slip_threshold", "viscous"):
-            if getattr(self, name) < 0:
+        for name in ("coulomb", "viscous"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"friction {name} must be >= 0 and finite")
+        for name in ("static_limit", "slip_threshold"):
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"friction {name} must be >= 0")
         if self.mode == "stiction" and self.slip_threshold <= 0:
             raise ValueError("stiction mode requires slip_threshold > 0")
@@ -62,17 +65,18 @@ class ActuatorConfig:
         if self.kind not in ACTUATOR_KINDS:
             raise ValueError(f"unknown actuator kind {self.kind!r}")
         for name in ("stiffness", "damping"):
-            if np.any(np.asarray(getattr(self, name)) < 0):
-                raise ValueError(f"{name} must be >= 0")
-        if self.effort_limit < 0 or self.velocity_limit < 0:
+            gain = np.asarray(getattr(self, name), dtype=np.float64)
+            if not np.all((gain >= 0) & (gain < np.inf)):
+                raise ValueError(f"{name} must be >= 0 and finite")
+        if not (self.effort_limit >= 0 and self.velocity_limit >= 0):
             raise ValueError("limits must be >= 0")
         if not _is_count(self.delay_steps, 0):
             raise ValueError("delay_steps must be a non-negative integer")
         if self.kind == "dc_motor":
             if not np.isfinite(self.saturation_effort) or self.saturation_effort < 0:
                 raise ValueError("dc_motor requires saturation_effort >= 0")
-            if not np.isfinite(self.velocity_limit):
-                raise ValueError("dc_motor requires a finite velocity_limit")
+            if not 0 < self.velocity_limit < np.inf:
+                raise ValueError("dc_motor requires a finite velocity_limit > 0")
         if self.kind == "remotized_pd":
             table = np.asarray(self.effort_limit_table, dtype=np.float64)
             if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 1:

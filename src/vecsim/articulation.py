@@ -109,7 +109,10 @@ class KinematicTree:
                     raise ValueError(f"link {i} joint axis is zero")
                 ax = ax / norm
             self.axis[i] = ax
-            self.x_rot[i] = quat_to_matrix(quat_normalize(np.asarray(link.origin_quat)))
+            quat = np.asarray(link.origin_quat, dtype=np.float64)
+            if not np.add.reduce(quat * quat) > 0.0:
+                raise ValueError(f"link {i} ({link.name!r}) origin_quat must be nonzero")
+            self.x_rot[i] = quat_to_matrix(quat_normalize(quat))
             self.x_pos[i] = link.origin_pos
             if code == JOINT_FREE and (self.x_pos[i].any()
                                        or (self.x_rot[i] != np.eye(3)).any()):
@@ -117,6 +120,8 @@ class KinematicTree:
             self.mass[i] = link.mass
             self.com[i] = link.com
             inr = np.asarray(link.inertia, dtype=np.float64)
+            if inr.ndim == 2 and np.abs(inr - inr.T).max() > 1e-12 * np.abs(inr).max():
+                raise ValueError(f"link {i} ({link.name!r}) inertia must be symmetric")
             self.inertia[i] = np.diag(inr) if inr.ndim == 1 else inr
             if code in (JOINT_REVOLUTE, JOINT_PRISMATIC):
                 self.qidx[i] = nq

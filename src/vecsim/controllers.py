@@ -35,9 +35,9 @@ class IkConfig:
     def __post_init__(self):
         if self.method not in IK_METHODS:
             raise ValueError(f"unknown IK method {self.method!r}")
-        if self.damping < 0 or self.transpose_gain <= 0:
-            raise ValueError("damping must be >= 0 and transpose_gain > 0")
-        if self.singular_value_cutoff is not None and self.singular_value_cutoff < 0:
+        if not (0 <= self.damping < np.inf and 0 < self.transpose_gain < np.inf):
+            raise ValueError("damping must be >= 0 and transpose_gain > 0, both finite")
+        if self.singular_value_cutoff is not None and not self.singular_value_cutoff >= 0:
             raise ValueError("singular_value_cutoff must be >= 0")
 
 
@@ -101,8 +101,9 @@ def joint_impedance(q: np.ndarray, qd: np.ndarray, q_des: np.ndarray,
     """
     stiffness = np.asarray(stiffness, dtype=np.float64)
     damping = np.asarray(damping, dtype=np.float64)
-    if np.any(stiffness < 0) or np.any(damping < 0):
-        raise ValueError("impedance gains must be >= 0")
+    if not (np.all((stiffness >= 0) & (stiffness < np.inf))
+            and np.all((damping >= 0) & (damping < np.inf))):
+        raise ValueError("impedance gains must be >= 0 and finite")
     tau = stiffness * (q_des - q) - damping * qd
     if inertia_scaling:
         if tree is None:
@@ -131,8 +132,9 @@ class TaskSpaceGains:
         self.damping = np.asarray(self.damping, dtype=np.float64)
         self.selection = np.asarray(self.selection, dtype=np.float64)
         self.feedforward = np.asarray(self.feedforward, dtype=np.float64)
-        if np.any(self.stiffness < 0) or np.any(self.damping < 0):
-            raise ValueError("task-space gains must be >= 0")
+        gains = np.concatenate([self.stiffness.ravel(), self.damping.ravel()])
+        if not np.all((gains >= 0) & (gains < np.inf)):
+            raise ValueError("task-space gains must be >= 0 and finite")
         if not np.all((self.selection == 0) | (self.selection == 1)):
             raise ValueError("selection matrix entries must be 0 or 1")
 

@@ -63,7 +63,10 @@ from .maths import (
 # the old name stays for existing callers (the benchmark); it is the same class
 from .terrain import HeightField as HeightfieldGround  # noqa: F401
 
+# read-only: it is the default argument of step, bias_forces and
+# controllers.joint_impedance
 GRAVITY = np.array([0.0, 0.0, -9.81])
+GRAVITY.setflags(write=False)
 
 
 class SimulationDivergenceError(RuntimeError):
@@ -214,10 +217,10 @@ def _velocity(tree, J, qd, base_rot, root_twist):
     ``root_twist`` is the free root's world twist ``[lin, ang]``, or
     ``None`` at rest; ``u`` takes its angular part in the base frame.
     """
-    E = qd.shape[0]
-    twist = np.zeros((E, 6)) if root_twist is None else _broadcast(root_twist, (E, 6))
     u = qd
     if tree.floating:
+        E = qd.shape[0]
+        twist = np.zeros((E, 6)) if root_twist is None else _broadcast(root_twist, (E, 6))
         w_b = np.einsum("eba,eb->ea", base_rot, twist[:, 3:])
         u = np.concatenate([w_b, twist[:, :3], qd], axis=1)
     return u, (J @ u[:, None, :, None])[..., 0]

@@ -203,3 +203,9 @@ def inverse(t: Transform) -> Transform:
 def relative_pose(source: Transform, target: Transform) -> Transform:
     """The pose of ``target`` expressed in the ``source`` frame."""
     return compose(inverse(source), target)
+
+
+def grid_count(extent: float, step: float) -> int:
+    """Points ``0, step, 2 step, ...`` within ``extent``; tolerates
+    ``extent / step`` landing just below an integer."""
+    return int(np.floor(extent / step + 1e-6)) + 1

@@ -579,12 +579,13 @@ def _closest(mesh, vt, o, d, ray, ids, max_range):
 
 def _keep_closer(hits, mesh_id, ray, t, tri) -> None:
     """Make ``(t, mesh_id, tri)`` the hit of each of the distinct ``ray``
-    where it beats the current one: lower distance, then lower mesh id,
-    then lower triangle id. A NaN ``t`` never does."""
-    best_t, best_mesh = hits.t[ray], hits.mesh_id[ray]
-    better = (t < best_t) | ((t == best_t) & (
-        (mesh_id < best_mesh)
-        | ((mesh_id == best_mesh) & (tri < hits.tri_id[ray]))))
+    where it beats the current one: lower distance, then lower triangle id
+    on the same mesh. A NaN ``t`` never does. ``raycast`` casts meshes in
+    ascending id, so ``hits.mesh_id`` never exceeds ``mesh_id``, and keeping
+    the earlier hit at equal distance keeps the lower mesh id."""
+    best_t = hits.t[ray]
+    better = (t < best_t) | ((t == best_t) & (hits.mesh_id[ray] == mesh_id)
+                             & (tri < hits.tri_id[ray]))
     ray = ray[better]
     hits.t[ray] = t[better]
     hits.mesh_id[ray] = mesh_id
@@ -605,9 +606,9 @@ def raycast(meshes, bvhs, origins: np.ndarray, dirs: np.ndarray,
             max_range: float = np.inf) -> RayHits:
     """Closest hit of each ray against a set of posed meshes.
 
-    Every mesh's pose is read exactly once at call entry, so all rays of one
-    call observe the same snapshot of the scene. Hits beyond ``max_range``
-    are reported as misses.
+    Every mesh's pose is read exactly once per call, just before its rays
+    are cast, so all rays of one call observe the same pose of each mesh.
+    Hits beyond ``max_range`` are reported as misses.
 
     Raises:
         ValueError: if ``max_range`` is NaN or negative, ``meshes`` and
@@ -619,10 +620,6 @@ def raycast(meshes, bvhs, origins: np.ndarray, dirs: np.ndarray,
         raise ValueError(f"max_range must be >= 0, got {max_range}")
     if len(meshes) != len(bvhs):
         raise ValueError(f"{len(meshes)} meshes but {len(bvhs)} BVHs")
-    for mid, (mesh, bvh) in enumerate(zip(meshes, bvhs)):
-        if bvh.tri_order.size != mesh.num_triangles:
-            raise ValueError(f"BVH {mid} covers {bvh.tri_order.size} triangles,"
-                             f" mesh {mid} has {mesh.num_triangles}")
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     if origins.shape != dirs.shape:
@@ -630,21 +627,23 @@ def raycast(meshes, bvhs, origins: np.ndarray, dirs: np.ndarray,
                          "differ in shape")
     origins = origins.reshape(-1, 3)
     dirs = dirs.reshape(-1, 3)
-    n = origins.shape[0]
-    hits = RayHits.allocate(n)
-    # snapshot poses before any casting
-    snap = []
-    for mesh in meshes:
-        pose = mesh.pose
-        snap.append((np.ascontiguousarray(quat_to_matrix(pose.quat)),
-                     np.ascontiguousarray(pose.pos, dtype=np.float64)))
+    hits = RayHits.allocate(origins.shape[0])
+    # in ascending mesh id (see _keep_closer); the rotations are kept for
+    # the hit normals
+    rots = []
     for mid, (mesh, bvh) in enumerate(zip(meshes, bvhs)):
-        rot, pos = snap[mid]
-        _cast_mesh(mesh, bvh, rot, pos, origins, dirs, max_range, mid, hits)
+        if bvh.tri_order.size != mesh.num_triangles:
+            raise ValueError(f"BVH {mid} covers {bvh.tri_order.size} triangles,"
+                             f" mesh {mid} has {mesh.num_triangles}")
+        pose = mesh.pose
+        rots.append(np.ascontiguousarray(quat_to_matrix(pose.quat)))
+        _cast_mesh(mesh, bvh, rots[mid],
+                   np.ascontiguousarray(pose.pos, dtype=np.float64),
+                   origins, dirs, max_range, mid, hits)
     for mid, mesh in enumerate(meshes):
         sel = np.nonzero(hits.mesh_id == mid)[0]
         if sel.size:
-            _hit_normals(mesh, snap[mid][0], sel, hits.tri_id[sel], hits.normal)
+            _hit_normals(mesh, rots[mid], sel, hits.tri_id[sel], hits.normal)
     hits.hit = np.isfinite(hits.t)
     good = hits.hit
     hits.point[good] = origins[good] + hits.t[good, None] * dirs[good]

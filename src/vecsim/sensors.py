@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maths import Transform, compose, cross, quat_mul, quat_rotate, quat_rotate_inverse, relative_pose
+from .maths import (Transform, compose, cross, grid_count, quat_mul, quat_rotate,
+                    quat_rotate_inverse, relative_pose)
 
 # rotation taking camera-frame vectors of each convention into the internal
 # world convention (x-forward, y-left, z-up)
@@ -39,11 +40,6 @@ class RayPattern:
         return len(self.dirs)
 
 
-def _axis_count(size: float, resolution: float) -> int:
-    # tolerate size/resolution landing just below an integer
-    return int(np.floor(size / resolution + 1e-6)) + 1
-
-
 def pattern_grid(size_x: float, size_y: float, resolution: float) -> RayPattern:
     """Regular grid of downward rays centered on the sensor frame.
 
@@ -51,8 +47,8 @@ def pattern_grid(size_x: float, size_y: float, resolution: float) -> RayPattern:
     """
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
-    nx = _axis_count(size_x, resolution)
-    ny = _axis_count(size_y, resolution)
+    nx = grid_count(size_x, resolution)
+    ny = grid_count(size_y, resolution)
     xs = (np.arange(nx) - (nx - 1) / 2.0) * resolution
     ys = (np.arange(ny) - (ny - 1) / 2.0) * resolution
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -166,9 +162,13 @@ def tile_pack(images: np.ndarray, tiles_per_row: int | None = None):
     if images.ndim not in (3, 4):
         raise ValueError("images must be (E, H, W) or (E, H, W, C)")
     e, h, w = images.shape[:3]
+    if e == 0:
+        raise ValueError("images must hold at least one image")
     c = images.shape[3] if images.ndim == 4 else 0
     if tiles_per_row is None:
         tiles_per_row = int(np.ceil(np.sqrt(e)))
+    if tiles_per_row < 1:
+        raise ValueError(f"tiles_per_row must be >= 1, got {tiles_per_row}")
     layout = TiledLayout(w, h, tiles_per_row, e, c)
     # pad to whole rows of tiles, then (row, col, h, w) -> (row, h, col, w)
     tiles = np.zeros((layout.rows * tiles_per_row,) + images.shape[1:],
@@ -206,6 +206,10 @@ class SensorClock:
     period: float
     last_update: float = -np.inf
 
+    def __post_init__(self):
+        if not self.period > 0:
+            raise ValueError(f"period must be > 0, got {self.period}")
+
     def due(self, sim_time: float) -> bool:
         return sim_time - self.last_update >= self.period - 1e-12
 
@@ -236,8 +240,7 @@ def aggregate_body_forces(probe_forces: np.ndarray, probe_link: np.ndarray,
         sel = probe_link == body
         if probe_mask is not None:
             sel = sel & probe_mask
-        if sel.any():
-            out[:, b] = probe_forces[:, sel].sum(axis=1)
+        out[:, b] = probe_forces[:, sel].sum(axis=1)
     return out
 
 

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .maths import grid_count
 from .raycast import GridCells, TriMesh
 
 
@@ -75,16 +76,12 @@ class HeightField:
                         h00 + u * (h11 - h01) + w * (h01 - h00))
 
 
-def _nodes(extent: float, cell: float) -> int:
-    return int(np.floor(extent / cell + 1e-6)) + 1
-
-
 def hf_random_uniform(size: tuple[float, float], cell: float, height: float,
                       quantum: float, rng: np.random.Generator) -> HeightField:
     """Uniform random heights in ``[-height, height]`` quantized to ``quantum``."""
     if height < 0 or quantum <= 0:
         raise ValueError("height must be >= 0 and quantum > 0")
-    n, m = _nodes(size[0], cell), _nodes(size[1], cell)
+    n, m = grid_count(size[0], cell), grid_count(size[1], cell)
     k = int(np.floor(height / quantum + 1e-9))
     steps = rng.integers(-k, k + 1, size=(n, m)) if k > 0 else np.zeros((n, m))
     return HeightField(steps * quantum, cell)
@@ -103,7 +100,7 @@ def hf_pyramid_stairs(size: tuple[float, float], cell: float, step_height: float
     if levels * 2 * step_width > min(size) + 1e-9:
         raise ValueError(
             f"{levels} steps of width {step_width} exceed the field size {size}")
-    n, m = _nodes(size[0], cell), _nodes(size[1], cell)
+    n, m = grid_count(size[0], cell), grid_count(size[1], cell)
     x = np.arange(n) * cell
     y = np.arange(m) * cell
     sx, sy = (n - 1) * cell, (m - 1) * cell
@@ -156,7 +153,7 @@ class TerrainTypeSpec:
 def flat_spec(size=(4.0, 4.0), cell=0.1) -> TerrainTypeSpec:
     return TerrainTypeSpec(
         "flat", lambda d, rng: HeightField(
-            np.zeros((_nodes(size[0], cell), _nodes(size[1], cell))), cell))
+            np.zeros((grid_count(size[0], cell), grid_count(size[1], cell))), cell))
 
 
 def random_rough_spec(size=(4.0, 4.0), cell=0.1, max_height=0.1,
@@ -171,8 +168,7 @@ def pyramid_stairs_spec(size=(4.0, 4.0), cell=0.1, max_step_height=0.2,
                         direction="up") -> TerrainTypeSpec:
     def make(d, rng):
         if d * max_step_height <= 0:
-            return HeightField(
-                np.zeros((_nodes(size[0], cell), _nodes(size[1], cell))), cell)
+            return flat_spec(size, cell).make(d, rng)
         return hf_pyramid_stairs(size, cell, d * max_step_height, step_width,
                                  levels, direction)
     return TerrainTypeSpec("pyramid_stairs", make)

@@ -1,17 +1,25 @@
-"""Pytest plugin: fail the session if a ``raise`` statement in ``src/`` never
-runs.
+"""Pytest plugin: fail the session if a ``raise`` statement in ``src/``, or
+any statement in a function body there, never runs.
 
 Load it by name with the test directory on the path, on a full Tier-1 run::
 
     PYTHONPATH=src:tests python -m pytest -q -p raise_trace
 
-At start-up it parses every module under ``src/`` for ``raise`` statements,
-then line-traces the session with ``sys.settrace`` (``coverage`` is not a
-dependency). Only code objects that still hold an unreached raise get a line
-tracer. A raise counts as reached when any of its lines runs; a raise that
-starts on the line of another statement (``if x: raise E``) cannot be told
-apart that way and is reported as untraceable. At the end of the session
-every unreached or untraceable raise is listed and the session fails.
+At start-up it parses every module under ``src/`` for its targets: every
+``raise``, and every statement inside a function body except those that
+compile to nothing (string and other constant expressions, docstrings
+included, and ``global``/``nonlocal``). Module and class bodies run at
+import, before tracing starts, so their statements are not targets. Then it
+line-traces the session with ``sys.settrace`` (``coverage`` is not a
+dependency). Only code objects that still hold an unreached target get a
+line tracer.
+
+A target counts as reached when any line of its span runs; the span of a
+compound statement (``if``, ``for``, ``try``, a nested ``def`` ...) holds its
+body, whose lines run only after its header did. A statement that starts on
+the line of another statement (``if x: raise E``) cannot be told apart that
+way and is reported as untraceable. At the end of the session every
+unreached or untraceable target is listed and the session fails.
 """
 
 from __future__ import annotations
@@ -27,47 +35,67 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def raise_statements(path: Path):
-    """``(first line, last line)`` of every raise in the module at ``path``,
-    and the first lines of those that share it with another statement."""
+def _compiles_to_nothing(node: ast.stmt) -> bool:
+    return (isinstance(node, (ast.Global, ast.Nonlocal))
+            or (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)))
+
+
+def targets(path: Path):
+    """The ``(first line, last line)`` spans of every raise and of every
+    function-body statement in the module at ``path``, and the first lines
+    that two statements share."""
     tree = ast.parse(path.read_text(), str(path))
     starts: dict[int, int] = {}
-    spans = []
+    raises, statements = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.stmt):
             starts[node.lineno] = starts.get(node.lineno, 0) + 1
         if isinstance(node, ast.Raise):
-            spans.append((node.lineno, node.end_lineno))
-    return spans, [first for first, _ in spans if starts[first] > 1]
+            raises.add((node.lineno, node.end_lineno))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            statements.update(
+                (stmt.lineno, stmt.end_lineno) for top in node.body
+                for stmt in ast.walk(top)
+                if isinstance(stmt, ast.stmt) and not _compiles_to_nothing(stmt))
+    firsts = {first for first, _ in raises | statements}
+    shared = sorted(line for line, count in starts.items()
+                    if count > 1 and line in firsts)
+    return raises, statements, shared
 
 
 class RaiseTracer:
-    """Records which raise statements of the files under ``root`` run."""
+    """Records which raises and function-body statements of the files under
+    ``root`` run."""
 
     def __init__(self, root: Path):
         self.root = root
-        # file -> {line of a raise: its first line}
-        self.pending: dict[str, dict[int, int]] = {}
-        self.total = 0
+        # file -> its raise spans, its statement spans, the spans reached
+        self.raises: dict[str, set] = {}
+        self.statements: dict[str, set] = {}
+        self.reached: dict[str, set] = {}
+        # file -> {line: the unreached spans that hold it}
+        self.owners: dict[str, dict[int, list]] = {}
         self.untraceable: list[tuple[str, int]] = []
         for path in sorted(root.rglob("*.py")):
-            spans, shared = raise_statements(path)
+            raises, statements, shared = targets(path)
             name = str(path.resolve())
-            self.total += len(spans)
+            self.raises[name], self.statements[name] = raises, statements
+            self.reached[name] = set()
             self.untraceable += [(name, line) for line in shared]
-            self.pending[name] = {line: first for first, last in spans
-                                  for line in range(first, last + 1)}
-        # code object -> {line of a raise in it: its first line}
+            owners = self.owners[name] = {}
+            for span in raises | statements:
+                for line in range(span[0], span[1] + 1):
+                    owners.setdefault(line, []).append(span)
+        # code object -> {line in it that an unreached span holds: its file}
         self.code_lines: dict = {}
 
     def _lines(self, code):
         lines = self.code_lines.get(code)
         if lines is None:
             name = os.path.realpath(code.co_filename)
-            file_lines = self.pending.get(name, {})
+            owners = self.owners.get(name, {})
             lines = self.code_lines[code] = {
-                line: (name, file_lines[line]) for _, _, line in code.co_lines()
-                if line in file_lines}
+                line: name for _, _, line in code.co_lines() if owners.get(line)}
         return lines
 
     def call(self, frame, event, arg):
@@ -76,13 +104,14 @@ class RaiseTracer:
     def line(self, frame, event, arg):
         if event == "line":
             lines = self.code_lines[frame.f_code]
-            hit = lines.get(frame.f_lineno)
-            if hit is not None:
-                name, first = hit
-                for line, first_line in list(self.pending[name].items()):
-                    if first_line == first:
-                        del self.pending[name][line]
-                        lines.pop(line, None)
+            name = lines.pop(frame.f_lineno, None)
+            if name is not None:
+                owners = self.owners[name]
+                for span in owners.pop(frame.f_lineno, ()):
+                    self.reached[name].add(span)
+                    for line in range(span[0], span[1] + 1):
+                        if span in owners.get(line, ()):
+                            owners[line].remove(span)
         return self.line
 
     def start(self) -> None:
@@ -93,9 +122,14 @@ class RaiseTracer:
         sys.settrace(None)
         threading.settrace(None)
 
-    def unreached(self) -> list[tuple[str, int]]:
-        return sorted({(name, first) for name, lines in self.pending.items()
-                       for first in lines.values()})
+    def counts(self, kind: dict[str, set]) -> tuple[int, int]:
+        """``(reached, total)`` of the raises or of the statements."""
+        total = sum(len(spans) for spans in kind.values())
+        return total - len(self.unreached(kind)), total
+
+    def unreached(self, kind: dict[str, set]) -> list[tuple[str, int]]:
+        return sorted((name, first) for name, spans in kind.items()
+                      for first, _ in spans - self.reached[name])
 
 
 _KEY = pytest.StashKey[RaiseTracer]()
@@ -110,18 +144,21 @@ def pytest_configure(config):
 def pytest_sessionfinish(session, exitstatus):
     tracer = session.config.stash[_KEY]
     tracer.stop()
-    if (tracer.unreached() or tracer.untraceable) and exitstatus == 0:
+    failed = (tracer.unreached(tracer.raises) or tracer.unreached(tracer.statements)
+              or tracer.untraceable)
+    if failed and exitstatus == 0:
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     tracer = config.stash[_KEY]
-    unreached = tracer.unreached()
     write = terminalreporter.write_line
-    write(f"raise_trace: {tracer.total - len(unreached)} of {tracer.total} "
-          f"raise statements under {tracer.root} reached")
-    for name, line in unreached:
-        write(f"raise_trace: never reached: {name}:{line}")
+    for what, kind in (("raise statements", tracer.raises),
+                       ("function-body statements", tracer.statements)):
+        reached, total = tracer.counts(kind)
+        write(f"raise_trace: {reached} of {total} {what} under {tracer.root} reached")
+        for name, line in tracer.unreached(kind):
+            write(f"raise_trace: never reached: {name}:{line}")
     for name, line in tracer.untraceable:
         write(f"raise_trace: shares its line with another statement: "
               f"{name}:{line}")

@@ -286,12 +286,29 @@ def test_effort_always_within_limits(seed):
                  "unknown friction mode 'viscous'", id="friction_mode"),
     pytest.param(lambda: FrictionConfig(mode="coulomb", coulomb=-1.0),
                  "friction coulomb must be >= 0", id="negative_coulomb"),
+    pytest.param(lambda: FrictionConfig(mode="coulomb", coulomb=np.nan),
+                 "friction coulomb must be >= 0 and finite", id="nan_coulomb"),
+    pytest.param(lambda: FrictionConfig(mode="coulomb", viscous=np.inf),
+                 "friction viscous must be >= 0 and finite", id="inf_viscous"),
+    pytest.param(lambda: FrictionConfig(mode="stiction", static_limit=np.nan,
+                                        slip_threshold=0.1),
+                 "friction static_limit must be >= 0", id="nan_static_limit"),
     pytest.param(lambda: FrictionConfig(mode="stiction", static_limit=1.0),
                  "stiction mode requires slip_threshold > 0", id="stiction_threshold"),
     pytest.param(lambda: ActuatorConfig([0], damping=-1.0),
                  "damping must be >= 0", id="negative_damping"),
+    pytest.param(lambda: ActuatorConfig([0], stiffness=np.nan),
+                 "stiffness must be >= 0 and finite", id="nan_stiffness"),
+    pytest.param(lambda: ActuatorConfig([0], stiffness=np.inf),
+                 "stiffness must be >= 0 and finite", id="inf_stiffness"),
+    pytest.param(lambda: ActuatorConfig([0], damping=[1.0, np.nan]),
+                 "damping must be >= 0 and finite", id="nan_damping"),
     pytest.param(lambda: ActuatorConfig([0], effort_limit=-1.0),
                  "limits must be >= 0", id="negative_limit"),
+    pytest.param(lambda: ActuatorConfig([0], effort_limit=np.nan),
+                 "limits must be >= 0", id="nan_effort_limit"),
+    pytest.param(lambda: ActuatorConfig([0], velocity_limit=np.nan),
+                 "limits must be >= 0", id="nan_velocity_limit"),
     pytest.param(lambda: ActuatorConfig([0], kind="delayed_pd", delay_steps=1.5),
                  "delay_steps must be a non-negative integer", id="fractional_delay"),
     pytest.param(lambda: ActuatorConfig([0], kind="delayed_pd", delay_steps=1.0),
@@ -300,6 +317,9 @@ def test_effort_always_within_limits(seed):
                  "dc_motor requires saturation_effort >= 0", id="dc_saturation"),
     pytest.param(lambda: ActuatorConfig([0], kind="dc_motor", saturation_effort=1.0),
                  "dc_motor requires a finite velocity_limit", id="dc_velocity"),
+    pytest.param(lambda: ActuatorConfig([0], kind="dc_motor", saturation_effort=1.0,
+                                        velocity_limit=0.0),
+                 "dc_motor requires a finite velocity_limit > 0", id="dc_zero_velocity"),
     pytest.param(lambda: ActuatorConfig([0], kind="remotized_pd",
                                         effort_limit_table=[1.0, 2.0]),
                  "effort_limit_table must be (K, 2)", id="table_shape"),

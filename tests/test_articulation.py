@@ -46,6 +46,12 @@ def probes(**kw):
                  "link 0 ('a') origin_pos must be finite", id="inf_origin_pos"),
     pytest.param(lambda: KinematicTree([body(origin_quat=(np.nan, 0.0, 0.0, 0.0))]),
                  "link 0 ('a') origin_quat must be finite", id="nan_origin_quat"),
+    pytest.param(lambda: KinematicTree([body(), body("b", 0, origin_quat=(0, 0, 0, 0))]),
+                 "link 1 ('b') origin_quat must be nonzero", id="zero_origin_quat"),
+    pytest.param(lambda: KinematicTree([body(inertia=[[0.1, 0.01, 0.0],
+                                                      [0.0, 0.1, 0.0],
+                                                      [0.0, 0.0, 0.1]])]),
+                 "link 0 ('a') inertia must be symmetric", id="asymmetric_inertia"),
     pytest.param(lambda: probes(radius=0.0), "probe radius must be > 0", id="radius"),
     pytest.param(lambda: probes(damping=-1.0),
                  "contact stiffness/damping must be >= 0", id="damping"),
@@ -71,3 +77,12 @@ def probes(**kw):
 def test_articulation_descriptions_rejected(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+def test_inertia_asymmetry_within_rounding_is_accepted():
+    # 1e-13 of the largest entry is within the 1e-12 tolerance
+    inertia = np.diag([0.2, 0.1, 0.1])
+    inertia[0, 1] = 0.01
+    inertia[1, 0] = 0.01 + 2e-14
+    tree = KinematicTree([body(inertia=inertia)])
+    np.testing.assert_array_equal(tree.inertia[0], inertia)

@@ -279,8 +279,23 @@ _Z3 = np.zeros(3)
                  "unknown IK method 'newton'", id="ik_method"),
     pytest.param(lambda: IkConfig(damping=-1.0),
                  "damping must be >= 0 and transpose_gain > 0", id="ik_damping"),
+    pytest.param(lambda: IkConfig(damping=np.nan),
+                 "damping must be >= 0 and transpose_gain > 0, both finite",
+                 id="ik_nan_damping"),
+    pytest.param(lambda: IkConfig(transpose_gain=np.nan),
+                 "damping must be >= 0 and transpose_gain > 0, both finite",
+                 id="ik_nan_gain"),
+    pytest.param(lambda: IkConfig(transpose_gain=np.inf),
+                 "damping must be >= 0 and transpose_gain > 0, both finite",
+                 id="ik_inf_gain"),
     pytest.param(lambda: IkConfig(singular_value_cutoff=-1.0),
                  "singular_value_cutoff must be >= 0", id="ik_cutoff"),
+    pytest.param(lambda: IkConfig(singular_value_cutoff=np.nan),
+                 "singular_value_cutoff must be >= 0", id="ik_nan_cutoff"),
+    pytest.param(lambda: joint_impedance(_Z2, _Z2, _Z2, [np.nan, 1.0], 1.0),
+                 "impedance gains must be >= 0 and finite", id="impedance_nan_stiffness"),
+    pytest.param(lambda: joint_impedance(_Z2, _Z2, _Z2, 1.0, [1.0, np.inf]),
+                 "impedance gains must be >= 0 and finite", id="impedance_inf_damping"),
     pytest.param(lambda: pose_error(Transform.identity(), Transform.identity(),
                                     mode="twist"),
                  "mode must be 'pose' or 'position'", id="pose_error_mode"),
@@ -290,6 +305,10 @@ _Z3 = np.zeros(3)
                  "gravity compensation requires the kinematic tree", id="impedance_gravity"),
     pytest.param(lambda: TaskSpaceGains(stiffness=-np.ones(6), damping=np.ones(6)),
                  "task-space gains must be >= 0", id="gains_negative"),
+    pytest.param(lambda: TaskSpaceGains(stiffness=[np.nan] * 6, damping=np.ones(6)),
+                 "task-space gains must be >= 0 and finite", id="gains_nan"),
+    pytest.param(lambda: TaskSpaceGains(stiffness=np.ones(6), damping=np.full(6, np.inf)),
+                 "task-space gains must be >= 0 and finite", id="gains_inf_damping"),
     pytest.param(lambda: TaskSpaceGains(np.ones(6), np.ones(6), selection=np.full(6, 0.5)),
                  "selection matrix entries must be 0 or 1", id="gains_selection"),
     pytest.param(lambda: osc(_J, _M, _Z2, _Z2, TaskSpaceGains(np.ones(6), np.ones(6)),

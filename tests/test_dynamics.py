@@ -33,7 +33,7 @@ from vecsim.dynamics import (
     spatial_inertia,
     step,
 )
-from vecsim import _dyn_kernels, terrain
+from vecsim import _dyn_kernels, dynamics, terrain
 from vecsim.maths import (Transform, quat_from_rotvec, quat_mul, quat_normalize,
                           quat_to_matrix)
 from test_dyn_kernels import quadruped, quadruped_links, random_tree
@@ -1085,3 +1085,9 @@ def test_flat_ground_height_at_infinite_coordinates():
     assert h.shape == (2, 3) and h.dtype == np.float64
     np.testing.assert_array_equal(h, 0.25)
     assert FlatGround(0).surface_height(np.inf, 2.0).dtype == np.float64
+
+
+def test_default_gravity_is_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        dynamics.GRAVITY[2] = 0.0
+    np.testing.assert_array_equal(dynamics.GRAVITY, [0.0, 0.0, -9.81])

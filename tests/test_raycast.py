@@ -109,6 +109,17 @@ def test_load_obj_minimal():
     np.testing.assert_array_equal(mesh.triangles, [[0, 1, 2]])
 
 
+def test_load_obj_skips_blank_and_comment_lines():
+    text = "# a triangle\n\nv 0 0 0\n   \nv 1 0 0\n  # indented\nv 0 1 0\n\nf 1 2 3\nv 1 1 0\n"
+    mesh = load_obj(io.StringIO(text))
+    np.testing.assert_array_equal(mesh.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                                                  [1, 1, 0]])
+    np.testing.assert_array_equal(mesh.triangles, [[0, 1, 2]])
+    # line numbers still count the skipped lines
+    with pytest.raises(MeshFormatError, match="line 3"):
+        load_obj(io.StringIO("# c\n\nvt 0 0\n"))
+
+
 def test_load_obj_rejects_other_directives():
     with pytest.raises(MeshFormatError, match="line 2"):
         load_obj(io.StringIO("v 0 0 0\nvn 0 0 1\n"))

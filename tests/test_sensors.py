@@ -483,6 +483,18 @@ def test_frame_transform_matches_unbatched_oracle():
                  "unknown depth mode 'range'", id="depth_mode"),
     pytest.param(lambda: tile_pack(np.zeros((2, 3))),
                  "images must be (E, H, W) or (E, H, W, C)", id="tile_rank"),
+    pytest.param(lambda: tile_pack(np.zeros((0, 3, 3))),
+                 "images must hold at least one image", id="tile_empty"),
+    pytest.param(lambda: tile_pack(np.zeros((2, 3, 3)), tiles_per_row=0),
+                 "tiles_per_row must be >= 1, got 0", id="tile_zero_per_row"),
+    pytest.param(lambda: tile_pack(np.zeros((2, 3, 3)), tiles_per_row=-2),
+                 "tiles_per_row must be >= 1, got -2", id="tile_negative_per_row"),
+    pytest.param(lambda: SensorClock(np.nan), "period must be > 0, got nan",
+                 id="clock_nan_period"),
+    pytest.param(lambda: SensorClock(0.0), "period must be > 0, got 0.0",
+                 id="clock_zero_period"),
+    pytest.param(lambda: SensorClock(-0.1), "period must be > 0, got -0.1",
+                 id="clock_negative_period"),
 ])
 def test_sensor_input_rejected(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

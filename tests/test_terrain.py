@@ -340,6 +340,13 @@ def test_curriculum_matches_loop_reference(seed, rows, cols):
         assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
 
 
+def test_curriculum_start_puts_every_env_on_row_zero_of_a_random_column():
+    state = CurriculumState.start(6, 3, 4, np.random.default_rng(5))
+    np.testing.assert_array_equal(state.levels, np.zeros(6))
+    np.testing.assert_array_equal(state.columns,
+                                  np.random.default_rng(5).integers(0, 4, 6))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_curriculum_levels_stay_in_range(seed, rows):
