@@ -11,7 +11,8 @@ Every call works on a batch of E environments at once. The modules are:
   with optional implicit PD;
 * ``actuators``: explicit joint actuator models;
 * ``controllers``: differential IK, joint impedance and operational-space
-  control;
+  control; the last two take the mass matrix and the gravity bias as
+  arrays, so they need no kinematic tree;
 * ``raycast``: triangle meshes, BVHs and closest-hit ray casting;
 * ``sensors``: ray patterns, depth images, contact and IMU sensors;
 * ``terrain``: the heightfield type, its generators, meshing, terrain grids

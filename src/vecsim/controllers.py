@@ -2,8 +2,10 @@
 
 Differential IK supports four singularity treatments (Moore-Penrose
 pseudo-inverse, adaptive SVD truncation, Jacobian transpose, damped least
-squares). Joint impedance and operational-space control reuse the dynamics
-module for inertia and gravity terms.
+squares). Joint impedance and operational-space control take the mass
+matrix and the gravity bias as arrays, from ``dynamics.mass_matrix`` and
+``dynamics.bias_forces`` or any other source, so this module needs no
+kinematic tree.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import GRAVITY, bias_forces, mass_matrix
 from .maths import Transform, quat_conjugate, quat_mul, rotvec_from_quat
 
 IK_METHODS = ("pinv", "svd_adaptive", "transpose", "damped")
@@ -39,6 +40,8 @@ class IkConfig:
             raise ValueError("damping must be >= 0 and transpose_gain > 0, both finite")
         if self.singular_value_cutoff is not None and not self.singular_value_cutoff >= 0:
             raise ValueError("singular_value_cutoff must be >= 0")
+        if not 0 < self.step_scale < np.inf:
+            raise ValueError("step_scale must be > 0 and finite")
 
 
 def pose_error(current: Transform, target: Transform,
@@ -57,7 +60,11 @@ def pose_error(current: Transform, target: Transform,
 
 
 def diff_ik_step(j: np.ndarray, dx: np.ndarray, config: IkConfig) -> np.ndarray:
-    """One differential IK update ``dq`` from a task-space error ``dx``."""
+    """One differential IK update ``dq`` from a task-space error ``dx``.
+
+    ``method="damped"`` at zero damping takes the ``pinv`` path, the
+    lambda -> 0 limit of damped least squares, as ``J J^T`` may be singular.
+    """
     j = np.asarray(j, dtype=np.float64)
     dx = np.asarray(dx, dtype=np.float64)
     if j.shape[:-2] != dx.shape[:-1] or j.shape[-2] != dx.shape[-1]:
@@ -65,7 +72,7 @@ def diff_ik_step(j: np.ndarray, dx: np.ndarray, config: IkConfig) -> np.ndarray:
     method = config.method
     if method == "transpose":
         dq = config.transpose_gain * np.einsum("...kn,...k->...n", j, dx)
-    elif method == "damped":
+    elif method == "damped" and config.damping > 0:
         lam2 = config.damping ** 2
         k = j.shape[-2]
         jjt = np.einsum("...kn,...ln->...kl", j, j)
@@ -74,13 +81,13 @@ def diff_ik_step(j: np.ndarray, dx: np.ndarray, config: IkConfig) -> np.ndarray:
         dq = np.einsum("...kn,...k->...n", j, y)
     else:
         u, s, vt = np.linalg.svd(j, full_matrices=False)
-        if method == "pinv":
-            cutoff = 1e-12
-        else:  # svd_adaptive
+        if method == "svd_adaptive":
             smax = s.max(axis=-1, keepdims=True)
             cutoff = (config.singular_value_cutoff
                       if config.singular_value_cutoff is not None
                       else 0.05 * smax)
+        else:  # pinv, or damped at zero damping
+            cutoff = 1e-12
         inv_s = np.where(s >= cutoff, 1.0 / np.where(s == 0, 1.0, s), 0.0)
         dq = np.einsum("...nk,...k,...mk,...m->...n", vt.swapaxes(-1, -2),
                        inv_s, u, dx)
@@ -89,15 +96,16 @@ def diff_ik_step(j: np.ndarray, dx: np.ndarray, config: IkConfig) -> np.ndarray:
 
 def joint_impedance(q: np.ndarray, qd: np.ndarray, q_des: np.ndarray,
                     stiffness: np.ndarray, damping: np.ndarray, *,
-                    tree=None, gravity_comp: bool = False,
-                    inertia_scaling: bool = False, gravity=GRAVITY,
-                    root_pose: Transform | None = None) -> np.ndarray:
+                    mass: np.ndarray | None = None,
+                    gravity_bias: np.ndarray | None = None) -> np.ndarray:
     """Joint-space impedance control with optional dynamics compensation.
 
-    ``tau = [M(q) @]? (K (q_des - q) - D qd) [+ gravity bias]``, a spring
-    to ``q_des`` damped toward rest; the bracketed terms follow the flags.
-    Gains may vary per step and per joint (variable stiffness / variable
-    impedance).
+    ``tau = [mass @] (K (q_des - q) - D qd) [+ gravity_bias]``, a spring to
+    ``q_des`` damped toward rest; each bracketed term applies when its array
+    is given, as in :func:`osc`. ``mass`` is the mass matrix
+    (``dynamics.mass_matrix``) and ``gravity_bias`` the bias at zero
+    velocity (``dynamics.bias_forces(tree, q, zeros)``). Gains may vary per
+    step and per joint (variable stiffness / variable impedance).
     """
     stiffness = np.asarray(stiffness, dtype=np.float64)
     damping = np.asarray(damping, dtype=np.float64)
@@ -105,16 +113,10 @@ def joint_impedance(q: np.ndarray, qd: np.ndarray, q_des: np.ndarray,
             and np.all((damping >= 0) & (damping < np.inf))):
         raise ValueError("impedance gains must be >= 0 and finite")
     tau = stiffness * (q_des - q) - damping * qd
-    if inertia_scaling:
-        if tree is None:
-            raise ValueError("inertia scaling requires the kinematic tree")
-        m = mass_matrix(tree, q, root_pose=root_pose)
-        tau = np.einsum("...ij,...j->...i", m, tau)
-    if gravity_comp:
-        if tree is None:
-            raise ValueError("gravity compensation requires the kinematic tree")
-        tau = tau + bias_forces(tree, q, np.zeros_like(q), gravity=gravity,
-                                root_pose=root_pose)
+    if mass is not None:
+        tau = np.einsum("...ij,...j->...i", mass, tau)
+    if gravity_bias is not None:
+        tau = tau + gravity_bias
     return tau
 
 

@@ -8,8 +8,8 @@ coordinates makes free-flight linear momentum exact under the discrete
 integrator.
 
 Every query goes through a few private helpers: :func:`_pose` (joint frames
-and base pose), :func:`_jacobians` (motion transforms and the body
-Jacobians ``J``), :func:`_velocity` (``u`` and the link velocities
+and base pose), :func:`_motion` (those, then the motion transforms and the
+body Jacobians ``J``), :func:`_velocity` (``u`` and the link velocities
 ``J u``), :func:`_mass` (``sum_i J_i^T I_i J_i`` and the armature diagonal)
 and :func:`_bias` (RNEA, projected by ``J^T``). The root block of ``J``
 holds the mixed coordinates, so the mass matrix, the bias and the point
@@ -51,6 +51,7 @@ from . import _dyn_kernels as k
 from ._dyn_kernels import spatial_inertia  # noqa: F401  (randomises DynParams)
 from .articulation import ArticulationState, ContactPointSet, KinematicTree
 from .maths import (
+    GRAVITY,
     Transform,
     cross,
     matrix_to_quat,
@@ -62,11 +63,6 @@ from .maths import (
 )
 # the old name stays for existing callers (the benchmark); it is the same class
 from .terrain import HeightField as HeightfieldGround  # noqa: F401
-
-# read-only: it is the default argument of step, bias_forces and
-# controllers.joint_impedance
-GRAVITY = np.array([0.0, 0.0, -9.81])
-GRAVITY.setflags(write=False)
 
 
 class SimulationDivergenceError(RuntimeError):
@@ -205,33 +201,33 @@ def _pose(tree, q, root_pose):
     return k.joint_xforms(tree, q), base_rot, base_pos
 
 
-def _jacobians(tree, frames, base_rot, work=_ALLOCATE):
-    """Motion transforms ``X`` and body Jacobians ``J``."""
+def _motion(tree, q, root_pose, work=_ALLOCATE):
+    """Joint frames, base rotation and base position (:func:`_pose`), then
+    the motion transforms ``X`` and the body Jacobians ``J``."""
+    frames, base_rot, base_pos = _pose(tree, q, root_pose)
     xf = k.motion_xforms(*frames, out=work.X)
-    return xf, k.body_jacobians(tree, xf, base_rot, out=work.J)
+    return frames, base_rot, base_pos, xf, k.body_jacobians(tree, xf, base_rot, out=work.J)
 
 
-def _velocity(tree, J, qd, base_rot, root_twist):
+def _velocity(tree, J, qd, base_rot, lin_vel, ang_vel):
     """Public generalized velocity ``u`` and body velocities ``v = J u``.
 
-    ``root_twist`` is the free root's world twist ``[lin, ang]``, or
-    ``None`` at rest; ``u`` takes its angular part in the base frame.
+    ``lin_vel`` and ``ang_vel`` ``(E, 3)`` are the free root's world linear
+    and angular velocity, which a fixed tree never reads; ``u`` takes the
+    angular one in the base frame.
     """
     u = qd
     if tree.floating:
-        E = qd.shape[0]
-        twist = np.zeros((E, 6)) if root_twist is None else _broadcast(root_twist, (E, 6))
-        w_b = np.einsum("eba,eb->ea", base_rot, twist[:, 3:])
-        u = np.concatenate([w_b, twist[:, :3], qd], axis=1)
+        w_b = np.einsum("eba,eb->ea", base_rot, ang_vel)
+        u = np.concatenate([w_b, lin_vel, qd], axis=1)
     return u, (J @ u[:, None, :, None])[..., 0]
 
 
 def _state_motion(tree, state: ArticulationState, work=_ALLOCATE):
-    """:func:`_pose`, :func:`_jacobians` and :func:`_velocity` of a state."""
-    frames, base_rot, base_pos = _pose(tree, state.q, state.root_pose)
-    xf, J = _jacobians(tree, frames, base_rot, work)
-    twist = np.concatenate([state.root_lin_vel, state.root_ang_vel], axis=1)
-    u, v_body = _velocity(tree, J, state.qd, base_rot, twist)
+    """:func:`_motion` and :func:`_velocity` of a state."""
+    frames, base_rot, base_pos, xf, J = _motion(tree, state.q, state.root_pose, work)
+    u, v_body = _velocity(tree, J, state.qd, base_rot, state.root_lin_vel,
+                          state.root_ang_vel)
     return frames, base_rot, base_pos, xf, J, u, v_body
 
 
@@ -295,8 +291,7 @@ def jacobian(tree: KinematicTree, q: np.ndarray, link: int,
     if not 0 <= link < tree.num_links:
         raise IndexError(f"link index {link} out of range")
     q, squeeze = _batched(q)
-    frames, base_rot, base_pos = _pose(tree, q, root_pose)
-    _, J = _jacobians(tree, frames, base_rot)
+    frames, base_rot, base_pos, _, J = _motion(tree, q, root_pose)
     link_rot, _ = k.fk_kernel(tree, *frames, base_rot, base_pos)
     out = k.point_jacobian(J[:, link], link_rot[:, link],
                            np.asarray(point_offset, dtype=np.float64))
@@ -320,8 +315,7 @@ def mass_matrix(tree: KinematicTree, q: np.ndarray,
     """
     q, squeeze = _batched(q)
     params = _params(tree, params, q.shape[0])
-    frames, base_rot, _ = _pose(tree, q, root_pose)
-    _, J = _jacobians(tree, frames, base_rot)
+    *_, J = _motion(tree, q, root_pose)
     m = _mass(tree, J, params)
     return m[0] if squeeze else m
 
@@ -341,10 +335,11 @@ def bias_forces(tree: KinematicTree, q: np.ndarray, qd: np.ndarray,
     """
     q, squeeze = _batched(q)
     qd, _ = _batched(qd)
-    params = _params(tree, params, q.shape[0])
-    frames, base_rot, _ = _pose(tree, q, root_pose)
-    xf, J = _jacobians(tree, frames, base_rot)
-    _, v_body = _velocity(tree, J, qd, base_rot, root_twist)
+    E = q.shape[0]
+    params = _params(tree, params, E)
+    _, base_rot, _, xf, J = _motion(tree, q, root_pose)
+    twist = np.zeros((E, 6)) if root_twist is None else _broadcast(root_twist, (E, 6))
+    _, v_body = _velocity(tree, J, qd, base_rot, twist[:, :3], twist[:, 3:])
     bias = _bias(tree, xf, J, v_body, qd, params, base_rot, gravity, 0.0)
     return bias[0] if squeeze else bias
 
@@ -416,9 +411,10 @@ def step(tree: KinematicTree, state: ArticulationState,
         raise ValueError("contacts need both probes and terrain")
     E = state.env_count
     nj = tree.num_joints
-    if joint_efforts is None:
-        joint_efforts = np.zeros((E, nj))
-    joint_efforts = _finite(joint_efforts, "joint efforts", (E, nj))
+    off = 6 if tree.floating else 0
+    tau = np.zeros((E, tree.nv))
+    if joint_efforts is not None:
+        tau[:, off:] = _finite(joint_efforts, "joint efforts", (E, nj))
     if implicit_pd is not None:
         # checked as given; the arithmetic below broadcasts them
         kp = np.asarray(implicit_pd.kp, dtype=np.float64)
@@ -435,7 +431,6 @@ def step(tree: KinematicTree, state: ArticulationState,
     work = _state_work(tree, state)
     frames, base_rot, base_pos, xf, J, u, v_body = _state_motion(tree, state, work)
     m = _mass(tree, J, params, work)
-    off = 6 if tree.floating else 0
 
     # applied link forces: world wrenches [f, tau] into body-frame [tau, f]
     wrench = state.ext_wrench
@@ -455,9 +450,6 @@ def step(tree: KinematicTree, state: ArticulationState,
         f_ext = (wrench.reshape(E, -1, 2, 3)[:, :, ::-1] @ link_rot).reshape(E, -1, 6)
     bias = _bias(tree, xf, J, v_body, state.qd, params, base_rot, gravity, f_ext,
                  work)
-
-    tau = np.zeros((E, tree.nv))
-    tau[:, off:] = joint_efforts
 
     rhs = np.einsum("eij,ej->ei", m, u) + dt * (tau - bias)
     if implicit_pd is not None:

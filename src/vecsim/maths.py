@@ -15,6 +15,11 @@ import numpy as np
 
 QUAT_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
+# read-only: the default gravity of dynamics.step, dynamics.bias_forces and
+# sensors.ImuSensor
+GRAVITY = np.array([0.0, 0.0, -9.81])
+GRAVITY.setflags(write=False)
+
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Scale quaternions to unit norm."""

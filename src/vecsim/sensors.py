@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maths import (Transform, compose, cross, grid_count, quat_mul, quat_rotate,
-                    quat_rotate_inverse, relative_pose)
+from .maths import (GRAVITY, Transform, compose, cross, grid_count, quat_mul,
+                    quat_rotate, quat_rotate_inverse, relative_pose)
 
 # rotation taking camera-frame vectors of each convention into the internal
 # world convention (x-forward, y-left, z-up)
@@ -336,7 +336,7 @@ class ImuSensor:
     """
 
     def __init__(self, env_count: int, offset: Transform | None = None,
-                 gravity=(0.0, 0.0, -9.81), modifiers: ImuModifiers | None = None,
+                 gravity=GRAVITY, modifiers: ImuModifiers | None = None,
                  rng: np.random.Generator | None = None):
         self.offset = offset if offset is not None else Transform.identity()
         self.gravity = np.asarray(gravity, dtype=np.float64)

@@ -1,9 +1,13 @@
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import pendulum_links
+import vecsim
+from conftest import double_pendulum_tree, dp_bias_oracle
 from vecsim.articulation import ArticulationState, KinematicTree, LinkSpec
 from vecsim.controllers import (
     IkConfig,
@@ -114,6 +118,20 @@ def test_damped_ik_norm_bound():
         assert np.linalg.norm(dq) <= np.linalg.norm(dx) / (2 * lam) + 1e-12
 
 
+def test_damped_ik_zero_damping_is_min_norm_least_squares():
+    # J J^T is singular for these Jacobians; the lambda -> 0 limit of damped
+    # least squares is the minimum-norm least-squares step
+    cfg = IkConfig(method="damped", damping=0.0)
+    dq = diff_ik_step(np.zeros((1, 2, 3)), np.ones((1, 2)), cfg)
+    np.testing.assert_array_equal(dq, np.zeros((1, 3)))
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        j = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 6))  # rank 2
+        dx = rng.standard_normal(3)
+        expected = np.linalg.lstsq(j, dx, rcond=None)[0]
+        np.testing.assert_allclose(diff_ik_step(j, dx, cfg), expected, atol=1e-9)
+
+
 def test_ik_shape_mismatch():
     with pytest.raises(ValueError):
         diff_ik_step(np.eye(3), np.zeros(4), IkConfig())
@@ -147,11 +165,12 @@ def test_reacher_converges_on_reachable_targets():
 
 
 def test_impedance_statics_equals_gravity_torque():
-    tree = KinematicTree(pendulum_links(com_dir=(1, 0, 0), com_dist=0.8))
-    q = np.array([0.4])
-    tau = joint_impedance(q, np.zeros(1), q, stiffness=np.array([50.0]),
-                          damping=np.array([5.0]), tree=tree, gravity_comp=True)
-    np.testing.assert_allclose(tau, bias_forces(tree, q, np.zeros(1)), atol=1e-12)
+    tree = double_pendulum_tree()
+    q = np.array([0.4, -0.9])
+    tau = joint_impedance(q, np.zeros(2), q, stiffness=np.array([50.0, 20.0]),
+                          damping=np.array([5.0, 2.0]),
+                          gravity_bias=bias_forces(tree, q, np.zeros(2)))
+    np.testing.assert_allclose(tau, dp_bias_oracle(q, np.zeros(2)), atol=1e-12)
 
 
 def test_impedance_zero_gains_zero_torque():
@@ -184,15 +203,26 @@ def test_impedance_critical_damping_no_overshoot():
 
 
 def test_impedance_inertia_scaling():
-    tree, _ = planar_arm()
+    mass = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]])
     q = np.array([0.3, -0.2, 0.5])
-    qd = np.zeros(3)
-    kp = np.full(3, 10.0)
-    kd = np.zeros(3)
-    plain = joint_impedance(q, qd, np.zeros(3), kp, kd)
-    scaled = joint_impedance(q, qd, np.zeros(3), kp, kd, tree=tree,
-                             inertia_scaling=True)
-    np.testing.assert_allclose(scaled, mass_matrix(tree, q) @ plain, atol=1e-12)
+    qd = np.array([1.0, 0.0, -1.0])
+    # spring 10 (0 - q) - 2 qd = [-5, 2, -3], then mass @ spring by hand
+    tau = joint_impedance(q, qd, np.zeros(3), np.full(3, 10.0), np.full(3, 2.0),
+                          mass=mass)
+    np.testing.assert_allclose(tau, [-9.0, -1.1, -8.6], atol=1e-12)
+    batch = joint_impedance(np.stack([q, -q]), np.stack([qd, -qd]), np.zeros((2, 3)),
+                            10.0, 2.0, mass=np.stack([mass, 2.0 * mass]))
+    np.testing.assert_allclose(batch, [[-9.0, -1.1, -8.6], [18.0, 2.2, 17.2]],
+                               atol=1e-12)
+
+
+def test_controllers_do_not_import_dynamics():
+    src = Path(vecsim.__file__).resolve().parent.parent
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import vecsim.controllers; "
+              "print('vecsim.dynamics' in sys.modules)")
+    out = subprocess.run([sys.executable, "-B", "-c", script, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ----------------------------------------------------------------------- OSC
@@ -259,7 +289,11 @@ def test_osc_rejects_non_pd_mass():
                 TaskSpaceGains(np.ones(3), np.ones(3)), reg=1e-3),
     lambda: joint_impedance(np.zeros(1), np.zeros(1), np.zeros(1),
                             np.ones(1), np.ones(1), qd_des=np.ones(1)),
-], ids=["command_mode", "command_frame", "reg", "qd_des"])
+    *(lambda name=name: joint_impedance(np.zeros(1), np.zeros(1), np.zeros(1),
+                                        np.ones(1), np.ones(1), **{name: None})
+      for name in ("tree", "gravity_comp", "inertia_scaling", "gravity", "root_pose")),
+], ids=["command_mode", "command_frame", "reg", "qd_des", "tree", "gravity_comp",
+        "inertia_scaling", "gravity", "root_pose"])
 def test_removed_settings_are_rejected(call):
     with pytest.raises(TypeError):
         call()
@@ -292,6 +326,8 @@ _Z3 = np.zeros(3)
                  "singular_value_cutoff must be >= 0", id="ik_cutoff"),
     pytest.param(lambda: IkConfig(singular_value_cutoff=np.nan),
                  "singular_value_cutoff must be >= 0", id="ik_nan_cutoff"),
+    pytest.param(lambda: IkConfig(step_scale=np.nan),
+                 "step_scale must be > 0 and finite", id="ik_nan_step_scale"),
     pytest.param(lambda: joint_impedance(_Z2, _Z2, _Z2, [np.nan, 1.0], 1.0),
                  "impedance gains must be >= 0 and finite", id="impedance_nan_stiffness"),
     pytest.param(lambda: joint_impedance(_Z2, _Z2, _Z2, 1.0, [1.0, np.inf]),
@@ -299,10 +335,6 @@ _Z3 = np.zeros(3)
     pytest.param(lambda: pose_error(Transform.identity(), Transform.identity(),
                                     mode="twist"),
                  "mode must be 'pose' or 'position'", id="pose_error_mode"),
-    pytest.param(lambda: joint_impedance(_Z3, _Z3, _Z3, 1.0, 1.0, inertia_scaling=True),
-                 "inertia scaling requires the kinematic tree", id="impedance_inertia"),
-    pytest.param(lambda: joint_impedance(_Z3, _Z3, _Z3, 1.0, 1.0, gravity_comp=True),
-                 "gravity compensation requires the kinematic tree", id="impedance_gravity"),
     pytest.param(lambda: TaskSpaceGains(stiffness=-np.ones(6), damping=np.ones(6)),
                  "task-space gains must be >= 0", id="gains_negative"),
     pytest.param(lambda: TaskSpaceGains(stiffness=[np.nan] * 6, damping=np.ones(6)),
