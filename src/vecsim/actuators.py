@@ -14,12 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .maths import check_setting
+
 ACTUATOR_KINDS = ("ideal_pd", "dc_motor", "delayed_pd", "remotized_pd", "neural")
 
 
 @dataclass
 class FrictionConfig:
-    """Joint friction: simple Coulomb or stiction with viscous drag."""
+    """Joint friction: simple Coulomb or stiction with viscous drag.
+
+    ``static_limit`` and ``slip_threshold`` may be ``+inf`` (no limit);
+    stiction mode needs ``slip_threshold > 0``.
+    """
 
     mode: str = "none"              # none | coulomb | stiction
     coulomb: float = 0.0            # dynamic friction torque
@@ -30,19 +36,20 @@ class FrictionConfig:
     def __post_init__(self):
         if self.mode not in ("none", "coulomb", "stiction"):
             raise ValueError(f"unknown friction mode {self.mode!r}")
-        for name in ("coulomb", "viscous"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"friction {name} must be >= 0 and finite")
-        for name in ("static_limit", "slip_threshold"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"friction {name} must be >= 0")
-        if self.mode == "stiction" and self.slip_threshold <= 0:
-            raise ValueError("stiction mode requires slip_threshold > 0")
+        check_setting("friction coulomb", self.coulomb, ">= 0")
+        check_setting("friction viscous", self.viscous, ">= 0")
+        check_setting("friction static_limit", self.static_limit, ">= 0", inf=True)
+        check_setting("friction slip_threshold", self.slip_threshold,
+                      "> 0" if self.mode == "stiction" else ">= 0", inf=True)
 
 
 @dataclass
 class ActuatorConfig:
-    """Configuration for one actuator group over a joint subset."""
+    """Configuration for one actuator group over a joint subset.
+
+    ``effort_limit`` and ``velocity_limit`` may be ``+inf`` (no limit),
+    except that ``dc_motor`` needs a finite ``velocity_limit > 0``.
+    """
 
     joint_ids: list[int]
     kind: str = "ideal_pd"
@@ -64,25 +71,22 @@ class ActuatorConfig:
     def __post_init__(self):
         if self.kind not in ACTUATOR_KINDS:
             raise ValueError(f"unknown actuator kind {self.kind!r}")
-        for name in ("stiffness", "damping"):
-            gain = np.asarray(getattr(self, name), dtype=np.float64)
-            if not np.all((gain >= 0) & (gain < np.inf)):
-                raise ValueError(f"{name} must be >= 0 and finite")
-        if not (self.effort_limit >= 0 and self.velocity_limit >= 0):
-            raise ValueError("limits must be >= 0")
+        dc = self.kind == "dc_motor"
+        check_setting("stiffness", self.stiffness, ">= 0")
+        check_setting("damping", self.damping, ">= 0")
+        check_setting("effort_limit", self.effort_limit, ">= 0", inf=True)
+        check_setting("velocity_limit", self.velocity_limit,
+                      "> 0" if dc else ">= 0", inf=not dc)
         if not _is_count(self.delay_steps, 0):
             raise ValueError("delay_steps must be a non-negative integer")
-        if self.kind == "dc_motor":
-            if not np.isfinite(self.saturation_effort) or self.saturation_effort < 0:
-                raise ValueError("dc_motor requires saturation_effort >= 0")
-            if not 0 < self.velocity_limit < np.inf:
-                raise ValueError("dc_motor requires a finite velocity_limit > 0")
+        if dc:
+            check_setting("saturation_effort", self.saturation_effort, ">= 0")
         if self.kind == "remotized_pd":
             table = np.asarray(self.effort_limit_table, dtype=np.float64)
             if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 1:
                 raise ValueError("effort_limit_table must be (K, 2)")
-            if np.any(np.diff(table[:, 0]) <= 0):
-                raise ValueError("effort_limit_table keys must be strictly increasing")
+            check_setting("effort_limit_table key steps", np.diff(table[:, 0]), "> 0")
+            check_setting("effort_limit_table limits", table[:, 1], ">= 0")
             self.effort_limit_table = table
         if self.kind == "neural" and self.model_fn is None:
             raise ValueError("neural actuator requires model_fn")
@@ -139,9 +143,9 @@ def rotor_wrench(k_f: float, k_m: float, direction, omega):
     ``direction`` is +1/-1 for the spin sense; the reaction moment opposes
     it. Returns ``(thrust, moment)`` along the rotor axis.
     """
-    omega = np.asarray(omega, dtype=np.float64)
-    if np.any(omega < 0):
-        raise ValueError("rotor speed must be >= 0")
+    check_setting("k_f", k_f, ">= 0")
+    check_setting("k_m", k_m, ">= 0")
+    omega = check_setting("omega", omega, ">= 0")
     w2 = omega * omega
     return k_f * w2, -np.asarray(direction, dtype=np.float64) * k_m * w2
 

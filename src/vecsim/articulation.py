@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dyn_kernels import skew, spatial_inertia
-from .maths import QUAT_IDENTITY, Transform, quat_normalize, quat_to_matrix
+from .maths import (QUAT_IDENTITY, Transform, check_setting, quat_normalize,
+                    quat_to_matrix)
 
 JOINT_FIXED = 0
 JOINT_REVOLUTE = 1
@@ -88,12 +89,15 @@ class KinematicTree:
 
         nq = 0
         for i, link in enumerate(links):
-            for name in ("axis", "origin_pos", "origin_quat", "mass", "com", "inertia"):
-                if not np.isfinite(getattr(link, name)).all():
-                    raise ValueError(f"link {i} ({link.name!r}) {name} must be finite")
             if link.joint not in _JOINT_CODES:
                 raise ValueError(f"unknown joint kind {link.joint!r}")
             code = _JOINT_CODES[link.joint]
+            label = f"link {i} ({link.name!r})"
+            for name in ("axis", "origin_pos", "origin_quat", "com", "inertia"):
+                check_setting(f"{label} {name}", getattr(link, name))
+            # a fixed link may be massless, a moving one may not
+            check_setting(f"{label} mass", link.mass,
+                          ">= 0" if code == JOINT_FIXED else "> 0")
             if code == JOINT_FREE and i != 0:
                 raise ValueError("free joint only allowed at link 0")
             if not -1 <= link.parent < i:
@@ -126,8 +130,6 @@ class KinematicTree:
             if code in (JOINT_REVOLUTE, JOINT_PRISMATIC):
                 self.qidx[i] = nq
                 nq += 1
-            if code != JOINT_FIXED and link.mass <= 0.0:
-                raise ValueError(f"link {i} ({link.name!r}) is dynamic but has mass <= 0")
             if link.mass > 0.0:
                 eigvals = np.linalg.eigvalsh(self.inertia[i])
                 if eigvals.min() <= 0.0:
@@ -277,15 +279,11 @@ class ContactPointSet:
                 np.asarray(getattr(self, name), dtype=np.float64), (p,)).copy())
         if np.any(self.link < 0):
             raise ValueError("probe link index must be >= 0")
-        if not np.all(np.isfinite(self.offset)):
-            raise ValueError("probe offset must be finite")
-        if not np.all(np.isfinite(self.radius) & (self.radius > 0)):
-            raise ValueError("probe radius must be > 0 and finite")
-        spring = np.stack([self.stiffness, self.damping])
-        if not np.all(np.isfinite(spring) & (spring >= 0)):
-            raise ValueError("contact stiffness/damping must be >= 0 and finite")
-        if not np.all(np.isfinite(self.friction) & (self.friction >= 0)):
-            raise ValueError("contact friction must be >= 0 and finite")
+        check_setting("probe offset", self.offset)
+        check_setting("probe radius", self.radius, "> 0")
+        check_setting("contact stiffness", self.stiffness, ">= 0")
+        check_setting("contact damping", self.damping, ">= 0")
+        check_setting("contact friction", self.friction, ">= 0")
 
     @property
     def count(self) -> int:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maths import Transform, quat_conjugate, quat_mul, rotvec_from_quat
+from .maths import (Transform, check_setting, quat_conjugate, quat_mul,
+                    rotvec_from_quat)
 
 IK_METHODS = ("pinv", "svd_adaptive", "transpose", "damped")
 
@@ -24,7 +25,8 @@ class IkConfig:
     """Differential IK update settings.
 
     The error being driven to zero, position only or full pose, is the
-    caller's choice of :func:`pose_error` ``mode``.
+    caller's choice of :func:`pose_error` ``mode``. A
+    ``singular_value_cutoff`` of ``+inf`` truncates every singular value.
     """
 
     method: str = "damped"
@@ -36,12 +38,12 @@ class IkConfig:
     def __post_init__(self):
         if self.method not in IK_METHODS:
             raise ValueError(f"unknown IK method {self.method!r}")
-        if not (0 <= self.damping < np.inf and 0 < self.transpose_gain < np.inf):
-            raise ValueError("damping must be >= 0 and transpose_gain > 0, both finite")
-        if self.singular_value_cutoff is not None and not self.singular_value_cutoff >= 0:
-            raise ValueError("singular_value_cutoff must be >= 0")
-        if not 0 < self.step_scale < np.inf:
-            raise ValueError("step_scale must be > 0 and finite")
+        check_setting("damping", self.damping, ">= 0")
+        if self.singular_value_cutoff is not None:
+            check_setting("singular_value_cutoff", self.singular_value_cutoff,
+                          ">= 0", inf=True)
+        check_setting("transpose_gain", self.transpose_gain, "> 0")
+        check_setting("step_scale", self.step_scale, "> 0")
 
 
 def pose_error(current: Transform, target: Transform,
@@ -107,11 +109,8 @@ def joint_impedance(q: np.ndarray, qd: np.ndarray, q_des: np.ndarray,
     velocity (``dynamics.bias_forces(tree, q, zeros)``). Gains may vary per
     step and per joint (variable stiffness / variable impedance).
     """
-    stiffness = np.asarray(stiffness, dtype=np.float64)
-    damping = np.asarray(damping, dtype=np.float64)
-    if not (np.all((stiffness >= 0) & (stiffness < np.inf))
-            and np.all((damping >= 0) & (damping < np.inf))):
-        raise ValueError("impedance gains must be >= 0 and finite")
+    stiffness = check_setting("impedance stiffness", stiffness, ">= 0")
+    damping = check_setting("impedance damping", damping, ">= 0")
     tau = stiffness * (q_des - q) - damping * qd
     if mass is not None:
         tau = np.einsum("...ij,...j->...i", mass, tau)
@@ -130,13 +129,10 @@ class TaskSpaceGains:
     feedforward: np.ndarray = field(default_factory=lambda: np.zeros(6))
 
     def __post_init__(self):
-        self.stiffness = np.asarray(self.stiffness, dtype=np.float64)
-        self.damping = np.asarray(self.damping, dtype=np.float64)
+        self.stiffness = check_setting("task-space stiffness", self.stiffness, ">= 0")
+        self.damping = check_setting("task-space damping", self.damping, ">= 0")
         self.selection = np.asarray(self.selection, dtype=np.float64)
-        self.feedforward = np.asarray(self.feedforward, dtype=np.float64)
-        gains = np.concatenate([self.stiffness.ravel(), self.damping.ravel()])
-        if not np.all((gains >= 0) & (gains < np.inf)):
-            raise ValueError("task-space gains must be >= 0 and finite")
+        self.feedforward = check_setting("task-space feedforward", self.feedforward)
         if not np.all((self.selection == 0) | (self.selection == 1)):
             raise ValueError("selection matrix entries must be 0 or 1")
 
@@ -178,6 +174,8 @@ def osc(j: np.ndarray, m: np.ndarray, dx: np.ndarray, xd: np.ndarray,
         if q is None or qd is None:
             raise ValueError("null-space posture requires q and qd")
         q_ref, k_n, d_n = null_posture
+        check_setting("null-space stiffness", k_n, ">= 0")
+        check_setting("null-space damping", d_n, ">= 0")
         j_bar = m_inv @ j.swapaxes(-1, -2) @ lam  # dynamically consistent
         n = np.eye(j.shape[-1]) - j.swapaxes(-1, -2) @ j_bar.swapaxes(-1, -2)
         tau_posture = k_n * (q_ref - q) - d_n * qd

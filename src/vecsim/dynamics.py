@@ -53,6 +53,7 @@ from .articulation import ArticulationState, ContactPointSet, KinematicTree
 from .maths import (
     GRAVITY,
     Transform,
+    check_setting,
     cross,
     matrix_to_quat,
     quat_from_rotvec,
@@ -80,6 +81,9 @@ class FlatGround:
     """Flat horizontal ground plane."""
 
     height: float = 0.0
+
+    def __post_init__(self):
+        check_setting("ground height", self.height)
 
     def surface_height(self, x, y):
         return np.full(np.broadcast(x, y).shape, self.height, dtype=np.float64)
@@ -179,8 +183,9 @@ def _finite(x, what, shape):
     """``x`` as a float array of ``shape``; raises naming the environments
     (leading axis) that hold a non-finite value."""
     x = _broadcast(x, shape)
-    if not np.isfinite(x).all():
-        bad = np.nonzero(~np.isfinite(x).all(axis=-1))[0]
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = np.flatnonzero(~finite.reshape(shape[0], -1).all(axis=1))
         raise ValueError(f"non-finite {what} for environment(s) {bad.tolist()}")
     return x
 
@@ -241,15 +246,13 @@ def _params(tree, params, env_count):
         L = tree.num_links
         return DynParams(np.broadcast_to(tree.nominal_inertia, (env_count, L, 6, 6)),
                          np.zeros((env_count, tree.num_joints)))
-    if not np.isfinite(params.spatial_inertia).all():
-        raise ValueError("spatial_inertia must be finite")
+    check_setting("spatial_inertia", params.spatial_inertia)
     return params
 
 
 def _mass(tree, J, params, work=_ALLOCATE):
     """``sum_i J_i^T I_i J_i`` plus the armature on the joint diagonal."""
-    if not (np.isfinite(params.armature) & (params.armature >= 0)).all():
-        raise ValueError("armature must be finite and >= 0")
+    check_setting("armature", params.armature, ">= 0")
     m = k.mass_kernel(J, params.spatial_inertia, out=work.m, ij=work.ij)
     idx = tree.nv - tree.num_joints + np.arange(tree.num_joints)
     m[:, idx, idx] += params.armature
@@ -259,9 +262,9 @@ def _mass(tree, J, params, work=_ALLOCATE):
 def _bias(tree, xf, J, v_body, qd, params, base_rot, gravity, f_ext,
           work=_ALLOCATE):
     """RNEA bias less the applied body-frame link forces ``f_ext``, in the
-    public coordinates (mixed for a floating root)."""
-    g = _broadcast(gravity, (qd.shape[0], 3))
-    a_base = -np.einsum("eba,eb->ea", base_rot, g)
+    public coordinates (mixed for a floating root); ``gravity`` is
+    ``(E, 3)``."""
+    a_base = -np.einsum("eba,eb->ea", base_rot, gravity)
     if tree.floating:
         a_base -= cross(v_body[:, 0, :3], v_body[:, 0, 3:])
     return k.rnea_kernel(tree, xf, J, v_body, qd, params.spatial_inertia, a_base,
@@ -331,11 +334,13 @@ def bias_forces(tree: KinematicTree, q: np.ndarray, qd: np.ndarray,
     inertias.
 
     Raises:
-        ValueError: if ``params.spatial_inertia`` is non-finite.
+        ValueError: if ``gravity`` or ``params.spatial_inertia`` is
+            non-finite.
     """
     q, squeeze = _batched(q)
     qd, _ = _batched(qd)
     E = q.shape[0]
+    gravity = _finite(gravity, "gravity", (E, 3))
     params = _params(tree, params, E)
     _, base_rot, _, xf, J = _motion(tree, q, root_pose)
     twist = np.zeros((E, 6)) if root_twist is None else _broadcast(root_twist, (E, 6))
@@ -362,13 +367,20 @@ def contact_forces(tree: KinematicTree, state: ArticulationState,
 
 def apply_external_wrench(state: ArticulationState, force, torque, link: int,
                           env_ids=None) -> None:
-    """Accumulate a world-frame wrench; consumed and cleared by ``step``."""
+    """Accumulate a world-frame wrench; consumed and cleared by ``step``.
+
+    Raises:
+        ValueError: if ``force`` or ``torque`` is non-finite.
+        IndexError: if ``link`` is not a link of the state.
+    """
     nl = state.ext_wrench.shape[1]
     if not 0 <= link < nl:
         raise IndexError(f"link index {link} out of range (0..{nl - 1})")
+    force = check_setting("force", force)
+    torque = check_setting("torque", torque)
     ids = slice(None) if env_ids is None else np.asarray(env_ids)
-    state.ext_wrench[ids, link, :3] += np.asarray(force, dtype=np.float64)
-    state.ext_wrench[ids, link, 3:] += np.asarray(torque, dtype=np.float64)
+    state.ext_wrench[ids, link, :3] += force
+    state.ext_wrench[ids, link, 3:] += torque
 
 
 def step(tree: KinematicTree, state: ArticulationState,
@@ -396,17 +408,17 @@ def step(tree: KinematicTree, state: ArticulationState,
     nv change; every element is rewritten before it is read.
 
     Raises:
-        ValueError: if ``dt`` is not finite and > 0, only one of ``probes``
-            and ``terrain`` is given, an effort or an implicit PD target is
-            non-finite, an implicit PD gain or ``params.armature`` is
-            negative or non-finite, or ``params.spatial_inertia`` is
-            non-finite.
+        ValueError: before any state changes, if ``dt`` is not finite and
+            > 0, only one of ``probes`` and ``terrain`` is given, an effort,
+            ``gravity``, ``state.ext_wrench`` or an implicit PD target is
+            non-finite (naming the environments), an implicit PD gain or
+            ``params.armature`` is negative or non-finite, or
+            ``params.spatial_inertia`` is non-finite.
         IndexError: if a probe's link is not in ``tree``.
         SimulationDivergenceError: if any environment's state leaves the
             finite range, naming the offending environment indices.
     """
-    if not 0 < dt < np.inf:
-        raise ValueError("dt must be > 0")
+    check_setting("dt", dt, "> 0")
     if (probes is None) != (terrain is None):
         raise ValueError("contacts need both probes and terrain")
     E = state.env_count
@@ -415,13 +427,12 @@ def step(tree: KinematicTree, state: ArticulationState,
     tau = np.zeros((E, tree.nv))
     if joint_efforts is not None:
         tau[:, off:] = _finite(joint_efforts, "joint efforts", (E, nj))
+    gravity = _finite(gravity, "gravity", (E, 3))
+    _finite(state.ext_wrench, "external wrench", state.ext_wrench.shape)
     if implicit_pd is not None:
         # checked as given; the arithmetic below broadcasts them
-        kp = np.asarray(implicit_pd.kp, dtype=np.float64)
-        kd = np.asarray(implicit_pd.kd, dtype=np.float64)
-        for name, gain in (("kp", kp), ("kd", kd)):
-            if not (np.isfinite(gain) & (gain >= 0)).all():
-                raise ValueError(f"implicit PD {name} must be finite and >= 0")
+        kp = check_setting("implicit PD kp", implicit_pd.kp, ">= 0")
+        kd = check_setting("implicit PD kd", implicit_pd.kd, ">= 0")
         q_target = _finite(implicit_pd.q_target, "implicit PD q_target", (E, nj))
         qd_target = implicit_pd.qd_target
         if qd_target is not None:

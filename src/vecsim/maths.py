@@ -5,6 +5,13 @@ Conventions used across the package:
 * quaternions are ``(w, x, y, z)`` arrays with unit norm,
 * lengths are meters, angles radians, the world frame is Z-up,
 * all functions broadcast over leading batch dimensions.
+
+Every real-valued setting in the package, a gain, a limit, a length, a
+period or a threshold, passes one rule, :func:`check_setting`: each entry
+is not NaN, meets the setting's lower bound (none, ``>= 0`` or ``> 0``)
+and is finite. ``+inf`` passes only where a setting documents it as "no
+limit". A setting that breaks the rule raises one ``ValueError`` that
+names it.
 """
 
 from __future__ import annotations
@@ -214,3 +221,29 @@ def grid_count(extent: float, step: float) -> int:
     """Points ``0, step, 2 step, ...`` within ``extent``; tolerates
     ``extent / step`` landing just below an integer."""
     return int(np.floor(extent / step + 1e-6)) + 1
+
+
+_FINITE_MAX = np.finfo(np.float64).max
+# the least value each lower bound admits; x > 0 is x >= the least subnormal
+_LEAST = {">= 0": 0.0, "> 0": np.nextafter(0.0, 1.0)}
+
+
+def check_setting(name: str, value, bound: str | None = None, *,
+                  inf: bool = False) -> np.ndarray:
+    """``value`` as a float array once every entry passes the settings rule
+    (see the module docstring); otherwise raises ``ValueError`` naming
+    ``name``.
+
+    ``bound`` is ``None``, ``">= 0"`` or ``"> 0"``; ``inf=True`` lets
+    ``+inf`` through.
+    """
+    x = np.asarray(value, dtype=np.float64)
+    if bound is None:
+        ok = np.isfinite(x)
+    else:
+        # NaN fails both comparisons
+        ok = (x >= _LEAST[bound]) & (x <= (np.inf if inf else _FINITE_MAX))
+    if np.count_nonzero(ok) < x.size:
+        rule = "finite" if bound is None else bound if inf else bound + " and finite"
+        raise ValueError(f"{name} must be {rule}, got {x[~ok][0]}")
+    return x

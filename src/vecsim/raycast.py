@@ -7,12 +7,13 @@ of a level together. Each node stores its box and one index, ``first``:
 the first of its two adjacent children, or the start of its leaf's range
 of triangles.
 
-A ray whose mesh-local direction is non-finite or zero misses and is
-dropped before anything else. Every other ray takes its candidate triangles
-from one of three sources. Each source hands one routine, ``_closest``, a
-``(K, n)`` block of triangle ids with one column per ray (or ``(K, 1)`` ids
-that all rays share), and ``_closest`` intersects the block with one
-Moller-Trumbore pass and keeps each column's closest candidate:
+A ray whose mesh-local origin is non-finite, or whose mesh-local direction
+is non-finite or zero, misses and is dropped before anything else. Every
+other ray takes its candidate triangles from one of three sources. Each
+source hands one routine, ``_closest``, a ``(K, n)`` block of triangle ids
+with one column per ray (or ``(K, 1)`` ids that all rays share), and
+``_closest`` intersects the block with one Moller-Trumbore pass and keeps
+each column's closest candidate:
 
 * the mesh's :class:`GridCells` table, for a ray whose mesh-local direction
   has zero x and y components on a mesh that has one (``hf_to_mesh``
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maths import Transform, quat_to_matrix
+from .maths import Transform, check_setting, quat_to_matrix
 
 
 class MeshFormatError(ValueError):
@@ -112,8 +113,8 @@ class TriMesh:
         g.tris = np.ascontiguousarray(g.tris, dtype=np.int64)
         if g.tris.ndim != 3 or 0 in g.tris.shape:
             raise ValueError("grid tris must be (I, J, k) with I, J, k >= 1")
-        if not 0 < g.cell_size < np.inf or not np.isfinite(g.origin_xy).all():
-            raise ValueError("grid cell_size must be finite and > 0, origin finite")
+        check_setting("grid cell_size", g.cell_size, "> 0")
+        check_setting("grid origin_xy", g.origin_xy)
         ids = g.tris.ravel()
         t = self.num_triangles
         if (ids.size != t or ids.min() < 0 or ids.max() >= t
@@ -317,27 +318,28 @@ def _cast_mesh(mesh: TriMesh, bvh: Bvh, rot, pos, origins, dirs,
                max_range: float, mesh_id: int, hits: RayHits) -> None:
     """Closest hit of all rays against one mesh; updates ``hits`` in place.
 
-    Rays whose local direction is non-finite or zero miss and are dropped
-    first. On a mesh with a cell table, rays whose local direction has zero
-    x and y components take their candidates from the table if their local
-    xy lies in the root box's closed xy bounds, and miss otherwise. The others
-    are scanned against every triangle of a mesh of at most ``_DENSE_MAX``
-    triangles and traverse the BVH of a larger one.
+    Rays whose local origin is non-finite, or whose local direction is
+    non-finite or zero, miss and are dropped first. On a mesh with a cell
+    table, rays whose local direction has zero x and y components take
+    their candidates from the table if their local xy lies in the root
+    box's closed xy bounds, and miss otherwise. The others are scanned
+    against every triangle of a mesh of at most ``_DENSE_MAX`` triangles
+    and traverse the BVH of a larger one.
     """
     # rays in mesh-local coordinates (rigid: t is preserved), one row per
-    # axis; an infinite origin or direction makes inf * 0 here and still
-    # misses below
+    # axis; an infinite origin or direction makes inf * 0 here, which the
+    # finiteness test below drops
     with np.errstate(invalid="ignore"):
         o = ((origins - pos) @ rot).T.copy()
         d = (dirs @ rot).T.copy()
-    ray = np.flatnonzero(np.isfinite(d).all(axis=0) & d.any(axis=0))
+    ray = np.flatnonzero(np.isfinite(o).all(axis=0) & np.isfinite(d).all(axis=0)
+                         & d.any(axis=0))
     # vertices one row per axis too, as TriMesh stores them
     vt = mesh.vertices.T
     if mesh.grid is not None:
         vertical = (d[0][ray] == 0.0) & (d[1][ray] == 0.0)
         # the BVH's rule: a vertical ray meets the mesh only if its xy lies
-        # in the root box's closed xy bounds, which a NaN or infinite
-        # origin does not
+        # in the root box's closed xy bounds
         inside = vertical.copy()
         for a in (0, 1):
             oa = o[a][ray]
@@ -524,7 +526,7 @@ def _dot(a, b):
 
 def _distances(v0, e1, e2, o, d, max_range):
     """Moller-Trumbore distance of every ``(triangle, ray)`` lane, ``+inf``
-    where the ray misses (NaN for a non-finite origin, which never wins).
+    where the ray misses.
 
     Each argument is a component triple whose rows broadcast together:
     ``(K, n)`` or ``(K, 1)`` triangle rows against ``(n,)`` ray rows, one
@@ -608,16 +610,15 @@ def raycast(meshes, bvhs, origins: np.ndarray, dirs: np.ndarray,
 
     Every mesh's pose is read exactly once per call, just before its rays
     are cast, so all rays of one call observe the same pose of each mesh.
-    Hits beyond ``max_range`` are reported as misses.
+    Hits beyond ``max_range`` are reported as misses; the default ``+inf``
+    sets no limit.
 
     Raises:
         ValueError: if ``max_range`` is NaN or negative, ``meshes`` and
             ``bvhs`` differ in length, a BVH does not cover its mesh's
             triangles, or ``origins`` and ``dirs`` differ in shape.
     """
-    max_range = float(max_range)
-    if not max_range >= 0.0:
-        raise ValueError(f"max_range must be >= 0, got {max_range}")
+    max_range = float(check_setting("max_range", max_range, ">= 0", inf=True))
     if len(meshes) != len(bvhs):
         raise ValueError(f"{len(meshes)} meshes but {len(bvhs)} BVHs")
     origins = np.asarray(origins, dtype=np.float64)

@@ -9,12 +9,13 @@ matrices are provided. Every sensor can run at its own update period via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .maths import (GRAVITY, Transform, compose, cross, grid_count, quat_mul,
-                    quat_rotate, quat_rotate_inverse, relative_pose)
+from .maths import (GRAVITY, Transform, check_setting, compose, cross,
+                    grid_count, quat_mul, quat_rotate, quat_rotate_inverse,
+                    relative_pose)
 
 # rotation taking camera-frame vectors of each convention into the internal
 # world convention (x-forward, y-left, z-up)
@@ -45,8 +46,9 @@ def pattern_grid(size_x: float, size_y: float, resolution: float) -> RayPattern:
 
     Produces ``(floor(size_x/res)+1) * (floor(size_y/res)+1)`` rays.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
+    check_setting("size_x", size_x, ">= 0")
+    check_setting("size_y", size_y, ">= 0")
+    check_setting("resolution", resolution, "> 0")
     nx = grid_count(size_x, resolution)
     ny = grid_count(size_y, resolution)
     xs = (np.arange(nx) - (nx - 1) / 2.0) * resolution
@@ -62,9 +64,11 @@ def pattern_pinhole(width: int, height: int, focal_px: float,
     """Pinhole camera rays in the world camera convention, row-major."""
     if width < 1 or height < 1:
         raise ValueError("image size must be at least 1x1")
-    if focal_px <= 0:
-        raise ValueError("focal length must be > 0")
-    cx, cy = (width / 2.0, height / 2.0) if principal is None else principal
+    check_setting("focal_px", focal_px, "> 0")
+    if principal is None:
+        cx, cy = width / 2.0, height / 2.0
+    else:
+        cx, cy = check_setting("principal", principal)
     u = np.arange(width) + 0.5
     v = np.arange(height) + 0.5
     uu, vv = np.meshgrid(u, v, indexing="xy")
@@ -88,7 +92,8 @@ def pattern_lidar(horizontal_fov: float, horizontal_count: int,
     """
     if horizontal_count < 1:
         raise ValueError("horizontal_count must be >= 1")
-    va = np.asarray(vertical_angles, dtype=np.float64)
+    check_setting("horizontal_fov", horizontal_fov, ">= 0")
+    va = check_setting("vertical_angles", vertical_angles)
     ha = np.linspace(-horizontal_fov / 2, horizontal_fov / 2, horizontal_count,
                      endpoint=horizontal_fov < 2 * np.pi)
     vv, hh = np.meshgrid(va, ha, indexing="ij")
@@ -200,15 +205,15 @@ class SensorClock:
 
     Marking advances the schedule by whole periods (drift-free), so over a
     horizon ``T`` the number of recomputes is ``floor(T / period) +- 1``
-    even when the simulation step does not divide the period.
+    even when the simulation step does not divide the period. A period of
+    ``+inf`` updates once, on the first call after a reset.
     """
 
     period: float
     last_update: float = -np.inf
 
     def __post_init__(self):
-        if not self.period > 0:
-            raise ValueError(f"period must be > 0, got {self.period}")
+        check_setting("period", self.period, "> 0", inf=True)
 
     def due(self, sim_time: float) -> bool:
         return sim_time - self.last_update >= self.period - 1e-12
@@ -253,13 +258,15 @@ class ContactSensor:
     ``in_contact`` and the last completed durations are read from them.
 
     Raises:
-        ValueError: if ``history_length`` is below 1.
+        ValueError: if ``history_length`` is below 1 or ``force_threshold``
+            is not finite and >= 0.
     """
 
     def __init__(self, env_count: int, body_count: int, history_length: int = 3,
                  force_threshold: float = 1e-6):
         if history_length < 1:
             raise ValueError("history_length must be >= 1")
+        check_setting("force_threshold", force_threshold, ">= 0")
         self.force_threshold = force_threshold
         shape = (env_count, body_count)
         self.net_force = np.zeros(shape + (3,))
@@ -287,8 +294,7 @@ class ContactSensor:
             arr[ids] = 0.0
 
     def update(self, net_forces: np.ndarray, dt: float) -> None:
-        if not 0 < dt < np.inf:
-            raise ValueError("dt must be > 0")
+        check_setting("dt", dt, "> 0")
         self.net_force[:] = net_forces
         contact = np.linalg.norm(net_forces, axis=-1) > self.force_threshold
         touchdown = contact & (self.air_time > 0)
@@ -316,6 +322,10 @@ class ImuModifiers:
     gyro_noise_std: np.ndarray = field(default_factory=lambda: np.zeros(3))
     gyro_bias_walk_std: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
+    def __post_init__(self):
+        for f in fields(self):
+            check_setting(f"imu {f.name}", getattr(self, f.name), ">= 0")
+
 
 @dataclass
 class ImuSample:
@@ -339,7 +349,7 @@ class ImuSensor:
                  gravity=GRAVITY, modifiers: ImuModifiers | None = None,
                  rng: np.random.Generator | None = None):
         self.offset = offset if offset is not None else Transform.identity()
-        self.gravity = np.asarray(gravity, dtype=np.float64)
+        self.gravity = check_setting("gravity", gravity)
         self.modifiers = modifiers
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._prev_vel = np.zeros((env_count, 3))
@@ -355,8 +365,7 @@ class ImuSensor:
 
     def update(self, body_pose: Transform, body_lin_vel: np.ndarray,
                body_ang_vel: np.ndarray, dt: float) -> ImuSample:
-        if not 0 < dt < np.inf:
-            raise ValueError("dt must be > 0")
+        check_setting("dt", dt, "> 0")
         quat = np.atleast_2d(body_pose.quat)
         pos_offset_w = quat_rotate(quat, self.offset.pos)
         v_pt = body_lin_vel + cross(body_ang_vel, pos_offset_w)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .maths import grid_count
+from .maths import check_setting, grid_count
 from .raycast import GridCells, TriMesh
 
 
@@ -37,10 +37,9 @@ class HeightField:
         self.heights = np.ascontiguousarray(self.heights, dtype=np.float64)
         if self.heights.ndim != 2 or min(self.heights.shape) < 2:
             raise ValueError("heightfield needs at least a 2x2 grid")
-        if not np.isfinite(self.heights).all():
-            raise ValueError("heightfield heights must be finite")
-        if not 0 < self.cell_size < np.inf:
-            raise ValueError("cell_size must be finite and > 0")
+        check_setting("heightfield heights", self.heights)
+        check_setting("cell_size", self.cell_size, "> 0")
+        check_setting("origin_xy", self.origin_xy)
 
     def surface_height(self, x, y):
         """Surface heights at points ``(x, y)`` on the mesher's triangles.
@@ -76,12 +75,19 @@ class HeightField:
                         h00 + u * (h11 - h01) + w * (h01 - h00))
 
 
+def _grid_shape(size: tuple[float, float], cell: float) -> tuple[int, int]:
+    """Node counts of a field ``size`` long at ``cell`` spacing."""
+    check_setting("size", size, ">= 0")
+    check_setting("cell", cell, "> 0")
+    return grid_count(size[0], cell), grid_count(size[1], cell)
+
+
 def hf_random_uniform(size: tuple[float, float], cell: float, height: float,
                       quantum: float, rng: np.random.Generator) -> HeightField:
     """Uniform random heights in ``[-height, height]`` quantized to ``quantum``."""
-    if height < 0 or quantum <= 0:
-        raise ValueError("height must be >= 0 and quantum > 0")
-    n, m = grid_count(size[0], cell), grid_count(size[1], cell)
+    check_setting("height", height, ">= 0")
+    check_setting("quantum", quantum, "> 0")
+    n, m = _grid_shape(size, cell)
     k = int(np.floor(height / quantum + 1e-9))
     steps = rng.integers(-k, k + 1, size=(n, m)) if k > 0 else np.zeros((n, m))
     return HeightField(steps * quantum, cell)
@@ -91,16 +97,14 @@ def hf_pyramid_stairs(size: tuple[float, float], cell: float, step_height: float
                       step_width: float, levels: int,
                       direction: str = "up") -> HeightField:
     """Concentric square steps rising (or sinking) toward the center."""
-    if step_height <= 0 and levels > 0:
-        raise ValueError("step_height must be > 0")
-    if step_width <= 0:
-        raise ValueError("step_width must be > 0")
+    check_setting("step_height", step_height, "> 0" if levels > 0 else ">= 0")
+    check_setting("step_width", step_width, "> 0")
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
+    n, m = _grid_shape(size, cell)
     if levels * 2 * step_width > min(size) + 1e-9:
         raise ValueError(
             f"{levels} steps of width {step_width} exceed the field size {size}")
-    n, m = grid_count(size[0], cell), grid_count(size[1], cell)
     x = np.arange(n) * cell
     y = np.arange(m) * cell
     sx, sy = (n - 1) * cell, (m - 1) * cell
@@ -152,8 +156,7 @@ class TerrainTypeSpec:
 
 def flat_spec(size=(4.0, 4.0), cell=0.1) -> TerrainTypeSpec:
     return TerrainTypeSpec(
-        "flat", lambda d, rng: HeightField(
-            np.zeros((grid_count(size[0], cell), grid_count(size[1], cell))), cell))
+        "flat", lambda d, rng: HeightField(np.zeros(_grid_shape(size, cell)), cell))
 
 
 def random_rough_spec(size=(4.0, 4.0), cell=0.1, max_height=0.1,
@@ -198,6 +201,7 @@ def compose_grid(specs: list[TerrainTypeSpec], rows: int, border: float = 0.0,
         raise ValueError("need at least one terrain type")
     if rows < 1:
         raise ValueError("rows must be >= 1")
+    check_setting("border", border, ">= 0")
     rng = rng if rng is not None else np.random.default_rng(0)
     if difficulty_map is None:
         difficulty_map = lambda r, n: r / (n - 1) if n > 1 else 0.0
@@ -259,6 +263,8 @@ def curriculum_update(state: CurriculumState, scores: np.ndarray,
     threshold move it down one row (clamped at zero). ``env_ids`` must be
     unique.
     """
+    check_setting("promote_threshold", promote_threshold)
+    check_setting("demote_threshold", demote_threshold)
     if promote_threshold <= demote_threshold:
         raise ValueError("promote threshold must exceed demote threshold")
     env_ids = np.asarray(env_ids, dtype=np.int64)

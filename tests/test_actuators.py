@@ -294,7 +294,7 @@ def test_effort_always_within_limits(seed):
                                         slip_threshold=0.1),
                  "friction static_limit must be >= 0", id="nan_static_limit"),
     pytest.param(lambda: FrictionConfig(mode="stiction", static_limit=1.0),
-                 "stiction mode requires slip_threshold > 0", id="stiction_threshold"),
+                 "friction slip_threshold must be > 0, got 0.0", id="stiction_threshold"),
     pytest.param(lambda: ActuatorConfig([0], damping=-1.0),
                  "damping must be >= 0", id="negative_damping"),
     pytest.param(lambda: ActuatorConfig([0], stiffness=np.nan),
@@ -304,28 +304,29 @@ def test_effort_always_within_limits(seed):
     pytest.param(lambda: ActuatorConfig([0], damping=[1.0, np.nan]),
                  "damping must be >= 0 and finite", id="nan_damping"),
     pytest.param(lambda: ActuatorConfig([0], effort_limit=-1.0),
-                 "limits must be >= 0", id="negative_limit"),
+                 "effort_limit must be >= 0, got -1.0", id="negative_limit"),
     pytest.param(lambda: ActuatorConfig([0], effort_limit=np.nan),
-                 "limits must be >= 0", id="nan_effort_limit"),
+                 "effort_limit must be >= 0, got nan", id="nan_effort_limit"),
     pytest.param(lambda: ActuatorConfig([0], velocity_limit=np.nan),
-                 "limits must be >= 0", id="nan_velocity_limit"),
+                 "velocity_limit must be >= 0, got nan", id="nan_velocity_limit"),
     pytest.param(lambda: ActuatorConfig([0], kind="delayed_pd", delay_steps=1.5),
                  "delay_steps must be a non-negative integer", id="fractional_delay"),
     pytest.param(lambda: ActuatorConfig([0], kind="delayed_pd", delay_steps=1.0),
                  "delay_steps must be a non-negative integer", id="float_delay"),
     pytest.param(lambda: ActuatorConfig([0], kind="dc_motor", velocity_limit=1.0),
-                 "dc_motor requires saturation_effort >= 0", id="dc_saturation"),
+                 "saturation_effort must be >= 0 and finite, got nan", id="dc_saturation"),
     pytest.param(lambda: ActuatorConfig([0], kind="dc_motor", saturation_effort=1.0),
-                 "dc_motor requires a finite velocity_limit", id="dc_velocity"),
+                 "velocity_limit must be > 0 and finite, got inf", id="dc_velocity"),
     pytest.param(lambda: ActuatorConfig([0], kind="dc_motor", saturation_effort=1.0,
                                         velocity_limit=0.0),
-                 "dc_motor requires a finite velocity_limit > 0", id="dc_zero_velocity"),
+                 "velocity_limit must be > 0 and finite, got 0.0", id="dc_zero_velocity"),
     pytest.param(lambda: ActuatorConfig([0], kind="remotized_pd",
                                         effort_limit_table=[1.0, 2.0]),
                  "effort_limit_table must be (K, 2)", id="table_shape"),
     pytest.param(lambda: ActuatorConfig([0], kind="remotized_pd",
                                         effort_limit_table=[(1.0, 5.0), (0.0, 4.0)]),
-                 "effort_limit_table keys must be strictly increasing", id="table_order"),
+                 "effort_limit_table key steps must be > 0 and finite, got -1.0",
+                 id="table_order"),
     pytest.param(lambda: ActuatorConfig([0], kind="neural"),
                  "neural actuator requires model_fn", id="neural_model"),
     pytest.param(lambda: ActuatorConfig([0], kind="neural", model_fn=np.sum,

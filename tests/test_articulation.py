@@ -31,11 +31,11 @@ def probes(**kw):
     pytest.param(lambda: KinematicTree([body(axis=(0.0, 0.0, 0.0))]),
                  "link 0 joint axis is zero", id="zero_axis"),
     pytest.param(lambda: KinematicTree([body(mass=0.0)]),
-                 "link 0 ('a') is dynamic but has mass <= 0", id="massless"),
+                 "link 0 ('a') mass must be > 0 and finite, got 0.0", id="massless"),
     pytest.param(lambda: KinematicTree([body(inertia=(0.1, 0.1, 0.0))]),
                  "link 0 inertia not positive-definite", id="inertia"),
     pytest.param(lambda: KinematicTree([body(mass=np.nan)]),
-                 "link 0 ('a') mass must be finite", id="nan_mass"),
+                 "link 0 ('a') mass must be > 0 and finite, got nan", id="nan_mass"),
     pytest.param(lambda: KinematicTree([body(), body("b", 0, com=(0.0, np.inf, 0.0))]),
                  "link 1 ('b') com must be finite", id="inf_com"),
     pytest.param(lambda: KinematicTree([body(inertia=(0.1, np.nan, 0.1))]),
@@ -54,15 +54,15 @@ def probes(**kw):
                  "link 0 ('a') inertia must be symmetric", id="asymmetric_inertia"),
     pytest.param(lambda: probes(radius=0.0), "probe radius must be > 0", id="radius"),
     pytest.param(lambda: probes(damping=-1.0),
-                 "contact stiffness/damping must be >= 0", id="damping"),
+                 "contact damping must be >= 0 and finite, got -1.0", id="damping"),
     pytest.param(lambda: probes(link=[-1]), "probe link index must be >= 0",
                  id="negative_link"),
     pytest.param(lambda: probes(radius=np.nan), "probe radius must be > 0",
                  id="nan_radius"),
     pytest.param(lambda: probes(stiffness=np.nan),
-                 "contact stiffness/damping must be >= 0", id="nan_stiffness"),
+                 "contact stiffness must be >= 0 and finite, got nan", id="nan_stiffness"),
     pytest.param(lambda: probes(damping=np.inf),
-                 "contact stiffness/damping must be >= 0", id="inf_damping"),
+                 "contact damping must be >= 0 and finite, got inf", id="inf_damping"),
     pytest.param(lambda: probes(friction=-0.5), "contact friction must be >= 0",
                  id="negative_friction"),
     pytest.param(lambda: probes(friction=np.nan), "contact friction must be >= 0",

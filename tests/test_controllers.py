@@ -312,16 +312,13 @@ _Z3 = np.zeros(3)
     pytest.param(lambda: IkConfig(method="newton"),
                  "unknown IK method 'newton'", id="ik_method"),
     pytest.param(lambda: IkConfig(damping=-1.0),
-                 "damping must be >= 0 and transpose_gain > 0", id="ik_damping"),
+                 "damping must be >= 0 and finite, got -1.0", id="ik_damping"),
     pytest.param(lambda: IkConfig(damping=np.nan),
-                 "damping must be >= 0 and transpose_gain > 0, both finite",
-                 id="ik_nan_damping"),
+                 "damping must be >= 0 and finite, got nan", id="ik_nan_damping"),
     pytest.param(lambda: IkConfig(transpose_gain=np.nan),
-                 "damping must be >= 0 and transpose_gain > 0, both finite",
-                 id="ik_nan_gain"),
+                 "transpose_gain must be > 0 and finite, got nan", id="ik_nan_gain"),
     pytest.param(lambda: IkConfig(transpose_gain=np.inf),
-                 "damping must be >= 0 and transpose_gain > 0, both finite",
-                 id="ik_inf_gain"),
+                 "transpose_gain must be > 0 and finite, got inf", id="ik_inf_gain"),
     pytest.param(lambda: IkConfig(singular_value_cutoff=-1.0),
                  "singular_value_cutoff must be >= 0", id="ik_cutoff"),
     pytest.param(lambda: IkConfig(singular_value_cutoff=np.nan),
@@ -329,18 +326,22 @@ _Z3 = np.zeros(3)
     pytest.param(lambda: IkConfig(step_scale=np.nan),
                  "step_scale must be > 0 and finite", id="ik_nan_step_scale"),
     pytest.param(lambda: joint_impedance(_Z2, _Z2, _Z2, [np.nan, 1.0], 1.0),
-                 "impedance gains must be >= 0 and finite", id="impedance_nan_stiffness"),
+                 "impedance stiffness must be >= 0 and finite, got nan",
+                 id="impedance_nan_stiffness"),
     pytest.param(lambda: joint_impedance(_Z2, _Z2, _Z2, 1.0, [1.0, np.inf]),
-                 "impedance gains must be >= 0 and finite", id="impedance_inf_damping"),
+                 "impedance damping must be >= 0 and finite, got inf",
+                 id="impedance_inf_damping"),
     pytest.param(lambda: pose_error(Transform.identity(), Transform.identity(),
                                     mode="twist"),
                  "mode must be 'pose' or 'position'", id="pose_error_mode"),
     pytest.param(lambda: TaskSpaceGains(stiffness=-np.ones(6), damping=np.ones(6)),
-                 "task-space gains must be >= 0", id="gains_negative"),
+                 "task-space stiffness must be >= 0 and finite, got -1.0",
+                 id="gains_negative"),
     pytest.param(lambda: TaskSpaceGains(stiffness=[np.nan] * 6, damping=np.ones(6)),
-                 "task-space gains must be >= 0 and finite", id="gains_nan"),
+                 "task-space stiffness must be >= 0 and finite, got nan", id="gains_nan"),
     pytest.param(lambda: TaskSpaceGains(stiffness=np.ones(6), damping=np.full(6, np.inf)),
-                 "task-space gains must be >= 0 and finite", id="gains_inf_damping"),
+                 "task-space damping must be >= 0 and finite, got inf",
+                 id="gains_inf_damping"),
     pytest.param(lambda: TaskSpaceGains(np.ones(6), np.ones(6), selection=np.full(6, 0.5)),
                  "selection matrix entries must be 0 or 1", id="gains_selection"),
     pytest.param(lambda: osc(_J, _M, _Z2, _Z2, TaskSpaceGains(np.ones(6), np.ones(6)),

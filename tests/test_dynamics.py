@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -764,12 +765,15 @@ def test_step_rejects_non_finite_efforts_naming_envs():
     np.testing.assert_array_equal(state.q, 0.0)
 
 
-@pytest.mark.parametrize("gains", [
-    {"kp": -1.0, "kd": 1.0}, {"kp": 1.0, "kd": np.nan},
-    {"kp": np.array([10.0, np.inf]), "kd": 0.0},
-    {"kp": 10.0, "kd": np.array([[1.0, -0.5]])}],
+@pytest.mark.parametrize("gains, message", [
+    ({"kp": -1.0, "kd": 1.0}, "implicit PD kp must be >= 0 and finite, got -1.0"),
+    ({"kp": 1.0, "kd": np.nan}, "implicit PD kd must be >= 0 and finite, got nan"),
+    ({"kp": np.array([10.0, np.inf]), "kd": 0.0},
+     "implicit PD kp must be >= 0 and finite, got inf"),
+    ({"kp": 10.0, "kd": np.array([[1.0, -0.5]])},
+     "implicit PD kd must be >= 0 and finite, got -0.5")],
     ids=["negative_kp", "nan_kd", "inf_kp", "negative_kd_row"])
-def test_implicit_pd_rejects_negative_or_non_finite_gains(gains):
+def test_implicit_pd_rejects_negative_or_non_finite_gains(gains, message):
     tree = double_pendulum_tree()
     state = ArticulationState.zeros(tree, 1)
     state.q[:] = [[0.3, -0.2]]
@@ -777,7 +781,7 @@ def test_implicit_pd_rejects_negative_or_non_finite_gains(gains):
     state.ext_wrench[0, 1, 2] = 5.0
     before = [a.copy() for a in (state.q, state.qd, state.ext_wrench)]
     pd = ImplicitPD(q_target=np.zeros((1, 2)), **gains)
-    with pytest.raises(ValueError, match="implicit PD k[pd] must be finite and >= 0"):
+    with pytest.raises(ValueError, match=re.escape(message)):
         step(tree, state, None, dt=1e-3, implicit_pd=pd)
     for a, b in zip((state.q, state.qd, state.ext_wrench), before):
         np.testing.assert_array_equal(a, b)
@@ -790,7 +794,7 @@ def test_implicit_pd_gain_assigned_after_construction_is_checked():
     state = ArticulationState.zeros(tree, 2)
     pd = ImplicitPD(kp=10.0, kd=1.0, q_target=np.zeros((2, 2)))
     pd.kd = np.nan
-    with pytest.raises(ValueError, match="implicit PD kd must be finite and >= 0"):
+    with pytest.raises(ValueError, match="implicit PD kd must be >= 0 and finite, got nan"):
         step(tree, state, None, 1e-3, implicit_pd=pd)
     np.testing.assert_array_equal(state.q, 0.0)
     np.testing.assert_array_equal(state.qd, 0.0)
@@ -808,6 +812,60 @@ def test_step_rejects_non_finite_pd_targets_naming_envs(target):
     with pytest.raises(ValueError, match=target + r" for environment\(s\) \[0, 2\]"):
         step(tree, state, None, dt=1e-3, implicit_pd=pd)
     np.testing.assert_array_equal(state.q, 0.0)
+
+
+def _moving_quadruped_state(env_count):
+    tree = quadruped()
+    rng = np.random.default_rng(17)
+    state = ArticulationState.zeros(tree, env_count)
+    state.q[:] = rng.uniform(-0.3, 0.3, state.q.shape)
+    state.qd[:] = rng.uniform(-1.0, 1.0, state.qd.shape)
+    state.root_pos[:, 2] = 0.5
+    state.root_lin_vel[:] = rng.uniform(-1.0, 1.0, (env_count, 3))
+    state.root_ang_vel[:] = rng.uniform(-1.0, 1.0, (env_count, 3))
+    return tree, state
+
+
+def _assert_states_equal(a, b):
+    for f in dataclasses.fields(ArticulationState):
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name),
+                                      err_msg=f.name)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("wrench", r"non-finite external wrench for environment\(s\) \[1\]"),
+    ("gravity", r"non-finite gravity for environment\(s\) \[0, 1, 2\]"),
+    ("env_gravity", r"non-finite gravity for environment\(s\) \[2\]"),
+])
+def test_step_rejects_non_finite_gravity_or_wrench_before_any_change(bad, message):
+    # unchecked, env 0 advanced before the divergence error named env 1, or
+    # every env advanced before it named them all
+    tree, state = _moving_quadruped_state(3)
+    state.ext_wrench[0, 4] = [1.0, 2.0, 3.0, 0.1, 0.2, 0.3]
+    gravity = dynamics.GRAVITY
+    if bad == "wrench":
+        state.ext_wrench[1, 2, 0] = np.nan
+    elif bad == "gravity":
+        gravity = [0.0, 0.0, np.nan]
+    else:
+        gravity = np.tile(dynamics.GRAVITY, (3, 1))
+        gravity[2, 1] = -np.inf
+    before = state.copy()
+    with pytest.raises(ValueError, match=message):
+        step(tree, state, None, 1e-3, gravity=gravity)
+    _assert_states_equal(state, before)
+
+
+def test_bias_forces_and_external_wrench_reject_non_finite_values():
+    tree, state = _moving_quadruped_state(2)
+    with pytest.raises(ValueError, match=r"non-finite gravity for environment\(s\) \[0, 1\]"):
+        bias_forces(tree, state.q, state.qd, gravity=[np.nan, 0.0, -9.81])
+    before = state.copy()
+    with pytest.raises(ValueError, match=re.escape("force must be finite, got nan")):
+        apply_external_wrench(state, [np.nan, 0, 0], [0, 0, 0], 1, env_ids=[1])
+    with pytest.raises(ValueError, match=re.escape("torque must be finite, got inf")):
+        apply_external_wrench(state, [0, 0, 0], [0, np.inf, 0], 1)
+    _assert_states_equal(state, before)
 
 
 def test_implicit_pd_velocity_target_closed_form():

@@ -233,8 +233,8 @@ def test_ties_across_all_three_sources_match_exhaustive(bvh_rays):
 
 def test_non_finite_and_zero_directions_reach_no_lanes(lanes):
     rng = np.random.default_rng(49)
-    big = hf_to_mesh(HeightField(rng.uniform(0.0, 0.3, (41, 41)), 0.1))
-    big = TriMesh(big.vertices, big.triangles)
+    gridded = hf_to_mesh(HeightField(rng.uniform(0.0, 0.3, (41, 41)), 0.1))
+    big = TriMesh(gridded.vertices, gridded.triangles)
     assert big.num_triangles == 3200
     box = box_mesh((1.0, 1.0, -0.5), (3.0, 3.0, 0.5))
     # below, inside and above both meshes
@@ -243,7 +243,14 @@ def test_non_finite_and_zero_directions_reach_no_lanes(lanes):
     dirs = np.tile([[np.nan, 0.0, -1.0], [0.0, 0.0, np.nan], [0.0, 0.0, 0.0],
                     [-0.0, 0.0, -0.0], [np.inf, 0.0, 0.0],
                     [0.0, 0.0, -np.inf], [np.inf, -np.inf, np.nan]], (3, 1))
-    for meshes in ([big], [box], [big, box]):
+    # non-finite origins with slanted and vertical directions that hit from
+    # a finite origin
+    origins = np.concatenate([origins, np.repeat(
+        [[np.nan, 2.0, 1.0], [2.0, np.inf, 1.0], [2.0, 2.0, -np.inf],
+         [-np.inf, np.nan, np.inf]], 2, axis=0)])
+    dirs = np.concatenate([dirs, np.tile([[0.1, 0.2, -1.0], [0.0, 0.0, -1.0]],
+                                         (4, 1))])
+    for meshes in ([big], [box], [big, box], [gridded]):
         got = raycast(meshes, [build_bvh(m) for m in meshes], origins, dirs)
         assert not got.hit.any()
         np.testing.assert_array_equal(got.mesh_id, -1)

@@ -9,6 +9,8 @@ scalar reference walk over a single leaf that holds every triangle. Hits
 must match it bitwise wherever the local-frame transform is exact.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -346,7 +348,9 @@ def test_grid_cells_rejects_a_shifted_origin_or_a_bad_cell():
     # the same cell a hair to the right no longer holds node x = 0
     with pytest.raises(ValueError, match="triangle 0 lies outside grid cell"):
         TriMesh(VERTS, TRIS[:2], grid=GridCells((1e-12, 0.0), 1.0, [[[0, 1]]]))
-    for origin, cell in (((0.0, 0.0), 0.0), ((0.0, 0.0), np.inf),
-                         ((np.nan, 0.0), 1.0)):
-        with pytest.raises(ValueError, match="cell_size"):
+    for origin, cell, message in (
+            ((0.0, 0.0), 0.0, "grid cell_size must be > 0 and finite, got 0.0"),
+            ((0.0, 0.0), np.inf, "grid cell_size must be > 0 and finite, got inf"),
+            ((np.nan, 0.0), 1.0, "grid origin_xy must be finite, got nan")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             TriMesh(VERTS, TRIS[:2], grid=GridCells(origin, cell, [[[0, 1]]]))

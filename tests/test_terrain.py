@@ -366,7 +366,7 @@ def test_curriculum_levels_stay_in_range(seed, rows):
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: hf_random_uniform((1.0, 1.0), 0.5, -0.1, 0.05,
                                            np.random.default_rng(0)),
-                 "height must be >= 0 and quantum > 0", id="rough_height"),
+                 "height must be >= 0 and finite, got -0.1", id="rough_height"),
     pytest.param(lambda: hf_pyramid_stairs((2.0, 2.0), 0.1, 0.0, 0.2, 1),
                  "step_height must be > 0", id="stairs_height"),
     pytest.param(lambda: hf_pyramid_stairs((2.0, 2.0), 0.1, 0.1, 0.0, 1),

@@ -1,7 +1,9 @@
-"""Print the code lines of each module in ``src/vecsim`` and their total.
+"""Print the code lines and the ``raise`` statements of each module in
+``src/vecsim``, and their totals.
 
 A code line is any non-blank line that is neither a ``#`` comment nor part
-of a module, class or function docstring. Run from anywhere:
+of a module, class or function docstring. A ``raise`` statement is one
+``raise`` node of the module's syntax tree. Run from anywhere:
 
     python3 tools/code_lines.py
 """
@@ -28,21 +30,26 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def code_lines(path: Path) -> int:
+def counts(path: Path) -> tuple[int, int]:
+    """The module's code lines and its ``raise`` statements."""
     text = path.read_text()
-    skip = docstring_lines(ast.parse(text))
-    return sum(1 for no, line in enumerate(text.splitlines(), start=1)
-               if no not in skip and line.strip()
-               and not line.lstrip().startswith("#"))
+    tree = ast.parse(text)
+    skip = docstring_lines(tree)
+    lines = sum(1 for no, line in enumerate(text.splitlines(), start=1)
+                if no not in skip and line.strip()
+                and not line.lstrip().startswith("#"))
+    return lines, sum(isinstance(node, ast.Raise) for node in ast.walk(tree))
 
 
 def main() -> None:
-    total = 0
+    total_lines = total_raises = 0
+    print("  code  raise")
     for path in sorted(SRC.glob("*.py")):
-        n = code_lines(path)
-        total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        lines, raises = counts(path)
+        total_lines += lines
+        total_raises += raises
+        print(f"{lines:6d} {raises:6d}  {path.name}")
+    print(f"{total_lines:6d} {total_raises:6d}  total")
 
 
 if __name__ == "__main__":
