@@ -170,7 +170,8 @@ def pyramid_stairs_spec(size=(4.0, 4.0), cell=0.1, max_step_height=0.2,
                         step_width=0.4, levels=4,
                         direction="up") -> TerrainTypeSpec:
     def make(d, rng):
-        if d * max_step_height <= 0:
+        # zero height is flat ground; the stairs check any other height
+        if d * max_step_height == 0:
             return flat_spec(size, cell).make(d, rng)
         return hf_pyramid_stairs(size, cell, d * max_step_height, step_width,
                                  levels, direction)

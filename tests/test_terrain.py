@@ -187,6 +187,19 @@ def test_compose_linear_difficulty_rows():
     np.testing.assert_allclose(centers, [0.0, 0.2 / 3, 0.4 / 3, 0.2], atol=1e-12)
 
 
+def test_stairs_spec_checks_every_nonzero_step_height():
+    # a negative height used to give flat ground without a word
+    rng = np.random.default_rng(0)
+    for bad in (-0.1, np.nan, np.inf):
+        spec = pyramid_stairs_spec(size=(2.0, 2.0), max_step_height=bad,
+                                   step_width=0.2, levels=1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"step_height must be > 0 and finite, got {bad}")):
+            spec.make(1.0, rng)
+    flat = pyramid_stairs_spec(size=(2.0, 2.0)).make(0.0, rng)
+    np.testing.assert_array_equal(flat.heights, 0.0)
+
+
 def test_compose_origin_on_surface_with_odd_cell_count():
     # 21 cells per side: the sub-terrain centre is the middle of cell
     # (10, 10), on its diagonal, where the surface is (h[10, 10] + h[11, 11]) / 2
