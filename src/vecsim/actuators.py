@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maths import check_setting
+from .maths import check_count, check_setting
 
 ACTUATOR_KINDS = ("ideal_pd", "dc_motor", "delayed_pd", "remotized_pd", "neural")
 
@@ -77,8 +77,7 @@ class ActuatorConfig:
         check_setting("effort_limit", self.effort_limit, ">= 0", inf=True)
         check_setting("velocity_limit", self.velocity_limit,
                       "> 0" if dc else ">= 0", inf=not dc)
-        if not _is_count(self.delay_steps, 0):
-            raise ValueError("delay_steps must be a non-negative integer")
+        self.delay_steps = check_count("delay_steps", self.delay_steps, 0)
         if dc:
             check_setting("saturation_effort", self.saturation_effort, ">= 0")
         if self.kind == "remotized_pd":
@@ -90,14 +89,8 @@ class ActuatorConfig:
             self.effort_limit_table = table
         if self.kind == "neural" and self.model_fn is None:
             raise ValueError("neural actuator requires model_fn")
-        if self.kind == "neural" and not _is_count(self.history_length, 1):
-            raise ValueError("history_length must be a positive integer")
-
-
-def _is_count(value, least: int) -> bool:
-    """Whether ``value`` is an integer by type, Python or NumPy, and at
-    least ``least``; ``1.0`` is not."""
-    return isinstance(value, (int, np.integer)) and value >= least
+        if self.kind == "neural":
+            self.history_length = check_count("history_length", self.history_length)
 
 
 @dataclass
@@ -142,12 +135,20 @@ def rotor_wrench(k_f: float, k_m: float, direction, omega):
 
     ``direction`` is +1/-1 for the spin sense; the reaction moment opposes
     it. Returns ``(thrust, moment)`` along the rotor axis.
+
+    Raises:
+        ValueError: if ``k_f``, ``k_m`` or ``omega`` is not finite and >= 0,
+            or an entry of ``direction`` is not +1 or -1.
     """
     check_setting("k_f", k_f, ">= 0")
     check_setting("k_m", k_m, ">= 0")
     omega = check_setting("omega", omega, ">= 0")
+    direction = np.asarray(direction, dtype=np.float64)
+    bad = np.abs(direction) != 1.0
+    if bad.any():
+        raise ValueError(f"direction must be +1 or -1, got {direction[bad][0]}")
     w2 = omega * omega
-    return k_f * w2, -np.asarray(direction, dtype=np.float64) * k_m * w2
+    return k_f * w2, -direction * k_m * w2
 
 
 class ActuatorGroup:

@@ -10,8 +10,10 @@ Every real-valued setting in the package, a gain, a limit, a length, a
 period or a threshold, passes one rule, :func:`check_setting`: each entry
 is not NaN, meets the setting's lower bound (none, ``>= 0`` or ``> 0``)
 and is finite. ``+inf`` passes only where a setting documents it as "no
-limit". A setting that breaks the rule raises one ``ValueError`` that
-names it.
+limit". Every count setting, a size, a length or a number of steps,
+passes :func:`check_count`: it is an integer by type, Python or NumPy but
+not ``bool`` (``2.0`` is not a count), and at least its least value. A
+setting that breaks its rule raises one ``ValueError`` that names it.
 """
 
 from __future__ import annotations
@@ -247,3 +249,13 @@ def check_setting(name: str, value, bound: str | None = None, *,
         rule = "finite" if bound is None else bound if inf else bound + " and finite"
         raise ValueError(f"{name} must be {rule}, got {x[~ok][0]}")
     return x
+
+
+def check_count(name: str, value, least: int = 1) -> int:
+    """``int(value)`` once ``value`` passes the count rule (see the module
+    docstring) with least value ``least``; otherwise raises ``ValueError``
+    naming ``name``."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least):
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")

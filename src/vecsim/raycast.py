@@ -616,7 +616,8 @@ def raycast(meshes, bvhs, origins: np.ndarray, dirs: np.ndarray,
     Raises:
         ValueError: if ``max_range`` is NaN or negative, ``meshes`` and
             ``bvhs`` differ in length, a BVH does not cover its mesh's
-            triangles, or ``origins`` and ``dirs`` differ in shape.
+            triangles, a mesh's pose is not finite, or ``origins`` and
+            ``dirs`` differ in shape.
     """
     max_range = float(check_setting("max_range", max_range, ">= 0", inf=True))
     if len(meshes) != len(bvhs):
@@ -637,10 +638,13 @@ def raycast(meshes, bvhs, origins: np.ndarray, dirs: np.ndarray,
             raise ValueError(f"BVH {mid} covers {bvh.tri_order.size} triangles,"
                              f" mesh {mid} has {mesh.num_triangles}")
         pose = mesh.pose
+        pos = np.ascontiguousarray(pose.pos, dtype=np.float64)
+        if not (np.isfinite(pos).all() and np.isfinite(pose.quat).all()):
+            raise ValueError(f"mesh {mid} pose must be finite, got pos {pose.pos}"
+                             f" quat {pose.quat}")
         rots.append(np.ascontiguousarray(quat_to_matrix(pose.quat)))
-        _cast_mesh(mesh, bvh, rots[mid],
-                   np.ascontiguousarray(pose.pos, dtype=np.float64),
-                   origins, dirs, max_range, mid, hits)
+        _cast_mesh(mesh, bvh, rots[mid], pos, origins, dirs, max_range, mid,
+                   hits)
     for mid, mesh in enumerate(meshes):
         sel = np.nonzero(hits.mesh_id == mid)[0]
         if sel.size:

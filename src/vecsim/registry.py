@@ -6,6 +6,8 @@ import logging
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from .maths import check_count
+
 logger = logging.getLogger(__name__)
 
 
@@ -61,9 +63,7 @@ class EntityRegistry:
     """
 
     def __init__(self, env_count: int):
-        if env_count <= 0:
-            raise ValueError("env_count must be positive")
-        self.env_count = env_count
+        self.env_count = check_count("env_count", env_count)
         self._entries: dict[str, EntityEntry] = {}
 
     def register(self, path: str, kind: str, env_index: int, payload: Any = None) -> EntityEntry:

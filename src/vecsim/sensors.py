@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .maths import (GRAVITY, Transform, check_setting, compose, cross,
-                    grid_count, quat_mul, quat_rotate, quat_rotate_inverse,
-                    relative_pose)
+from .maths import (GRAVITY, Transform, check_count, check_setting, compose,
+                    cross, grid_count, quat_mul, quat_rotate,
+                    quat_rotate_inverse, relative_pose)
 
 # rotation taking camera-frame vectors of each convention into the internal
 # world convention (x-forward, y-left, z-up)
@@ -62,8 +62,8 @@ def pattern_grid(size_x: float, size_y: float, resolution: float) -> RayPattern:
 def pattern_pinhole(width: int, height: int, focal_px: float,
                     principal: tuple[float, float] | None = None) -> RayPattern:
     """Pinhole camera rays in the world camera convention, row-major."""
-    if width < 1 or height < 1:
-        raise ValueError("image size must be at least 1x1")
+    width = check_count("width", width)
+    height = check_count("height", height)
     check_setting("focal_px", focal_px, "> 0")
     if principal is None:
         cx, cy = width / 2.0, height / 2.0
@@ -90,8 +90,7 @@ def pattern_lidar(horizontal_fov: float, horizontal_count: int,
     A fan of ``2 pi`` or more spaces its rays ``horizontal_fov / n`` apart
     and leaves out the end angle, which would repeat the start.
     """
-    if horizontal_count < 1:
-        raise ValueError("horizontal_count must be >= 1")
+    horizontal_count = check_count("horizontal_count", horizontal_count)
     check_setting("horizontal_fov", horizontal_fov, ">= 0")
     va = check_setting("vertical_angles", vertical_angles)
     ha = np.linspace(-horizontal_fov / 2, horizontal_fov / 2, horizontal_count,
@@ -172,8 +171,8 @@ def tile_pack(images: np.ndarray, tiles_per_row: int | None = None):
     c = images.shape[3] if images.ndim == 4 else 0
     if tiles_per_row is None:
         tiles_per_row = int(np.ceil(np.sqrt(e)))
-    if tiles_per_row < 1:
-        raise ValueError(f"tiles_per_row must be >= 1, got {tiles_per_row}")
+    else:
+        tiles_per_row = check_count("tiles_per_row", tiles_per_row)
     layout = TiledLayout(w, h, tiles_per_row, e, c)
     # pad to whole rows of tiles, then (row, col, h, w) -> (row, h, col, w)
     tiles = np.zeros((layout.rows * tiles_per_row,) + images.shape[1:],
@@ -258,14 +257,13 @@ class ContactSensor:
     ``in_contact`` and the last completed durations are read from them.
 
     Raises:
-        ValueError: if ``history_length`` is below 1 or ``force_threshold``
-            is not finite and >= 0.
+        ValueError: if ``history_length`` is not an integer >= 1 or
+            ``force_threshold`` is not finite and >= 0.
     """
 
     def __init__(self, env_count: int, body_count: int, history_length: int = 3,
                  force_threshold: float = 1e-6):
-        if history_length < 1:
-            raise ValueError("history_length must be >= 1")
+        history_length = check_count("history_length", history_length)
         check_setting("force_threshold", force_threshold, ">= 0")
         self.force_threshold = force_threshold
         shape = (env_count, body_count)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .maths import check_setting, grid_count
+from .maths import check_count, check_setting, grid_count
 from .raycast import GridCells, TriMesh
 
 
@@ -97,6 +97,7 @@ def hf_pyramid_stairs(size: tuple[float, float], cell: float, step_height: float
                       step_width: float, levels: int,
                       direction: str = "up") -> HeightField:
     """Concentric square steps rising (or sinking) toward the center."""
+    levels = check_count("levels", levels, 0)
     check_setting("step_height", step_height, "> 0" if levels > 0 else ">= 0")
     check_setting("step_width", step_width, "> 0")
     if direction not in ("up", "down"):
@@ -200,8 +201,7 @@ def compose_grid(specs: list[TerrainTypeSpec], rows: int, border: float = 0.0,
     """
     if not specs:
         raise ValueError("need at least one terrain type")
-    if rows < 1:
-        raise ValueError("rows must be >= 1")
+    rows = check_count("rows", rows)
     check_setting("border", border, ">= 0")
     rng = rng if rng is not None else np.random.default_rng(0)
     if difficulty_map is None:

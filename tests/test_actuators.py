@@ -250,6 +250,15 @@ def test_rotor_rejects_negative_speed():
         rotor_wrench(1e-5, 1e-6, 1, -5.0)
 
 
+@pytest.mark.parametrize("direction, shown", [
+    (np.nan, "nan"), (0.5, "0.5"), (0, "0.0"), ([1, -2], "-2.0")])
+def test_rotor_rejects_direction_other_than_a_sign(direction, shown):
+    # unchecked, NaN gave a NaN moment and 0.5 a moment of half the size
+    with pytest.raises(ValueError,
+                       match=re.escape(f"direction must be +1 or -1, got {shown}")):
+        rotor_wrench(1.0, 1.0, direction, 10.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_effort_always_within_limits(seed):
@@ -310,9 +319,9 @@ def test_effort_always_within_limits(seed):
     pytest.param(lambda: ActuatorConfig([0], velocity_limit=np.nan),
                  "velocity_limit must be >= 0, got nan", id="nan_velocity_limit"),
     pytest.param(lambda: ActuatorConfig([0], kind="delayed_pd", delay_steps=1.5),
-                 "delay_steps must be a non-negative integer", id="fractional_delay"),
+                 "delay_steps must be an integer >= 0, got 1.5", id="fractional_delay"),
     pytest.param(lambda: ActuatorConfig([0], kind="delayed_pd", delay_steps=1.0),
-                 "delay_steps must be a non-negative integer", id="float_delay"),
+                 "delay_steps must be an integer >= 0, got 1.0", id="float_delay"),
     pytest.param(lambda: ActuatorConfig([0], kind="dc_motor", velocity_limit=1.0),
                  "saturation_effort must be >= 0 and finite, got nan", id="dc_saturation"),
     pytest.param(lambda: ActuatorConfig([0], kind="dc_motor", saturation_effort=1.0),
@@ -331,10 +340,10 @@ def test_effort_always_within_limits(seed):
                  "neural actuator requires model_fn", id="neural_model"),
     pytest.param(lambda: ActuatorConfig([0], kind="neural", model_fn=np.sum,
                                         history_length=0),
-                 "history_length must be a positive integer", id="empty_history"),
+                 "history_length must be an integer >= 1, got 0", id="empty_history"),
     pytest.param(lambda: ActuatorConfig([0], kind="neural", model_fn=np.sum,
                                         history_length=1.0),
-                 "history_length must be a positive integer", id="float_history"),
+                 "history_length must be an integer >= 1, got 1.0", id="float_history"),
 ])
 def test_actuator_settings_rejected(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):

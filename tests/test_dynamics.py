@@ -1111,12 +1111,12 @@ def test_heightfield_ground_is_the_terrain_heightfield():
 ], ids=["zero_cell", "negative_cell", "nan_height", "one_by_one"])
 def test_heightfield_ground_rejects_invalid_grid(heights, cell_size):
     with pytest.raises(ValueError):
-        HeightfieldGround(heights, cell_size)
+        terrain.HeightField(heights, cell_size)
 
 
 def test_nan_root_over_heightfield_raises_divergence():
     tree, probes = _probe_body()
-    ground = HeightfieldGround(np.zeros((3, 3)), cell_size=0.5)
+    ground = terrain.HeightField(np.zeros((3, 3)), cell_size=0.5)
     state = ArticulationState.zeros(tree, 2)
     state.root_pos[1] = [np.nan, 0.2, 0.5]
     with pytest.raises(SimulationDivergenceError) as exc:
@@ -1126,7 +1126,7 @@ def test_nan_root_over_heightfield_raises_divergence():
 
 def test_contact_on_heightfield_matches_local_height():
     heights = np.array([[0.0, 0.2], [0.4, 0.6]])
-    ground = HeightfieldGround(heights, cell_size=1.0)
+    ground = terrain.HeightField(heights, cell_size=1.0)
     tree, probes = _probe_body(k=1000.0)
     state = ArticulationState.zeros(tree, 1)
     # above grid node (1, 0): surface height 0.4

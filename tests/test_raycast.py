@@ -16,6 +16,7 @@ from vecsim.raycast import (
     raycast,
     save_obj,
 )
+from vecsim.terrain import HeightField, hf_to_mesh
 
 
 def ground_plane(half=5.0, z=0.0):
@@ -357,6 +358,19 @@ def test_raycast_rejects_bvh_of_another_mesh():
     with pytest.raises(ValueError, match="BVH 0 covers"):
         raycast([plane], [build_bvh(sphere)], np.array([[0.0, 0, 1]]),
                 np.array([[0.0, 0, -1]]))
+
+
+def test_raycast_rejects_non_finite_mesh_pose():
+    # unchecked, every ray's mesh-local origin is NaN and misses silently
+    mesh = hf_to_mesh(HeightField(np.zeros((3, 3)), 1.0))
+    plane = ground_plane(z=-1.0)
+    rays = np.array([[0.5, 0.5, 1.0]]), np.array([[0.0, 0, -1]])
+    mesh.pose = Transform([0.0, np.nan, 0.0], [1.0, 0, 0, 0])
+    with pytest.raises(ValueError, match="mesh 0 pose must be finite"):
+        raycast([mesh], [build_bvh(mesh)], *rays)
+    mesh.pose = Transform([0.0, 0, 0], [1.0, 0, np.inf, 0])
+    with pytest.raises(ValueError, match="mesh 1 pose must be finite"):
+        raycast([plane, mesh], [build_bvh(plane), build_bvh(mesh)], *rays)
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -97,7 +97,8 @@ def test_lazy_cache_invalidate():
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: EntityRegistry(0), "env_count must be positive", id="env_count"),
+    pytest.param(lambda: EntityRegistry(0),
+                 "env_count must be an integer >= 1, got 0", id="env_count"),
     pytest.param(lambda: EntityRegistry(1).register("World/a", "rigid", 0),
                  "entity path must be absolute: 'World/a'", id="relative_path"),
 ])

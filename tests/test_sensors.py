@@ -478,7 +478,7 @@ def test_frame_transform_matches_unbatched_oracle():
 
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: pattern_lidar(1.0, 0, [0.0]),
-                 "horizontal_count must be >= 1", id="lidar_count"),
+                 "horizontal_count must be an integer >= 1, got 0", id="lidar_count"),
     pytest.param(lambda: depth_image(None, pattern_pinhole(2, 2, 1.0), mode="range"),
                  "unknown depth mode 'range'", id="depth_mode"),
     pytest.param(lambda: tile_pack(np.zeros((2, 3))),
@@ -486,9 +486,9 @@ def test_frame_transform_matches_unbatched_oracle():
     pytest.param(lambda: tile_pack(np.zeros((0, 3, 3))),
                  "images must hold at least one image", id="tile_empty"),
     pytest.param(lambda: tile_pack(np.zeros((2, 3, 3)), tiles_per_row=0),
-                 "tiles_per_row must be >= 1, got 0", id="tile_zero_per_row"),
+                 "tiles_per_row must be an integer >= 1, got 0", id="tile_zero_per_row"),
     pytest.param(lambda: tile_pack(np.zeros((2, 3, 3)), tiles_per_row=-2),
-                 "tiles_per_row must be >= 1, got -2", id="tile_negative_per_row"),
+                 "tiles_per_row must be an integer >= 1, got -2", id="tile_negative_per_row"),
     pytest.param(lambda: SensorClock(np.nan), "period must be > 0, got nan",
                  id="clock_nan_period"),
     pytest.param(lambda: SensorClock(0.0), "period must be > 0, got 0.0",

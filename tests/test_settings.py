@@ -1,4 +1,5 @@
-"""Every public real-valued setting passes one rule, ``maths.check_setting``.
+"""Every public real-valued setting passes one rule, ``maths.check_setting``,
+and every count setting another, ``maths.check_count``.
 
 Each row of ``SETTINGS`` names a setting as its error message does, its
 lower bound (``None``, ``">= 0"`` or ``"> 0"``), whether ``+inf`` is allowed,
@@ -6,6 +7,10 @@ and a call that feeds the setting one value. Each setting is fed NaN,
 ``-inf``, ``+inf`` where it is not allowed, a negative value where it has a
 bound and zero where it must be positive, and must raise one
 ``ValueError`` naming it.
+
+Each row of ``COUNTS`` names a count setting, its least value and a call
+that feeds it one value. Each count is fed NaN, ``2.5``, ``True`` and one
+below its least value, and must raise one ``ValueError`` naming it.
 """
 
 import re
@@ -18,10 +23,12 @@ from vecsim.actuators import ActuatorConfig, FrictionConfig, rotor_wrench
 from vecsim.articulation import (ArticulationState, ContactPointSet,
                                  KinematicTree, LinkSpec)
 from vecsim.controllers import IkConfig, TaskSpaceGains, joint_impedance, osc
-from vecsim.maths import Transform, check_setting
+from vecsim.maths import Transform, check_count, check_setting
 from vecsim.raycast import GridCells, TriMesh, build_bvh, raycast
+from vecsim.registry import EntityRegistry
 from vecsim.sensors import (ContactSensor, ImuModifiers, ImuSensor, SensorClock,
-                            pattern_grid, pattern_lidar, pattern_pinhole)
+                            pattern_grid, pattern_lidar, pattern_pinhole,
+                            tile_pack)
 from vecsim.terrain import (CurriculumState, HeightField, compose_grid,
                             curriculum_update, flat_spec, hf_pyramid_stairs,
                             hf_random_uniform, hf_to_mesh)
@@ -282,3 +289,50 @@ def test_check_setting_returns_the_floats_it_checked():
     with pytest.raises(ValueError, match=re.escape("zero must be > 0 and finite, "
                                                    "got -0.0")):
         check_setting("zero", -0.0, "> 0")
+
+
+# (test id, name in the message, least value, call with the value)
+COUNTS = [
+    ("delay_steps", "delay_steps", 0,
+     lambda n: ActuatorConfig([0], kind="delayed_pd", delay_steps=n)),
+    ("neural_history_length", "history_length", 1,
+     lambda n: ActuatorConfig([0], kind="neural", model_fn=np.sum,
+                              history_length=n)),
+    ("env_count", "env_count", 1, EntityRegistry),
+    ("width", "width", 1, lambda n: pattern_pinhole(n, 2, 1.0)),
+    ("height", "height", 1, lambda n: pattern_pinhole(2, n, 1.0)),
+    ("horizontal_count", "horizontal_count", 1,
+     lambda n: pattern_lidar(1.0, n, [0.0])),
+    ("tiles_per_row", "tiles_per_row", 1,
+     lambda n: tile_pack(np.zeros((2, 3, 3)), tiles_per_row=n)),
+    ("contact_history_length", "history_length", 1,
+     lambda n: ContactSensor(1, 1, history_length=n)),
+    ("rows", "rows", 1, lambda n: compose_grid([flat_spec((1.0, 1.0), 0.5)], n)),
+    ("levels", "levels", 0,
+     lambda n: hf_pyramid_stairs((2.0, 2.0), 0.1, 0.1, 0.2, n)),
+]
+
+
+def _count_cases():
+    for label, name, least, call in COUNTS:
+        for x in (np.nan, 2.5, True, least - 1):
+            yield pytest.param(call, x, f"{name} must be an integer >= {least}, "
+                               f"got {x!r}", id=f"{label}-{x!r}")
+
+
+@pytest.mark.parametrize("call, value, message", _count_cases())
+def test_count_outside_its_rule_is_rejected(call, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(value)
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=label)
+                                  for label, _, _, call in COUNTS])
+def test_count_takes_a_numpy_integer(call):
+    call(np.int64(1))
+
+
+def test_check_count_returns_a_python_int():
+    got = check_count("n", np.int64(3))
+    assert got == 3 and type(got) is int
+    assert check_count("n", 0, 0) == 0

@@ -388,7 +388,8 @@ def test_curriculum_levels_stay_in_range(seed, rows):
                                            direction="sideways"),
                  "direction must be 'up' or 'down'", id="stairs_direction"),
     pytest.param(lambda: compose_grid([], 1), "need at least one terrain type", id="no_specs"),
-    pytest.param(lambda: compose_grid([flat_spec()], 0), "rows must be >= 1", id="no_rows"),
+    pytest.param(lambda: compose_grid([flat_spec()], 0),
+                 "rows must be an integer >= 1, got 0", id="no_rows"),
     pytest.param(lambda: compose_grid([flat_spec((2.0, 2.0)), flat_spec((3.0, 3.0))], 1),
                  "all sub-terrains must share size and cell", id="mixed_sizes"),
 ])
