@@ -32,29 +32,28 @@ each column's closest candidate:
   by the rounding bound of the slab distances, so rounding does not reject
   the box of a hit on its face.
 
-Blocks hold at most ``_LANES`` (triangle, ray) lanes, which bounds every
-temporary of a cast.
+Blocks hold at most ``_LANES`` (triangle, ray) lanes (more only where a
+single ray's block is wider), and every lane temporary of a block is a
+view of one workspace that ``raycast`` allocates per call, so a cast
+allocates nothing lane-sized per block and keeps no state between calls.
 
 Each ray keeps the closest hit over all meshes: lowest distance, then
 lowest mesh id, then lowest triangle id. Misses carry distance ``+inf``.
+``raycast`` checks every mesh and reads every pose once, in id order,
+before any mesh is cast, and then casts the meshes smallest root box
+first: their hits shrink the far bound that culls the larger meshes'
+boxes. The tie rule does not depend on that order, and the padded slab
+test admits the box of a tie at the best distance, so the hits are those
+of a cast in id order.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .maths import Transform, check_setting, quat_to_matrix
-
-
-class MeshFormatError(ValueError):
-    """OBJ subset parse failure; carries the offending line number."""
-
-    def __init__(self, line_no: int, message: str):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
 
 
 @dataclass
@@ -137,67 +136,10 @@ class TriMesh:
         return len(self.triangles)
 
 
-def load_obj(source) -> TriMesh:
-    """Parse the minimal OBJ subset: ``v x y z`` and ``f i j k`` lines.
-
-    ``source`` is a path or a readable text stream. Face indices are
-    1-based and must form triangles. Blank lines and ``#`` comments are
-    skipped; any other content raises :class:`MeshFormatError` with the line
-    number. A missing file raises :class:`FileNotFoundError`.
-    """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source) as fh:
-            text = fh.read()
-    verts: list[list[float]] = []
-    faces: list[list[int]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "v":
-            if len(parts) != 4:
-                raise MeshFormatError(ln, "vertex line must be 'v x y z'")
-            try:
-                verts.append([float(p) for p in parts[1:]])
-            except ValueError:
-                raise MeshFormatError(ln, "non-numeric vertex coordinate") from None
-        elif parts[0] == "f":
-            if len(parts) != 4:
-                raise MeshFormatError(ln, "face line must be a triangle 'f i j k'")
-            idx = []
-            for p in parts[1:]:
-                if not p.lstrip("-").isdigit():
-                    raise MeshFormatError(ln, f"unsupported face token {p!r}")
-                idx.append(int(p))
-            if any(i < 1 or i > len(verts) for i in idx):
-                raise MeshFormatError(ln, "face index out of range")
-            faces.append([i - 1 for i in idx])
-        else:
-            raise MeshFormatError(ln, f"unsupported directive {parts[0]!r}")
-    return TriMesh(np.asarray(verts, dtype=np.float64).reshape(-1, 3),
-                   np.asarray(faces, dtype=np.int64).reshape(-1, 3))
-
-
-def save_obj(mesh: TriMesh, path) -> None:
-    """Write the minimal OBJ subset (local-frame coordinates)."""
-    buf = io.StringIO()
-    for v in mesh.vertices:
-        buf.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-    for t in mesh.triangles:
-        buf.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
-    if hasattr(path, "write"):
-        path.write(buf.getvalue())
-    else:
-        with open(path, "w") as fh:
-            fh.write(buf.getvalue())
-
-
 LEAF_SIZE = 4
 _DENSE_MAX = 48  # meshes with at most this many triangles skip the BVH
 _LANES = 8192  # (triangle, ray) lanes per intersection block
+_WS_ROWS = 19  # lane-wide rows of a cast's workspace (see _closest)
 _NO_TRI = np.iinfo(np.int64).max  # loses every lowest-id tie break
 _MARGIN = 1e-6  # cells: a vertical ray this far inside its cell hits only it
 # 1 + 2 gamma_3, gamma_n = n eps / (1 - n eps), eps = 2**-53 (Ize, JCGT 2013)
@@ -315,7 +257,7 @@ class RayHits:
 
 
 def _cast_mesh(mesh: TriMesh, bvh: Bvh, rot, pos, origins, dirs,
-               max_range: float, mesh_id: int, hits: RayHits) -> None:
+               max_range: float, mesh_id: int, hits: RayHits, ws) -> None:
     """Closest hit of all rays against one mesh; updates ``hits`` in place.
 
     Rays whose local origin is non-finite, or whose local direction is
@@ -324,7 +266,8 @@ def _cast_mesh(mesh: TriMesh, bvh: Bvh, rot, pos, origins, dirs,
     their candidates from the table if their local xy lies in the root
     box's closed xy bounds, and miss otherwise. The others are scanned
     against every triangle of a mesh of at most ``_DENSE_MAX`` triangles
-    and traverse the BVH of a larger one.
+    and traverse the BVH of a larger one. ``ws`` is the cast's lane
+    workspace (see ``_closest``).
     """
     # rays in mesh-local coordinates (rigid: t is preserved), one row per
     # axis; an infinite origin or direction makes inf * 0 here, which the
@@ -344,17 +287,17 @@ def _cast_mesh(mesh: TriMesh, bvh: Bvh, rot, pos, origins, dirs,
         for a in (0, 1):
             oa = o[a][ray]
             inside &= (oa >= bvh.bounds_min[0, a]) & (oa <= bvh.bounds_max[0, a])
-        _cast_grid(mesh, vt, o, d, ray[inside], max_range, mesh_id, hits)
+        _cast_grid(mesh, vt, o, d, ray[inside], max_range, mesh_id, hits, ws)
         ray = ray[~vertical]
     if not ray.size:
         return
     if mesh.num_triangles <= _DENSE_MAX:
-        _cast_dense(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits)
+        _cast_dense(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits, ws)
     else:
-        _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits)
+        _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits, ws)
 
 
-def _cast_grid(mesh, vt, o, d, ray, max_range, mesh_id, hits) -> None:
+def _cast_grid(mesh, vt, o, d, ray, max_range, mesh_id, hits, ws) -> None:
     """Vertical rays in the grid's closed xy bounds against the triangles of
     their own cell, or of the 2 x 2 cells nearest them near a cell edge.
 
@@ -394,10 +337,10 @@ def _cast_grid(mesh, vt, o, d, ray, max_range, mesh_id, hits) -> None:
             # (k or 4k, n): one column of candidates per ray
             ids = table[sub_cells[b:b + step]].reshape(blk.size, -1).T
             _keep_closer(hits, mesh_id, blk,
-                         *_closest(mesh, vt, o, d, blk, ids, max_range))
+                         *_closest(mesh, vt, o, d, blk, ids, max_range, ws))
 
 
-def _cast_dense(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
+def _cast_dense(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits, ws) -> None:
     """The given rays against every triangle of a small mesh, with no
     traversal.
 
@@ -414,10 +357,10 @@ def _cast_dense(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
     for b in range(0, ray.size, step):
         blk = ray[b:b + step]
         _keep_closer(hits, mesh_id, blk,
-                     *_closest(mesh, vt, o, d, blk, ids, max_range))
+                     *_closest(mesh, vt, o, d, blk, ids, max_range, ws))
 
 
-def _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
+def _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits, ws) -> None:
     """Closest hit of the given rays through the BVH.
 
     The frontier holds one ``(ray, node)`` pair per box still to test,
@@ -446,7 +389,7 @@ def _cast_bvh(mesh, vt, bvh, o, d, ray, max_range, mesh_id, hits) -> None:
             r, nd = ray_l[b:b + step], node_l[b:b + step]
             ids = bvh.tri_order[bvh.first[nd]
                                 + np.minimum(slot, bvh.count[nd] - 1)]
-            t, tri = _closest(mesh, vt, o, d, r, ids, max_range)
+            t, tri = _closest(mesh, vt, o, d, r, ids, max_range, ws)
             # one ray can reach several leaves: reduce its run of columns
             head = np.ones(r.size, dtype=np.bool_)
             head[1:] = r[1:] != r[:-1]
@@ -506,88 +449,116 @@ def _rows(a, idx):
     return [a[0][idx], a[1][idx], a[2][idx]]
 
 
-def _cross(a, b):
-    """Cross product ``a x b`` of component triples, as a list of rows."""
-    out = []
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        c = a[j] * b[k]
-        c -= a[k] * b[j]
-        out.append(c)
+def _cross(a, b, out, tmp):
+    """Cross product ``a x b`` of component triples into the rows of
+    ``out``; ``tmp`` holds each subtracted product. Returns ``out``."""
+    for c, (i, j, k) in zip(out, ((0, 1, 2), (1, 2, 0), (2, 0, 1))):
+        np.multiply(a[j], b[k], out=c)
+        c -= np.multiply(a[k], b[j], out=tmp)
     return out
 
 
-def _dot(a, b):
-    """Dot product of component triples, summed x, y, z."""
-    out = a[0] * b[0]
-    out += a[1] * b[1]
-    out += a[2] * b[2]
-    return out
+def _dot(a, b, out, tmp):
+    """Dot product of component triples, summed x, y, z, into ``out``;
+    ``tmp`` holds each added product."""
+    np.multiply(a[0], b[0], out=out)
+    out += np.multiply(a[1], b[1], out=tmp)
+    out += np.multiply(a[2], b[2], out=tmp)
 
 
-def _distances(v0, e1, e2, o, d, max_range):
+def _distances(v0, e1, e2, o, d, max_range, lane, miss, flag):
     """Moller-Trumbore distance of every ``(triangle, ray)`` lane, ``+inf``
     where the ray misses.
 
-    Each argument is a component triple whose rows broadcast together:
-    ``(K, n)`` or ``(K, 1)`` triangle rows against ``(n,)`` ray rows, one
-    entry per ray, giving ``(K, n)`` distances. The arithmetic is the
-    per-ray walk's, component by component and in the same order, so every
-    distance is bitwise the scalar one. Spent temporaries are freed at once.
+    Each of ``v0``, ``e1``, ``e2``, ``o`` and ``d`` is a component triple
+    whose rows broadcast together: ``(K, n)`` or ``(K, 1)`` triangle rows
+    against ``(n,)`` ray rows, one entry per ray, giving ``(K, n)``
+    distances. ``lane`` holds nine float ``(K, n)`` blocks and ``miss`` and
+    ``flag`` are bool ones; every lane temporary is written into them with
+    ``out=``, and the distances are returned in ``lane[4]``. The arithmetic
+    is the per-ray walk's, component by component and in the same order, so
+    every distance is bitwise the scalar one.
     """
-    ph = _cross(d, e2)
-    det = _dot(e1, ph)
-    miss = (det > -1e-12) & (det < 1e-12)
+    ph, tv = lane[0:3], lane[3:6]
+    det, u, tmp = lane[6], lane[7], lane[8]
+    _cross(d, e2, ph, tmp)
+    _dot(e1, ph, det, tmp)
+    np.greater(det, -1e-12, out=miss)
+    miss &= np.less(det, 1e-12, out=flag)
     # lanes with a tiny det divide by ~0 here; the mask drops them
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_det = np.divide(1.0, det, out=det)
-        tv = [o[a] - v0[a] for a in range(3)]
-        u = _dot(tv, ph)
+        for a in range(3):
+            np.subtract(o[a], v0[a], out=tv[a])
+        _dot(tv, ph, u, tmp)
         u *= inv_det
-        del ph
-        miss |= (u < -1e-12) | (u > 1.0 + 1e-12)
-        qv = _cross(tv, e1)
-        del tv
-        v = _dot(d, qv)
+        miss |= np.less(u, -1e-12, out=flag)
+        miss |= np.greater(u, 1.0 + 1e-12, out=flag)
+        # ph is spent: qv takes its rows, and v and th those of tv after it
+        qv = _cross(tv, e1, ph, tmp)
+        v, th = tv[0], tv[1]
+        _dot(d, qv, v, tmp)
         v *= inv_det
-        miss |= (v < -1e-12) | (u + v > 1.0 + 1e-12)
-        del u, v
-        th = _dot(e2, qv)
+        miss |= np.less(v, -1e-12, out=flag)
+        miss |= np.greater(np.add(u, v, out=tmp), 1.0 + 1e-12, out=flag)
+        _dot(e2, qv, th, tmp)
         th *= inv_det
-    miss |= (th < 0.0) | (th > max_range)
-    th[miss] = np.inf
+    miss |= np.less(th, 0.0, out=flag)
+    miss |= np.greater(th, max_range, out=flag)
+    np.copyto(th, np.inf, where=miss)
     return th
 
 
-def _closest(mesh, vt, o, d, ray, ids, max_range):
+def _closest(mesh, vt, o, d, ray, ids, max_range, ws):
     """Each ray's closest candidate: lowest distance, then lowest triangle
     id, ``(+inf, id)`` when all miss.
 
     ``ids`` is ``(K, n)`` triangle ids, column ``j`` the candidates of
     ``ray[j]``, or ``(K, 1)`` ids that every ray shares; a repeated id in a
-    column changes nothing. ``vt`` is ``mesh.vertices.T``.
+    column changes nothing. ``vt`` is ``mesh.vertices.T``. ``ws`` is the
+    cast's ``(_WS_ROWS, width)`` lane workspace, ``width`` at least
+    ``K * n``: rows 0-8 take the triangles' ``v0``, ``e1`` and ``e2``, rows
+    9-17 the float lane blocks of ``_distances``, and row 18, read as
+    bools, its masks; every lane-sized array of the pass is a view of it.
     """
-    # gathers through flat index arrays are about twice as fast as 2-D ones
-    corners = np.take(mesh.triangles, ids.ravel(), axis=0)
-    v0, e1, e2 = ([r.reshape(ids.shape) for r in _rows(vt, corners[:, c])]
-                  for c in range(3))
-    del corners
-    for a in range(3):
-        e1[a] -= v0[a]
-        e2[a] -= v0[a]
-    th = _distances(v0, e1, e2, _rows(o, ray), _rows(d, ray), max_range)
+    k, c = ids.shape
+    m = k * ray.size
+    tri = ws[:9, :k * c].reshape(9, k, c)
+    lane = ws[9:18, :m].reshape(9, k, ray.size)
+    flags = ws[18].view(np.bool_)
+    miss, flag = flags[:m].reshape(k, -1), flags[m:2 * m].reshape(k, -1)
+    # the corner ids through one flat index (gathers through flat index
+    # arrays are about twice as fast as 2-D ones), into rows that ph only
+    # takes later; a bounds-checked take with out= copies through a buffer,
+    # so the ids, all in range, are taken with mode="clip"
+    corners = ws[9:12].reshape(-1)[:3 * k * c].view(np.int64).reshape(-1, 3)
+    mesh.triangles.take(ids.reshape(-1), axis=0, out=corners, mode="clip")
+    for r in range(9):
+        vt[r % 3].take(corners[:, r // 3], out=tri[r].reshape(-1), mode="clip")
+    v0, e1, e2 = tri[0:3], tri[3:6], tri[6:9]
+    e1 -= v0
+    e2 -= v0
+    th = _distances(v0, e1, e2, _rows(o, ray), _rows(d, ray), max_range,
+                    lane, miss, flag)
     best = np.fmin.reduce(th, axis=0)
-    return best, np.where(th == best, ids, _NO_TRI).min(axis=0)
+    # v's block is spent: it takes each lane's id, or _NO_TRI off the best
+    pick = lane[3].view(np.int64)
+    np.copyto(pick, _NO_TRI)
+    np.copyto(pick, ids, where=np.equal(th, best, out=flag))
+    return best, pick.min(axis=0)
 
 
 def _keep_closer(hits, mesh_id, ray, t, tri) -> None:
     """Make ``(t, mesh_id, tri)`` the hit of each of the distinct ``ray``
-    where it beats the current one: lower distance, then lower triangle id
-    on the same mesh. A NaN ``t`` never does. ``raycast`` casts meshes in
-    ascending id, so ``hits.mesh_id`` never exceeds ``mesh_id``, and keeping
-    the earlier hit at equal distance keeps the lower mesh id."""
-    best_t = hits.t[ray]
-    better = (t < best_t) | ((t == best_t) & (hits.mesh_id[ray] == mesh_id)
-                             & (tri < hits.tri_id[ray]))
+    where it beats the current one: lower distance, then lower mesh id,
+    then lower triangle id. A NaN ``t`` never does, and a miss (``+inf``)
+    never beats a miss. This is a strict order on ``(t, mesh id, triangle
+    id)``, so the hits do not depend on the order in which ``raycast``
+    casts the meshes."""
+    best_t, best_mesh = hits.t[ray], hits.mesh_id[ray]
+    better = (t < best_t) | ((t == best_t) & (
+        (mesh_id < best_mesh)
+        | ((mesh_id == best_mesh) & (tri < hits.tri_id[ray]))))
     ray = ray[better]
     hits.t[ray] = t[better]
     hits.mesh_id[ray] = mesh_id
@@ -598,8 +569,9 @@ def _hit_normals(mesh: TriMesh, rot, sel, tri, normal) -> None:
     """World-frame unit winding normals of the winning triangles."""
     corners = np.take(mesh.triangles, tri, axis=0)
     p0, p1, p2 = (_rows(mesh.vertices.T, corners[:, c]) for c in range(3))
-    nrm = np.stack(_cross([p1[a] - p0[a] for a in range(3)],
-                          [p2[a] - p0[a] for a in range(3)]))
+    nrm = _cross([p1[a] - p0[a] for a in range(3)],
+                 [p2[a] - p0[a] for a in range(3)],
+                 np.empty((3, tri.size)), np.empty(tri.size))
     nl = np.sqrt(nrm[0] ** 2 + nrm[1] ** 2 + nrm[2] ** 2)
     normal[sel] = (rot @ nrm / nl).T
 
@@ -608,10 +580,16 @@ def raycast(meshes, bvhs, origins: np.ndarray, dirs: np.ndarray,
             max_range: float = np.inf) -> RayHits:
     """Closest hit of each ray against a set of posed meshes.
 
-    Every mesh's pose is read exactly once per call, just before its rays
-    are cast, so all rays of one call observe the same pose of each mesh.
-    Hits beyond ``max_range`` are reported as misses; the default ``+inf``
-    sets no limit.
+    Every mesh is checked and its pose read once, in id order, before any
+    mesh is cast, so all rays of one call observe the same pose of each
+    mesh and an error names the first bad mesh by id. The meshes are then
+    cast smallest root box first (ascending squared diagonal, ties by id),
+    so the hits of small meshes cull the rays of large ones; the tie rule
+    of ``_keep_closer`` makes the hits those of any order. One lane
+    workspace of ``_WS_ROWS`` rows of ``_LANES`` floats (wider only where
+    one ray's block holds more lanes) serves every intersection block of
+    the call. Hits beyond ``max_range`` are reported as misses; the default
+    ``+inf`` sets no limit.
 
     Raises:
         ValueError: if ``max_range`` is NaN or negative, ``meshes`` and
@@ -630,21 +608,29 @@ def raycast(meshes, bvhs, origins: np.ndarray, dirs: np.ndarray,
     origins = origins.reshape(-1, 3)
     dirs = dirs.reshape(-1, 3)
     hits = RayHits.allocate(origins.shape[0])
-    # in ascending mesh id (see _keep_closer); the rotations are kept for
-    # the hit normals
-    rots = []
+    # the rotations are kept for the hit normals; size is the squared
+    # diagonal of each root box
+    rots, pos, size = [], [], []
     for mid, (mesh, bvh) in enumerate(zip(meshes, bvhs)):
         if bvh.tri_order.size != mesh.num_triangles:
             raise ValueError(f"BVH {mid} covers {bvh.tri_order.size} triangles,"
                              f" mesh {mid} has {mesh.num_triangles}")
         pose = mesh.pose
-        pos = np.ascontiguousarray(pose.pos, dtype=np.float64)
-        if not (np.isfinite(pos).all() and np.isfinite(pose.quat).all()):
+        pos.append(np.ascontiguousarray(pose.pos, dtype=np.float64))
+        if not (np.isfinite(pos[mid]).all() and np.isfinite(pose.quat).all()):
             raise ValueError(f"mesh {mid} pose must be finite, got pos {pose.pos}"
                              f" quat {pose.quat}")
         rots.append(np.ascontiguousarray(quat_to_matrix(pose.quat)))
-        _cast_mesh(mesh, bvh, rots[mid], pos, origins, dirs, max_range, mid,
-                   hits)
+        size.append(float(((bvh.bounds_max[0] - bvh.bounds_min[0]) ** 2).sum()))
+    # one ray's block can take more than _LANES: up to _DENSE_MAX lanes
+    # on a dense mesh, 4k on a cell table of k triangles a cell
+    width = max([_LANES, _DENSE_MAX] + [4 * m.grid.tris.shape[2]
+                                        for m in meshes if m.grid is not None])
+    ws = np.empty((_WS_ROWS, width))
+    # a stable sort: equal sizes keep ascending id
+    for mid in sorted(range(len(meshes)), key=size.__getitem__):
+        _cast_mesh(meshes[mid], bvhs[mid], rots[mid], pos[mid], origins, dirs,
+                   max_range, mid, hits, ws)
     for mid, mesh in enumerate(meshes):
         sel = np.nonzero(hits.mesh_id == mid)[0]
         if sel.size:

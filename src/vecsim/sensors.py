@@ -15,7 +15,7 @@ import numpy as np
 
 from .maths import (GRAVITY, Transform, check_count, check_setting, compose,
                     cross, grid_count, quat_mul, quat_rotate,
-                    quat_rotate_inverse, relative_pose)
+                    quat_rotate_inverse, quat_to_matrix, relative_pose)
 
 # rotation taking camera-frame vectors of each convention into the internal
 # world convention (x-forward, y-left, z-up)
@@ -103,13 +103,16 @@ def pattern_lidar(horizontal_fov: float, horizontal_count: int,
 
 
 def place_pattern(pattern: RayPattern, sensor_pose: Transform):
-    """World-frame ray origins/directions for batched sensor poses."""
+    """World-frame ray origins/directions for batched sensor poses.
+
+    Each of the ``E`` poses turns the pattern by one rotation matrix
+    (``quat_to_matrix``), giving ``(E, R, 3)`` origins and directions. A
+    pose that only yaws keeps a vertical direction exactly vertical.
+    """
     pos = np.atleast_2d(sensor_pose.pos)
-    quat = np.atleast_2d(sensor_pose.quat)
-    origins = pos[:, None, :] + quat_rotate(quat[:, None, :], pattern.origins)
-    dirs = quat_rotate(quat[:, None, :], np.broadcast_to(
-        pattern.dirs, origins.shape))
-    return origins, dirs
+    # the pattern's rows times R^T are R times its vectors
+    rot_t = np.swapaxes(quat_to_matrix(np.atleast_2d(sensor_pose.quat)), -1, -2)
+    return pos[:, None, :] + pattern.origins @ rot_t, pattern.dirs @ rot_t
 
 
 def depth_image(hits, pattern: RayPattern, mode: str = "distance") -> np.ndarray:

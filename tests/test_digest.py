@@ -31,12 +31,20 @@ def steps(*args):
     ("loco_rough_scan", 8), ("loco_flat", 8), ("arm_osc_cam", 4)])
 def test_step_digest_prints_digest_calls_and_time(workload, substeps):
     lines = steps(workload, "--steps", 2, "--envs", 2)
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert re.fullmatch(r"sha256 [0-9a-f]{64}", lines[0])
     calls = re.fullmatch(rf"{substeps} substeps, Python-level calls per substep: "
                          r"median (\d+) \(min (\d+), max (\d+)\)", lines[1])
     assert calls and 0 < int(calls[2]) <= int(calls[1]) <= int(calls[3])
     assert re.fullmatch(r"median \d+\.\d us per substep", lines[2])
+    assert re.fullmatch(r"minor page faults per control step: \d+ in the "
+                        r"first, mean \d+\.\d\d over the last 1", lines[3])
+
+
+def test_step_digest_counts_faults_of_a_single_control_step():
+    lines = steps("arm_osc_cam", "--steps", 1, "--envs", 2)
+    assert re.fullmatch(r"minor page faults per control step: \d+ in the first",
+                        lines[3])
 
 
 def test_step_digest_repeats_and_follows_the_seed():

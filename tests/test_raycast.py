@@ -1,4 +1,3 @@
-import io
 import re
 
 import numpy as np
@@ -8,13 +7,10 @@ from vecsim.maths import QUAT_IDENTITY, Transform, quat_from_axis_angle, quat_to
 from vecsim.raycast import (
     LEAF_SIZE,
     Bvh,
-    MeshFormatError,
     RayHits,
     TriMesh,
     build_bvh,
-    load_obj,
     raycast,
-    save_obj,
 )
 from vecsim.terrain import HeightField, hf_to_mesh
 
@@ -101,58 +97,9 @@ def brute_force_raycast(meshes, origins, dirs, max_range=np.inf):
     return hits
 
 
-# ------------------------------------------------------------------- obj io
-
-
-def test_load_obj_minimal():
-    mesh = load_obj(io.StringIO("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"))
-    assert mesh.num_triangles == 1
-    np.testing.assert_array_equal(mesh.triangles, [[0, 1, 2]])
-
-
-def test_load_obj_skips_blank_and_comment_lines():
-    text = "# a triangle\n\nv 0 0 0\n   \nv 1 0 0\n  # indented\nv 0 1 0\n\nf 1 2 3\nv 1 1 0\n"
-    mesh = load_obj(io.StringIO(text))
-    np.testing.assert_array_equal(mesh.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0],
-                                                  [1, 1, 0]])
-    np.testing.assert_array_equal(mesh.triangles, [[0, 1, 2]])
-    # line numbers still count the skipped lines
-    with pytest.raises(MeshFormatError, match="line 3"):
-        load_obj(io.StringIO("# c\n\nvt 0 0\n"))
-
-
-def test_load_obj_rejects_other_directives():
-    with pytest.raises(MeshFormatError, match="line 2"):
-        load_obj(io.StringIO("v 0 0 0\nvn 0 0 1\n"))
-    with pytest.raises(MeshFormatError, match="line 1"):
-        load_obj(io.StringIO("f 1/1 2/2 3/3\n"))
-    with pytest.raises(MeshFormatError, match="line 4"):
-        load_obj(io.StringIO("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3 4\n"))
-
-
-def test_obj_roundtrip():
-    mesh = uv_sphere(6, 8)
-    buf = io.StringIO()
-    save_obj(mesh, buf)
-    back = load_obj(io.StringIO(buf.getvalue()))
-    np.testing.assert_allclose(back.vertices, mesh.vertices)
-    np.testing.assert_array_equal(back.triangles, mesh.triangles)
-
-
-def test_obj_roundtrip_through_file(tmp_path):
-    mesh = uv_sphere(6, 8, rng=np.random.default_rng(2))
-    path = tmp_path / "sphere.obj"
-    save_obj(mesh, path)
-    back = load_obj(path)
-    np.testing.assert_array_equal(back.vertices, mesh.vertices)
-    np.testing.assert_array_equal(back.triangles, mesh.triangles)
-    assert load_obj(str(path)).num_triangles == mesh.num_triangles
-
-
 @pytest.mark.parametrize("layout", ["C", "F", "list"])
 def test_vertices_are_stored_component_major(layout):
-    # the (V, 3) values are the input's; the storage is one row per axis,
-    # and the OBJ text does not depend on either
+    # the (V, 3) values are the input's; the storage is one row per axis
     sphere = uv_sphere(6, 8, rng=np.random.default_rng(3))
     rows = sphere.vertices.tolist()
     given = {"C": np.array(rows, order="C"), "F": np.array(rows, order="F"),
@@ -161,22 +108,6 @@ def test_vertices_are_stored_component_major(layout):
     np.testing.assert_array_equal(mesh.vertices, rows)
     assert mesh.vertices.shape == (len(rows), 3)
     assert mesh.vertices.T.flags.c_contiguous
-    buf = io.StringIO()
-    save_obj(mesh, buf)
-    text = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in rows)
-    text += "".join(f"f {a + 1} {b + 1} {c + 1}\n"
-                    for a, b, c in sphere.triangles.tolist())
-    assert buf.getvalue() == text
-    back = load_obj(io.StringIO(text))
-    np.testing.assert_array_equal(back.vertices, rows)
-    assert back.vertices.T.flags.c_contiguous
-
-
-def test_load_obj_missing_file_raises_file_not_found(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        load_obj(tmp_path / "missing.obj")
-    with pytest.raises(FileNotFoundError):
-        load_obj(str(tmp_path / "missing.obj"))
 
 
 # ----------------------------------------------------------------------- bvh
@@ -384,14 +315,6 @@ def test_raycast_rejects_non_finite_mesh_pose():
                  ValueError, "vertex 1 is not finite", id="nan_vertex"),
     pytest.param(lambda: TriMesh([[0, 0, 0], [1, 0, 0], [0, -np.inf, 0]], [[0, 1, 2]]),
                  ValueError, "vertex 2 is not finite", id="inf_vertex"),
-    pytest.param(lambda: load_obj(io.StringIO("v 0 0 0\nv nan 0 0\n")),
-                 ValueError, "vertex 1 is not finite", id="obj_nan_vertex"),
-    pytest.param(lambda: load_obj(io.StringIO("v 0 0 0\nv 1 2\n")),
-                 MeshFormatError, "line 2: vertex line must be 'v x y z'", id="vertex_arity"),
-    pytest.param(lambda: load_obj(io.StringIO("v 0 x 0\n")),
-                 MeshFormatError, "line 1: non-numeric vertex coordinate", id="vertex_value"),
-    pytest.param(lambda: load_obj(io.StringIO("v 0 0 0\nv 1 0 0\nf 1 2 3\n")),
-                 MeshFormatError, "line 3: face index out of range", id="face_index"),
 ])
 def test_mesh_input_rejected(call, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -55,8 +55,8 @@ def lanes(monkeypatch):
     seen = Calls()
     distances = rc._distances
 
-    def record(v0, e1, e2, o, d, max_range):
-        th = distances(v0, e1, e2, o, d, max_range)
+    def record(v0, e1, e2, o, d, max_range, *workspace):
+        th = distances(v0, e1, e2, o, d, max_range, *workspace)
         seen.append(th.size)
         seen.shapes.append((th.shape, o[0].shape))
         return th

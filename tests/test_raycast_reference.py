@@ -16,6 +16,7 @@ import pytest
 import reference_raycast as ref
 from test_raycast import ground_plane, uv_sphere
 from vecsim.maths import Transform, quat_from_axis_angle
+from vecsim import raycast as rc
 from vecsim.raycast import Bvh, TriMesh, build_bvh, raycast
 from vecsim.terrain import (
     HeightField,
@@ -387,3 +388,98 @@ def test_build_is_a_median_split_like_the_reference(mesh):
         axis = np.argmax(cent.max(axis=0) - cent.min(axis=0))
         assert len(low) == (len(low) + len(high)) // 2
         assert centroid[low, axis].max() <= centroid[high, axis].min()
+
+
+def contact_rays(rng, n):
+    """Rays at the object box's bottom corners and edges, where its side
+    faces meet the table top: many hit both boxes at one distance."""
+    edge = rng.uniform([0.56, -0.04, 0.4], [0.64, 0.04, 0.4], (n, 3))
+    edge[::2, 0] = rng.choice([0.56, 0.64], n // 2)
+    edge[1::2, 1] = rng.choice([-0.04, 0.04], n // 2)
+    origins = edge + unit(rng.uniform([-1.0, -1.0, 0.05], [1.0, 1.0, 1.0], (n, 3)))
+    return origins, unit(edge - origins)
+
+
+def permuted(meshes, bvhs, perm):
+    return [meshes[i] for i in perm], [bvhs[i] for i in perm]
+
+
+@pytest.mark.parametrize("split", SPLITS)
+def test_mesh_order_permutes_only_the_mesh_ids(split):
+    # meshes are cast smallest root box first whatever their ids: without
+    # ties across meshes, listing them in another order renames the mesh
+    # ids and changes no other bit
+    rng = np.random.default_rng(70)
+    origins = rng.uniform([0.0, -0.6, 0.6], [1.4, 0.6, 1.0], (600, 3))
+    dirs = unit(rng.uniform([-0.6, -0.6, -1.0], [0.6, 0.6, -0.2], (600, 3)))
+    meshes = table_scene(split)
+    bvhs = [build_bvh(m) for m in meshes]
+    want = raycast(meshes, bvhs, origins, dirs)
+    assert set(np.unique(want.mesh_id)) == {-1, 0, 1, 2}
+    for perm in itertools.permutations(range(3)):
+        got = raycast(*permuted(meshes, bvhs, perm), origins, dirs)
+        for name in ("hit", "t", "point", "normal", "tri_id"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name), err_msg=name)
+        renamed = np.where(got.hit, np.array(perm)[got.mesh_id], -1)
+        np.testing.assert_array_equal(renamed, want.mesh_id)
+
+
+@pytest.mark.parametrize("split", SPLITS)
+def test_ties_across_meshes_match_the_exhaustive_scan_in_every_order(split):
+    # at a tie the lower mesh id wins, so the listing picks the winner; the
+    # cast order does not: every listing is bitwise the exhaustive scan,
+    # which takes the meshes in id order
+    origins, dirs = contact_rays(np.random.default_rng(73), 200)
+    meshes = table_scene(split)
+    winners = set()
+    for perm in itertools.permutations(range(3)):
+        got = assert_bitwise([meshes[i] for i in perm], origins, dirs,
+                             oracle=single_leaf_bvh)
+        winners.add(tuple(np.where(got.hit, np.array(perm)[got.mesh_id], -1)))
+    # some rays tie: their winner changes with the listing
+    assert len(winners) > 1
+
+
+@pytest.mark.parametrize("filler", [1, 60], ids=["dense", "bvh"])
+def test_cross_mesh_tie_goes_to_the_lower_id_in_either_cast_order(filler):
+    # one triangle in two meshes; the larger mesh adds ``filler`` triangles
+    # below it and is cast second. The casts tie at t = 1, and the lower
+    # mesh id wins, listed first or second
+    shared = np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
+    small = TriMesh(shared, [[0, 1, 2]])
+    below = np.concatenate([shared + [3.0 * i, 0.0, -1.0 - i]
+                            for i in range(filler)])
+    large = TriMesh(np.concatenate([below, shared]),
+                    np.arange(3 * (filler + 1)).reshape(-1, 3))
+    rng = np.random.default_rng(71)
+    origins = np.column_stack([rng.uniform(-0.3, 0.3, (50, 2)), np.ones(50)])
+    dirs = np.tile([0.0, 0.0, -1.0], (50, 1))
+    for meshes, winner, tri in (([small, large], 0, 0),
+                                ([large, small], 0, filler)):
+        got = raycast(meshes, [build_bvh(m) for m in meshes], origins, dirs)
+        assert np.all(got.t == 1.0)
+        assert np.all(got.mesh_id == winner) and np.all(got.tri_id == tri)
+
+
+def test_bad_meshes_are_named_in_id_order_before_any_cast(monkeypatch):
+    # the object box (id 2) has the smallest root box and is cast first;
+    # with it and the table (id 1) both bad, the error names the table
+    # and no mesh is cast
+    cast = []
+    monkeypatch.setattr(rc, "_cast_mesh", lambda *args: cast.append(args[7]))
+    origins, dirs = contact_rays(np.random.default_rng(72), 50)
+    meshes = table_scene()
+    bvhs = [build_bvh(m) for m in meshes]
+    for mid in (1, 2):
+        meshes[mid].pose = Transform([0.0, np.nan, 0.0], [1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="mesh 1 pose must be finite"):
+        raycast(meshes, bvhs, origins, dirs)
+    meshes = table_scene()
+    for mid in (1, 2):
+        b = bvhs[mid]
+        bvhs[mid] = Bvh(b.bounds_min, b.bounds_max, b.first, b.count,
+                        b.tri_order[:-1])
+    with pytest.raises(ValueError, match="BVH 1 covers 11 triangles, mesh 1 has 12"):
+        raycast(meshes, bvhs, origins, dirs)
+    assert cast == []

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from vecsim.maths import QUAT_IDENTITY, Transform, quat_from_axis_angle
+from vecsim.maths import (QUAT_IDENTITY, Transform, quat_from_axis_angle,
+                          quat_from_rotvec, quat_rotate)
 from vecsim.raycast import TriMesh, build_bvh, raycast
 from vecsim.sensors import (
     CAMERA_CONVENTIONS,
@@ -95,6 +96,54 @@ def test_camera_convention_matrices_are_rotations():
     # ROS optical z-forward maps to internal x-forward
     np.testing.assert_allclose(CAMERA_CONVENTIONS["ros"] @ [0, 0, 1], [1, 0, 0])
     np.testing.assert_allclose(CAMERA_CONVENTIONS["opengl"] @ [0, 0, -1], [1, 0, 0])
+
+
+# ----------------------------------------------------------- placed patterns
+
+
+def rotated_by_quaternion(pattern, pose):
+    """``place_pattern`` as two broadcast ``quat_rotate`` calls, one for the
+    origins and one for the directions."""
+    pos, quat = np.atleast_2d(pose.pos), np.atleast_2d(pose.quat)[:, None, :]
+    origins = pos[:, None, :] + quat_rotate(quat, pattern.origins)
+    dirs = quat_rotate(quat, np.broadcast_to(pattern.dirs, origins.shape))
+    return origins, dirs
+
+
+@pytest.mark.parametrize("pattern", [
+    pattern_grid(1.6, 1.0, 0.1), pattern_pinhole(16, 12, 12.0),
+    pattern_lidar(6.0, 32, [-0.2, 0.0, 0.2])], ids=["grid", "pinhole", "lidar"])
+def test_placed_pattern_matches_quaternion_rotation(pattern):
+    # one rotation matrix per pose rounds differently from quat_rotate, by
+    # at most 1e-15 of each ray's scale
+    rng = np.random.default_rng(60)
+    for _ in range(10):
+        pose = Transform(rng.uniform(-10.0, 10.0, (32, 3)),
+                         quat_from_rotvec(rng.normal(0.0, 2.0, (32, 3))))
+        origins, dirs = place_pattern(pattern, pose)
+        want_o, want_d = rotated_by_quaternion(pattern, pose)
+        assert origins.shape == dirs.shape == (32, pattern.num_rays, 3)
+        scale = (np.linalg.norm(pose.pos, axis=-1)[:, None]
+                 + np.linalg.norm(pattern.origins, axis=-1))
+        assert np.all(np.linalg.norm(origins - want_o, axis=-1) <= 1e-15 * scale)
+        assert np.all(np.linalg.norm(dirs - want_d, axis=-1)
+                      <= 1e-15 * np.linalg.norm(want_d, axis=-1))
+
+
+def test_yawed_grid_directions_stay_exactly_vertical():
+    # the cell table takes only rays whose mesh-local x and y are exactly 0
+    rng = np.random.default_rng(61)
+    yaw = np.concatenate([rng.uniform(-40.0, 40.0, 60), [0.0, np.pi, -np.pi / 2]])
+    quat = np.zeros((yaw.size, 4))
+    quat[:, 0], quat[:, 3] = np.cos(yaw / 2), np.sin(yaw / 2)
+    pose = Transform(rng.uniform(-5.0, 5.0, (yaw.size, 3)), quat)
+    _, dirs = place_pattern(pattern_grid(1.6, 1.0, 0.1), pose)
+    assert np.all(dirs[..., :2] == 0.0) and np.all(dirs[..., 2] == -1.0)
+    # one unbatched pose gives a batch of one
+    origins, dirs = place_pattern(pattern_grid(1.0, 1.0, 0.5),
+                                  Transform(np.ones(3), quat[0]))
+    assert origins.shape == dirs.shape == (1, 9, 3)
+    np.testing.assert_array_equal(dirs[0], np.tile([0.0, 0.0, -1.0], (9, 1)))
 
 
 # --------------------------------------------------------------- depth image

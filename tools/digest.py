@@ -8,7 +8,7 @@ computed byte-equal results.
 ``steps WORKLOAD`` runs the workload's control loop with ``dynamics.step``
 wrapped. After every substep it feeds the state (``q``, ``qd`` and the root
 pose and twist) and, when the workload passes one, ``contacts_out`` to one
-digest. It prints three lines:
+digest. It prints four lines:
 
 * the digest;
 * the Python-level calls per substep: the ``call`` events of
@@ -17,7 +17,12 @@ digest. It prints three lines:
   and no call into C; as the median, minimum and maximum over the
   substeps. They are counted in a second, profiled run of the same loop,
   which must reach the same digest;
-* the median microseconds per substep, timed with the profiler off.
+* the median microseconds per substep, timed with the profiler off;
+* the minor page faults (``ru_minflt`` of ``resource.getrusage``) of the
+  first control step of the unprofiled run, and their mean over its last
+  half of the control steps (none with ``--steps 1``): the steady state,
+  once the heap has grown to its working size, where a fault is a page of
+  heap handed back to the system and touched again.
 
 ``record WORKLOAD PATH`` runs the workload and saves every ``raycast`` call
 it makes: the meshes once, and per cast the mesh poses, origins,
@@ -47,6 +52,7 @@ sys.dont_write_bytecode = True
 import argparse
 import functools
 import hashlib
+import resource
 import statistics
 import time
 from pathlib import Path
@@ -73,26 +79,36 @@ def update(digest, obj, names) -> None:
         digest.update(np.ascontiguousarray(getattr(obj, name)).tobytes())
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def run(workload: str, seed: int, steps: int, envs: int | None, module,
-        name: str, wrapper) -> None:
+        name: str, wrapper) -> list[int]:
     """Run ``steps`` control steps of ``workload`` on ``envs`` envs (default:
     the workload's own) with ``module.name`` replaced by ``wrapper``, which
-    takes the original function as its first argument; restores it after."""
+    takes the original function as its first argument; restores it after.
+    Returns the minor page faults of each control step."""
     original = getattr(module, name)
     setattr(module, name, functools.partial(wrapper, original))
+    faults = []
     try:
         cls = bench_envs.WORKLOADS[workload]
         env = cls(seed, envs or cls.default_envs, Tracer())
         for _ in range(steps):
+            before = minor_faults()
             env.control_step()
+            faults.append(minor_faults() - before)
     finally:
         setattr(module, name, original)
+    return faults
 
 
 def step_digest(workload: str, seed: int, steps: int, envs: int | None,
-                profile: bool) -> tuple[str, list[float]]:
-    """The digest of every substep's state and, per substep, its seconds or,
-    when ``profile`` is set, its Python-level calls."""
+                profile: bool) -> tuple[str, list[float], list[int]]:
+    """The digest of every substep's state, per substep its seconds or,
+    when ``profile`` is set, its Python-level calls, and the minor page
+    faults of each control step."""
     digest = hashlib.sha256()
     samples: list[float] = []
     calls = 0
@@ -114,13 +130,14 @@ def step_digest(workload: str, seed: int, steps: int, envs: int | None,
             if kwargs.get("contacts_out") is not None:
                 update(digest, kwargs["contacts_out"], CONTACTS)
 
-    run(workload, seed, steps, envs, dynamics, "step", wrapped)
-    return digest.hexdigest(), samples
+    faults = run(workload, seed, steps, envs, dynamics, "step", wrapped)
+    return digest.hexdigest(), samples, faults
 
 
 def steps(workload: str, seed: int, steps: int, envs: int | None) -> int:
-    digest, seconds = step_digest(workload, seed, steps, envs, profile=False)
-    again, calls = step_digest(workload, seed, steps, envs, profile=True)
+    digest, seconds, faults = step_digest(workload, seed, steps, envs,
+                                          profile=False)
+    again, calls, _ = step_digest(workload, seed, steps, envs, profile=True)
     if again != digest:
         print(f"error: the profiled run reached {again}, not {digest}", file=sys.stderr)
         return 1
@@ -128,6 +145,10 @@ def steps(workload: str, seed: int, steps: int, envs: int | None) -> int:
     print(f"{len(calls)} substeps, Python-level calls per substep: median "
           f"{statistics.median(calls):g} (min {min(calls):g}, max {max(calls):g})")
     print(f"median {1e6 * statistics.median(seconds):.1f} us per substep")
+    last = faults[len(faults) - len(faults) // 2:]
+    steady = (f", mean {statistics.mean(last):.2f} over the last {len(last)}"
+              if last else "")
+    print(f"minor page faults per control step: {faults[0]} in the first{steady}")
     return 0
 
 
