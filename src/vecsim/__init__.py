@@ -17,7 +17,7 @@ Every call works on a batch of E environments at once. The modules are:
 * ``sensors``: ray patterns, depth images, contact and IMU sensors;
 * ``terrain``: the heightfield type, its generators, meshing, terrain grids
   and the difficulty curriculum;
-* ``registry``: the entity registry and the per-step lazy cache.
+* ``registry``: the entity registry and its path-pattern views.
 
 There is no environment class; the benchmark in ``bench/`` shows how the
 parts compose into a control step.
@@ -25,7 +25,7 @@ parts compose into a control step.
 
 from .articulation import ArticulationState, ContactPointSet, KinematicTree, LinkSpec
 from .maths import Transform, compose, inverse, relative_pose
-from .registry import EmptyViewError, EntityRegistry, EntityView, LazyCache
+from .registry import EmptyViewError, EntityRegistry, EntityView
 
 __all__ = [
     "ArticulationState",
@@ -39,7 +39,6 @@ __all__ = [
     "EmptyViewError",
     "EntityRegistry",
     "EntityView",
-    "LazyCache",
 ]
 
 __version__ = "0.1.0"

@@ -86,16 +86,6 @@ def quat_rotate_inverse(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return quat_rotate(quat_conjugate(q), v)
 
 
-def quat_from_axis_angle(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
-    """Quaternion for a rotation of ``angle`` about unit ``axis``."""
-    axis = np.asarray(axis, dtype=np.float64)
-    angle = np.asarray(angle, dtype=np.float64)
-    half = 0.5 * angle
-    return np.concatenate(
-        [np.cos(half)[..., None], axis * np.sin(half)[..., None]], axis=-1
-    )
-
-
 def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
     """Exponential map: rotation-vector (axis * angle) to quaternion."""
     v = np.asarray(v, dtype=np.float64)

@@ -1,10 +1,10 @@
-"""Entity registry, path-pattern views, and the per-step lazy cache."""
+"""Entity registry and path-pattern views."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from .maths import check_count
 
@@ -71,7 +71,8 @@ class EntityRegistry:
             raise ValueError(f"entity path must be absolute: {path!r}")
         if path in self._entries:
             raise ValueError(f"entity path already registered: {path!r}")
-        if not 0 <= env_index < self.env_count:
+        env_index = check_count("env_index", env_index, 0)
+        if env_index >= self.env_count:
             raise ValueError(f"env_index {env_index} out of range for {self.env_count} envs")
         entry = EntityEntry(path, kind, env_index, payload)
         self._entries[path] = entry
@@ -98,42 +99,3 @@ class EntityRegistry:
         # and the stable sort keeps it among entities of one env
         matched.sort(key=lambda e: e.env_index)
         return EntityView(pattern, tuple(matched))
-
-
-@dataclass
-class _CacheSlot:
-    value: Any = None
-    stamp: int = -1
-
-
-class LazyCache:
-    """Per-attribute buffers recomputed at most once per simulation step.
-
-    The owner advances the step counter; readers call :meth:`get` with a
-    compute callback that only runs when the stored stamp is stale. An
-    optional hook observes recomputes (used by tests to count them).
-    """
-
-    def __init__(self):
-        self._slots: dict[str, _CacheSlot] = {}
-        self._step = 0
-        self.on_recompute: Callable[[str], None] | None = None
-
-    def advance(self, steps: int = 1) -> None:
-        self._step += steps
-
-    def get(self, name: str, compute: Callable[[], Any]) -> Any:
-        slot = self._slots.setdefault(name, _CacheSlot())
-        if slot.stamp != self._step:
-            slot.value = compute()
-            slot.stamp = self._step
-            if self.on_recompute is not None:
-                self.on_recompute(name)
-        return slot.value
-
-    def invalidate(self, name: str | None = None) -> None:
-        """Force recompute on next access, for one attribute or all."""
-        if name is None:
-            self._slots.clear()
-        else:
-            self._slots.pop(name, None)

@@ -1,5 +1,5 @@
 """Batched sensor suite: ray patterns, depth camera, tiled image packing,
-contact bookkeeping, finite-difference IMU, and frame transforms.
+contact bookkeeping and a finite-difference IMU.
 
 Camera frames are stored internally in the *world* convention (x-forward,
 z-up); ROS (z-forward, -y-up) and OpenGL (-z-forward, y-up) conversion
@@ -13,9 +13,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .maths import (GRAVITY, Transform, check_count, check_setting, compose,
-                    cross, grid_count, quat_mul, quat_rotate,
-                    quat_rotate_inverse, quat_to_matrix, relative_pose)
+from .maths import (GRAVITY, Transform, check_count, check_setting, cross, grid_count,
+                    quat_mul, quat_rotate, quat_rotate_inverse, quat_to_matrix)
 
 # rotation taking camera-frame vectors of each convention into the internal
 # world convention (x-forward, y-left, z-up)
@@ -162,8 +161,7 @@ def tile_pack(images: np.ndarray, tiles_per_row: int | None = None):
     """Pack env-indexed images ``(E, H, W[, C])`` into a single atlas.
 
     Environment ``e`` occupies tile column ``e % tiles_per_row`` and row
-    ``e // tiles_per_row``. Returns ``(atlas, layout)``;
-    :func:`tile_unpack` restores the input bitwise.
+    ``e // tiles_per_row``. Returns ``(atlas, layout)``.
     """
     images = np.asarray(images)
     if images.ndim not in (3, 4):
@@ -183,19 +181,6 @@ def tile_pack(images: np.ndarray, tiles_per_row: int | None = None):
     tiles[:e] = images
     tiles = tiles.reshape((layout.rows, tiles_per_row) + images.shape[1:])
     return tiles.swapaxes(1, 2).reshape(layout.atlas_shape), layout
-
-
-def tile_unpack(atlas: np.ndarray, layout: TiledLayout) -> np.ndarray:
-    """Inverse of :func:`tile_pack`."""
-    if atlas.shape != layout.atlas_shape:
-        raise ValueError("atlas shape does not match layout")
-    tile = (layout.tile_height, layout.tile_width) + atlas.shape[2:]
-    grid = (layout.rows, layout.tiles_per_row)
-    out = np.empty((grid[0] * grid[1],) + tile, dtype=atlas.dtype)
-    # (row, h, col, w) -> (row, col, h, w), copied so the result owns its data
-    out.reshape(grid + tile)[...] = atlas.reshape(
-        (grid[0], tile[0], grid[1]) + tile[1:]).swapaxes(1, 2)
-    return out[:layout.env_count]
 
 
 # ------------------------------------------------------------ sensor clock
@@ -390,17 +375,3 @@ class ImuSensor:
             lin_acc = lin_acc + self._accel_bias
             ang_vel = ang_vel + self._gyro_bias
         return ImuSample(sensor_quat, ang_vel, lin_acc, grav_proj)
-
-
-# -------------------------------------------------------- frame transformer
-
-
-def frame_transform(source_pose: Transform, source_offset: Transform,
-                    targets: list[tuple[Transform, Transform]]) -> list[Transform]:
-    """Poses of target frames relative to an offset source frame, batched.
-
-    Each target is a ``(pose, offset)`` pair; offsets compose onto their
-    frames before the relative pose is taken.
-    """
-    src = compose(source_pose, source_offset)
-    return [relative_pose(src, compose(pose, offset)) for pose, offset in targets]

@@ -5,6 +5,16 @@ from vecsim import raycast as rc
 from vecsim.articulation import KinematicTree, LinkSpec
 
 
+def quat_from_axis_angle(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """Quaternion for a rotation of ``angle`` about unit ``axis``."""
+    axis = np.asarray(axis, dtype=np.float64)
+    angle = np.asarray(angle, dtype=np.float64)
+    half = 0.5 * angle
+    return np.concatenate(
+        [np.cos(half)[..., None], axis * np.sin(half)[..., None]], axis=-1
+    )
+
+
 def pendulum_links(mass=1.0, length=1.0, com_dir=(0.0, 0.0, -1.0),
                    com_dist=None, inertia=(0.05, 0.05, 0.05)):
     """Single revolute link about +y; defaults to hanging along -z."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import vecsim
-from conftest import double_pendulum_tree, dp_bias_oracle
+from conftest import double_pendulum_tree, dp_bias_oracle, quat_from_axis_angle
 from vecsim.articulation import ArticulationState, KinematicTree, LinkSpec
 from vecsim.controllers import (
     IkConfig,
@@ -18,7 +18,7 @@ from vecsim.controllers import (
     pose_error,
 )
 from vecsim.dynamics import ImplicitPD, bias_forces, forward_kinematics, jacobian, mass_matrix, step
-from vecsim.maths import Transform, quat_from_axis_angle
+from vecsim.maths import Transform
 
 
 def planar_arm(lengths=(0.4, 0.3, 0.3)):

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
+from conftest import quat_from_axis_angle
 from vecsim.maths import (
     Transform,
     compose,
     cross,
     inverse,
     matrix_to_quat,
-    quat_from_axis_angle,
     quat_from_rotvec,
     quat_mul,
     quat_normalize,
@@ -166,6 +167,35 @@ def test_relative_pose_composes_back():
     tgt = Transform(rng.standard_normal((5, 3)), random_quat(rng, (5,)))
     rel = relative_pose(src, tgt)
     assert_transform_close(compose(src, rel), tgt)
+
+
+def random_pose(rng, e=4):
+    quat = rng.standard_normal((e, 4))
+    quat /= np.linalg.norm(quat, axis=-1, keepdims=True)
+    return Transform(rng.standard_normal((e, 3)), quat)
+
+
+def test_relative_pose_of_composed_frames_matches_unbatched_oracle():
+    # a target frame with its offset, seen from a source frame with its
+    # offset, against scipy's rotations one env at a time
+    rng = np.random.default_rng(3)
+    src = random_pose(rng)
+    src_off = random_pose(rng)
+    targets = [(random_pose(rng), random_pose(rng)) for _ in range(3)]
+    for tgt, tgt_off in targets:
+        out = relative_pose(compose(src, src_off), compose(tgt, tgt_off))
+        for e in range(4):
+            rs = (Rotation.from_quat(np.roll(src.quat[e], -1))
+                  * Rotation.from_quat(np.roll(src_off.quat[e], -1)))
+            ps = src.pos[e] + Rotation.from_quat(np.roll(src.quat[e], -1)).apply(src_off.pos[e])
+            rt = (Rotation.from_quat(np.roll(tgt.quat[e], -1))
+                  * Rotation.from_quat(np.roll(tgt_off.quat[e], -1)))
+            pt = tgt.pos[e] + Rotation.from_quat(np.roll(tgt.quat[e], -1)).apply(tgt_off.pos[e])
+            rel_p = rs.inv().apply(pt - ps)
+            rel_r = (rs.inv() * rt).as_quat()
+            np.testing.assert_allclose(out.pos[e], rel_p, atol=1e-9)
+            dot = abs(np.roll(out.quat[e], -1) @ rel_r)
+            np.testing.assert_allclose(dot, 1.0, atol=1e-9)
 
 
 def test_quat_mul_matches_matrix_product():

@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from vecsim.maths import QUAT_IDENTITY, Transform, quat_from_axis_angle, quat_to_matrix
+from conftest import quat_from_axis_angle
+from vecsim.maths import QUAT_IDENTITY, Transform, quat_to_matrix
 from vecsim.raycast import (
     LEAF_SIZE,
     Bvh,

@@ -11,6 +11,7 @@ form that the dense scan shares with the cell table and the BVH.
 import numpy as np
 import pytest
 
+from conftest import quat_from_axis_angle
 from test_raycast import ground_plane, uv_sphere
 from test_raycast_reference import (
     BITWISE,
@@ -23,7 +24,7 @@ from test_raycast_reference import (
     unit,
 )
 from vecsim import raycast as rc
-from vecsim.maths import Transform, quat_from_axis_angle
+from vecsim.maths import Transform
 from vecsim.raycast import TriMesh, build_bvh, raycast
 from vecsim.terrain import HeightField, hf_to_mesh
 

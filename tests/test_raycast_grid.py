@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import reference_raycast as ref
+from conftest import quat_from_axis_angle
 from test_raycast_reference import BITWISE, single_leaf_bvh, unit
 from vecsim import raycast as rc
-from vecsim.maths import Transform, quat_from_axis_angle, quat_rotate
+from vecsim.maths import Transform, quat_rotate
 from vecsim.raycast import GridCells, TriMesh, build_bvh, raycast
 from vecsim.terrain import (
     HeightField,

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import reference_raycast as ref
+from conftest import quat_from_axis_angle
 from test_raycast import ground_plane, uv_sphere
-from vecsim.maths import Transform, quat_from_axis_angle
+from vecsim.maths import Transform
 from vecsim import raycast as rc
 from vecsim.raycast import Bvh, TriMesh, build_bvh, raycast
 from vecsim.terrain import (

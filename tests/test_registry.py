@@ -1,9 +1,8 @@
 import re
 
-import numpy as np
 import pytest
 
-from vecsim.registry import EmptyViewError, EntityRegistry, LazyCache
+from vecsim.registry import EmptyViewError, EntityRegistry
 
 
 def make_registry(n_envs=4, robots=True, cubes=False):
@@ -71,36 +70,19 @@ def test_view_order_deterministic():
         f"/World/envs/env_{e}/Robot" for e in range(5)]
 
 
-def test_lazy_cache_recomputes_once_per_step():
-    cache = LazyCache()
-    counts = []
-    cache.on_recompute = counts.append
-    for _ in range(7):
-        cache.get("poses", lambda: np.arange(3))
-    assert counts == ["poses"]
-    first = cache.get("poses", lambda: np.arange(3))
-    second = cache.get("poses", lambda: np.zeros(3))  # stale compute ignored
-    np.testing.assert_array_equal(first, second)
-
-    cache.advance()
-    cache.get("poses", lambda: np.arange(3))
-    assert counts == ["poses", "poses"]
-
-
-def test_lazy_cache_invalidate():
-    cache = LazyCache()
-    assert cache.get("x", lambda: 1) == 1
-    cache.invalidate("x")
-    assert cache.get("x", lambda: 2) == 2
-    cache.invalidate()
-    assert cache.get("x", lambda: 3) == 3
-
-
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: EntityRegistry(0),
                  "env_count must be an integer >= 1, got 0", id="env_count"),
     pytest.param(lambda: EntityRegistry(1).register("World/a", "rigid", 0),
                  "entity path must be absolute: 'World/a'", id="relative_path"),
+    pytest.param(lambda: EntityRegistry(2).register("/World/a", "rigid", True),
+                 "env_index must be an integer >= 0, got True", id="env_index_bool"),
+    pytest.param(lambda: EntityRegistry(2).register("/World/a", "rigid", 1.5),
+                 "env_index must be an integer >= 0, got 1.5", id="env_index_float"),
+    pytest.param(lambda: EntityRegistry(2).register("/World/a", "rigid", -1),
+                 "env_index must be an integer >= 0, got -1", id="env_index_negative"),
+    pytest.param(lambda: EntityRegistry(2).register("/World/a", "rigid", 2),
+                 "env_index 2 out of range for 2 envs", id="env_index_too_large"),
 ])
 def test_registry_input_rejected(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

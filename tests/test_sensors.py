@@ -2,10 +2,9 @@ import re
 
 import numpy as np
 import pytest
-from scipy.spatial.transform import Rotation
 
-from vecsim.maths import (QUAT_IDENTITY, Transform, quat_from_axis_angle,
-                          quat_from_rotvec, quat_rotate)
+from conftest import quat_from_axis_angle
+from vecsim.maths import QUAT_IDENTITY, Transform, quat_from_rotvec, quat_rotate
 from vecsim.raycast import TriMesh, build_bvh, raycast
 from vecsim.sensors import (
     CAMERA_CONVENTIONS,
@@ -15,13 +14,11 @@ from vecsim.sensors import (
     SensorClock,
     aggregate_body_forces,
     depth_image,
-    frame_transform,
     pattern_grid,
     pattern_lidar,
     pattern_pinhole,
     place_pattern,
     tile_pack,
-    tile_unpack,
 )
 
 
@@ -205,9 +202,8 @@ def test_tile_atlas_shape():
 
 def test_tile_single_env_identity():
     img = np.random.default_rng(0).standard_normal((1, 5, 7))
-    atlas, layout = tile_pack(img)
+    atlas, _ = tile_pack(img)
     np.testing.assert_array_equal(atlas, img[0])
-    np.testing.assert_array_equal(tile_unpack(atlas, layout), img)
 
 
 def loop_tile_pack(images, layout):
@@ -232,10 +228,8 @@ def test_tile_roundtrip_bitwise():
         else:
             images = rng.standard_normal((e, h, w, int(rng.integers(1, 5))))
         atlas, layout = tile_pack(images, tiles_per_row=per_row)
+        assert atlas.dtype == images.dtype
         np.testing.assert_array_equal(atlas, loop_tile_pack(images, layout))
-        back = tile_unpack(atlas, layout)
-        assert back.shape == images.shape and back.dtype == images.dtype
-        np.testing.assert_array_equal(back, images)
 
 
 def test_tile_partial_last_row_is_zero_padded():
@@ -244,14 +238,6 @@ def test_tile_partial_last_row_is_zero_padded():
     assert atlas.shape == (4, 9, 2)
     np.testing.assert_array_equal(atlas, loop_tile_pack(images, layout))
     np.testing.assert_array_equal(atlas[2:, 6:], 0)
-    np.testing.assert_array_equal(tile_unpack(atlas, layout), images)
-
-
-def test_tile_unpack_returns_a_copy():
-    images = np.zeros((3, 4, 5))
-    atlas, layout = tile_pack(images, tiles_per_row=1)
-    tile_unpack(atlas, layout)[0, 0, 0] = 1.0
-    assert not atlas.any()
 
 
 def test_tile_mapping_deterministic_bijection():
@@ -259,12 +245,6 @@ def test_tile_mapping_deterministic_bijection():
     tiles = [layout.tile_of(e) for e in range(7)]
     assert len(set(tiles)) == 7
     assert tiles[0] == (0, 0) and tiles[3] == (0, 1) and tiles[5] == (2, 1)
-
-
-def test_tile_unpack_shape_mismatch():
-    atlas, layout = tile_pack(np.zeros((4, 8, 8)), tiles_per_row=2)
-    with pytest.raises(ValueError):
-        tile_unpack(atlas[:-1], layout)
 
 
 # ------------------------------------------------------------------- clock
@@ -478,51 +458,6 @@ def test_imu_rejects_bad_dt():
     for dt in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             imu.update(identity_pose(), np.zeros((1, 3)), np.zeros((1, 3)), dt=dt)
-
-
-# ----------------------------------------------------------- frame transform
-
-
-def random_pose(rng, e=4):
-    quat = rng.standard_normal((e, 4))
-    quat /= np.linalg.norm(quat, axis=-1, keepdims=True)
-    return Transform(rng.standard_normal((e, 3)), quat)
-
-
-def test_frame_transform_identity():
-    pose = identity_pose(3)
-    off = Transform.identity()
-    out = frame_transform(pose, off, [(pose, off)])[0]
-    np.testing.assert_allclose(out.pos, 0.0, atol=1e-12)
-    np.testing.assert_allclose(np.abs(out.quat[:, 0]), 1.0, atol=1e-12)
-
-
-def test_frame_transform_translation_only():
-    src = Transform(np.array([[1.0, 0, 0]]), np.tile(QUAT_IDENTITY, (1, 1)))
-    tgt = Transform(np.array([[2.0, 3.0, 0]]), np.tile(QUAT_IDENTITY, (1, 1)))
-    out = frame_transform(src, Transform.identity(), [(tgt, Transform.identity())])[0]
-    np.testing.assert_allclose(out.pos, [[1.0, 3.0, 0]], atol=1e-12)
-
-
-def test_frame_transform_matches_unbatched_oracle():
-    rng = np.random.default_rng(3)
-    src = random_pose(rng)
-    src_off = random_pose(rng)
-    targets = [(random_pose(rng), random_pose(rng)) for _ in range(3)]
-    outs = frame_transform(src, src_off, targets)
-    for (tgt, tgt_off), out in zip(targets, outs):
-        for e in range(4):
-            rs = (Rotation.from_quat(np.roll(src.quat[e], -1))
-                  * Rotation.from_quat(np.roll(src_off.quat[e], -1)))
-            ps = src.pos[e] + Rotation.from_quat(np.roll(src.quat[e], -1)).apply(src_off.pos[e])
-            rt = (Rotation.from_quat(np.roll(tgt.quat[e], -1))
-                  * Rotation.from_quat(np.roll(tgt_off.quat[e], -1)))
-            pt = tgt.pos[e] + Rotation.from_quat(np.roll(tgt.quat[e], -1)).apply(tgt_off.pos[e])
-            rel_p = rs.inv().apply(pt - ps)
-            rel_r = (rs.inv() * rt).as_quat()
-            np.testing.assert_allclose(out.pos[e], rel_p, atol=1e-9)
-            dot = abs(np.roll(out.quat[e], -1) @ rel_r)
-            np.testing.assert_allclose(dot, 1.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("call, message", [

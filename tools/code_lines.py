@@ -1,19 +1,33 @@
-"""Print the code lines and the ``raise`` statements of each module in
-``src/vecsim``, and their totals.
+"""Print the code lines, the ``raise`` statements and the function-body
+statements of each module in ``src/vecsim``, and their totals.
 
 A code line is any non-blank line that is neither a ``#`` comment nor part
 of a module, class or function docstring. A ``raise`` statement is one
-``raise`` node of the module's syntax tree. Run from anywhere:
+``raise`` node of the module's syntax tree. The function-body statements
+are the ones that the traced Tier-1 session must reach, counted by
+``targets`` of ``tests/raise_trace.py`` (so the script needs ``pytest``,
+which that plugin imports). Run from anywhere:
 
     python3 tools/code_lines.py
+
+The script writes no bytecode.
 """
 
 from __future__ import annotations
 
+import sys
+
+sys.dont_write_bytecode = True
+
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "vecsim"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+
+from raise_trace import targets
+
+SRC = ROOT / "src" / "vecsim"
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -42,14 +56,13 @@ def counts(path: Path) -> tuple[int, int]:
 
 
 def main() -> None:
-    total_lines = total_raises = 0
-    print("  code  raise")
+    totals = [0, 0, 0]
+    print("  code  raise  stmts")
     for path in sorted(SRC.glob("*.py")):
-        lines, raises = counts(path)
-        total_lines += lines
-        total_raises += raises
-        print(f"{lines:6d} {raises:6d}  {path.name}")
-    print(f"{total_lines:6d} {total_raises:6d}  total")
+        row = (*counts(path), len(targets(path)[1]))
+        totals = [t + n for t, n in zip(totals, row)]
+        print(f"{row[0]:6d} {row[1]:6d} {row[2]:6d}  {path.name}")
+    print(f"{totals[0]:6d} {totals[1]:6d} {totals[2]:6d}  total")
 
 
 if __name__ == "__main__":
